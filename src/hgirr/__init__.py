@@ -8,12 +8,8 @@ radius, and check the irregularity measures and inequality suite::
     H = build(3, 5, [[1, 2, 3], [1, 4, 5]])
     result = spectral_radius(H)
     report = analyze(H)
-
-The hot kernel runs under numba by default; set ``HGIRR_KERNEL=numpy`` to
-force the pure-numpy fallback.
 """
 
-from ._kernels import available_backends, backend_name, set_backend
 from .constructions import (
     blow_up,
     complete_r_partite,
@@ -78,9 +74,7 @@ __all__ = [
     "UniformHypergraph",
     "analyze",
     "apply_adjacency",
-    "available_backends",
     "average_degree",
-    "backend_name",
     "blow_up",
     "bound_suite",
     "build",
@@ -105,7 +99,6 @@ __all__ = [
     "s_measure",
     "s_r_measure",
     "scaled_row_sums",
-    "set_backend",
     "single_edge",
     "spectral_radius",
     "symmetric_difference_size",

@@ -14,11 +14,13 @@ spectral radius and reports each as a named :class:`BoundCheck`. Checks whose
 hypotheses fail (no partition supplied, isolated vertices, disconnected input
 where connectivity is required) are reported as skipped rather than failed.
 
-``regularize`` and ``regularize_partitewise`` rewire edges from maximum- to
-minimum-degree vertices until all degrees (per class, in the partite variant)
-lie within a band of width 1, recording the swaps in an
-:class:`~hgirr.core.EdgeTrace`. The edit count is bounded by ``s_measure``
-(respectively ``s_r_measure``) of the input.
+``regularize`` and ``regularize_partitewise`` share one rewiring routine that
+moves edges from maximum- to minimum-degree vertices of a group until the
+group's degrees lie within a band of width 1, recording the swaps in an
+:class:`~hgirr.core.EdgeTrace`. ``regularize`` passes all vertices as one
+group; ``regularize_partitewise`` passes the classes of the partition. The
+edit count is bounded by ``s_measure`` (respectively ``s_r_measure``) of the
+input.
 """
 
 from __future__ import annotations
@@ -383,75 +385,33 @@ def _find_swap(
     return None
 
 
-def regularize(H: UniformHypergraph) -> tuple[UniformHypergraph, EdgeTrace]:
-    """Rewire edges until all degrees lie within a band of width 1.
-
-    While the maximum and minimum degree differ by at least 2, an edge is
-    moved from the lowest-id maximum-degree vertex to the lowest-id
-    minimum-degree vertex (first admissible edge in canonical order). Such an
-    edge always exists when the donor's degree exceeds the receiver's. The
-    output keeps n, m, and r, and differs from H in at most s_measure(H)
-    edges; swaps between vertices strictly below and strictly above the
-    average-degree band each reduce s_measure by exactly 2.
-    """
-    deg = H.degree_array.tolist()
-    edge_set = set(H.edges)
-    sorted_edges = sorted(edge_set)
-    swaps: list[tuple[Edge, Edge]] = []
-    while True:
-        dmin = min(deg)
-        dmax = max(deg)
-        if dmax - dmin < 2:
-            break
-        receiver = deg.index(dmin) + 1
-        donor = deg.index(dmax) + 1
-        found = _find_swap(sorted_edges, edge_set, receiver, donor)
-        if found is None:
-            raise RuntimeError(
-                f"no swappable edge from vertex {donor} to vertex {receiver}; "
-                "this indicates a bug, such an edge must exist"
-            )
-        removed, inserted = found
-        edge_set.remove(removed)
-        edge_set.add(inserted)
-        sorted_edges = sorted(edge_set)
-        deg[donor - 1] -= 1
-        deg[receiver - 1] += 1
-        swaps.append((removed, inserted))
-    if not swaps:
-        return H, EdgeTrace(())
-    return UniformHypergraph(H.r, H.n, tuple(sorted(edge_set))), EdgeTrace(tuple(swaps))
-
-
-def regularize_partitewise(
-    H: UniformHypergraph, P: Partition
+def _rewire(
+    H: UniformHypergraph, groups: tuple[tuple[int, ...], ...]
 ) -> tuple[UniformHypergraph, EdgeTrace]:
-    """Class-preserving variant: within each class, degrees end up within 1.
+    """Rewire edges until, within each group of vertex ids, all degrees lie
+    within a band of width 1.
 
-    Swaps only ever replace a vertex by another vertex of the same class, so
-    the output is r-partite with respect to P whenever the input is. The
-    output differs from H in at most s_r_measure(H, P) edges.
+    Groups are handled in order. While a group's maximum and minimum degree
+    differ by at least 2, an edge is moved from its lowest-id maximum-degree
+    vertex to its lowest-id minimum-degree vertex (first admissible edge in
+    canonical order). Such an edge always exists when the donor's degree
+    exceeds the receiver's.
     """
-    violation = first_partition_violation(H, P)
-    if violation is not None:
-        raise HypergraphError(
-            f"invalid partition: edge {list(violation)} does not meet every class once"
-        )
     deg = H.degree_array.tolist()
     edge_set = set(H.edges)
     sorted_edges = sorted(edge_set)
     swaps: list[tuple[Edge, Edge]] = []
-    for members in P.classes:
+    for members in groups:
         if len(members) < 2:
             continue
         while True:
-            class_degrees = [deg[v - 1] for v in members]
-            dmin = min(class_degrees)
-            dmax = max(class_degrees)
+            group_degrees = [deg[v - 1] for v in members]
+            dmin = min(group_degrees)
+            dmax = max(group_degrees)
             if dmax - dmin < 2:
                 break
-            receiver = members[class_degrees.index(dmin)]
-            donor = members[class_degrees.index(dmax)]
+            receiver = members[group_degrees.index(dmin)]
+            donor = members[group_degrees.index(dmax)]
             found = _find_swap(sorted_edges, edge_set, receiver, donor)
             if found is None:
                 raise RuntimeError(
@@ -468,6 +428,36 @@ def regularize_partitewise(
     if not swaps:
         return H, EdgeTrace(())
     return UniformHypergraph(H.r, H.n, tuple(sorted(edge_set))), EdgeTrace(tuple(swaps))
+
+
+def regularize(H: UniformHypergraph) -> tuple[UniformHypergraph, EdgeTrace]:
+    """Rewire edges until all degrees lie within a band of width 1.
+
+    While the maximum and minimum degree differ by at least 2, an edge is
+    moved from the lowest-id maximum-degree vertex to the lowest-id
+    minimum-degree vertex (first admissible edge in canonical order). The
+    output keeps n, m, and r, and differs from H in at most s_measure(H)
+    edges; swaps between vertices strictly below and strictly above the
+    average-degree band each reduce s_measure by exactly 2.
+    """
+    return _rewire(H, (tuple(range(1, H.n + 1)),))
+
+
+def regularize_partitewise(
+    H: UniformHypergraph, P: Partition
+) -> tuple[UniformHypergraph, EdgeTrace]:
+    """Class-preserving variant: within each class, degrees end up within 1.
+
+    Swaps only ever replace a vertex by another vertex of the same class, so
+    the output is r-partite with respect to P whenever the input is. The
+    output differs from H in at most s_r_measure(H, P) edges.
+    """
+    violation = first_partition_violation(H, P)
+    if violation is not None:
+        raise HypergraphError(
+            f"invalid partition: edge {list(violation)} does not meet every class once"
+        )
+    return _rewire(H, P.classes)
 
 
 def analyze(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import apply_adjacency_edges
 from .core import UniformHypergraph, components
 
 __all__ = [
@@ -84,12 +83,29 @@ class SpectralResult:
         return 0.5 * (self.bracket[1] - self.bracket[0])
 
 
+def _apply_adjacency_edges(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(A x)_i over a 0-based (m, r) edge array: per-edge prefix/suffix
+    products of the other members' entries, scattered by bincount. No product
+    is divided back out, so x may have zero entries."""
+    n = x.shape[0]
+    m, r = edges.shape
+    if m == 0:
+        return np.zeros(n, dtype=np.float64)
+    vals = x[edges]
+    prefix = np.ones((m, r))
+    suffix = np.ones((m, r))
+    np.cumprod(vals[:, :-1], axis=1, out=prefix[:, 1:])
+    suffix[:, :-1] = np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1]
+    contrib = prefix * suffix
+    return np.bincount(edges.ravel(), weights=contrib.ravel(), minlength=n)
+
+
 def apply_adjacency(H: UniformHypergraph, x) -> np.ndarray:
     """(A x)_i = sum over edges containing i of the product of the other entries."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (H.n,):
         raise ValueError(f"expected a vector of length {H.n}, got shape {x.shape}")
-    return apply_adjacency_edges(H.edge_array, x)
+    return _apply_adjacency_edges(H.edge_array, x)
 
 
 def row_sums(H: UniformHypergraph) -> np.ndarray:
@@ -129,13 +145,13 @@ def scaled_row_sums(H: UniformHypergraph, p) -> np.ndarray:
         raise ValueError(f"expected a vector of length {H.n}, got shape {p.shape}")
     if np.any(p <= 0):
         raise ValueError("scaling vector must be entrywise positive")
-    return apply_adjacency_edges(H.edge_array, p) / p ** (H.r - 1)
+    return _apply_adjacency_edges(H.edge_array, p) / p ** (H.r - 1)
 
 
 def residual(H: UniformHypergraph, rho: float, x) -> float:
     """max_i |(A x)_i - rho * x_i^(r-1)|, relative to max(1, rho)."""
     x = np.asarray(x, dtype=np.float64)
-    ax = apply_adjacency_edges(H.edge_array, x)
+    ax = _apply_adjacency_edges(H.edge_array, x)
     gap = np.max(np.abs(ax - rho * x ** (H.r - 1)))
     return float(gap / max(1.0, rho))
 
@@ -168,7 +184,7 @@ def _solve_component(
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         xp = x ** (r - 1)
-        y = apply_adjacency_edges(edges, x) + sigma * xp
+        y = _apply_adjacency_edges(edges, x) + sigma * xp
         ratios = y / xp
         lo = float(ratios.min())
         hi = float(ratios.max())

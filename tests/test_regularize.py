@@ -52,6 +52,25 @@ def test_deterministic_tie_breaks(star3):
     assert trace.swaps == (((1, 4, 5), (2, 4, 5)),)
 
 
+def test_multi_swap_trace_is_pinned():
+    _, trace = regularize(random_uniform(9, 10, 3, seed=4))
+    assert trace.swaps == (
+        ((2, 4, 6), (4, 5, 6)),
+        ((1, 3, 8), (1, 3, 9)),
+    )
+
+
+def test_partitewise_trace_is_pinned():
+    # classes {1,2} | {3,4,5} | {6,7,8,9}; the swaps touch all three
+    _, trace = regularize_partitewise(*random_r_partite((2, 3, 4), 12, seed=3))
+    assert trace.swaps == (
+        ((1, 3, 6), (2, 3, 6)),
+        ((1, 3, 7), (1, 4, 7)),
+        ((1, 5, 6), (1, 5, 8)),
+        ((1, 5, 7), (1, 5, 9)),
+    )
+
+
 def _phase1_decrements_check(H, trace):
     """Every swap between a vertex below and a vertex above the target band
     must shrink the scaled deviation sum(|n*d_i - r*m|) by exactly 2n."""

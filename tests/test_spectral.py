@@ -39,10 +39,39 @@ def test_apply_adjacency_all_ones_gives_degrees(two_path):
     )
 
 
+def reference_apply(edges, x):
+    """Independent O(m * r^2) implementation with per-pair products."""
+    y = np.zeros(len(x))
+    for edge in edges:
+        for i in edge:
+            prod = 1.0
+            for j in edge:
+                if j != i:
+                    prod *= x[j]
+            y[i] += prod
+    return y
+
+
+def test_apply_adjacency_matches_reference():
+    rng = np.random.default_rng(99)
+    for r in (2, 3, 4, 5):
+        H = random_uniform(8, 12, r, rng)
+        x = rng.uniform(0.1, 2.0, size=8)
+        want = reference_apply(H.edge_array, x)
+        np.testing.assert_allclose(apply_adjacency(H, x), want, rtol=1e-12)
+
+
+def test_apply_adjacency_empty_edge_array():
+    H = build(3, 4, [])
+    assert np.array_equal(apply_adjacency(H, np.ones(4)), np.zeros(4))
+
+
 def test_apply_adjacency_symbolic_expansion():
     H = single_edge(3)
     a, b, c = 0.7, 1.3, 2.1
     np.testing.assert_allclose(apply_adjacency(H, [a, b, c]), [b * c, a * c, a * b])
+    # leave-one-out: a zero entry must not zero its own row
+    np.testing.assert_allclose(apply_adjacency(H, [0.0, b, c]), [b * c, 0.0, 0.0])
 
 
 def test_apply_adjacency_length_mismatch(two_path):
