@@ -270,11 +270,9 @@ def first_partition_violation(H: UniformHypergraph, P: Partition) -> Edge | None
         raise HypergraphError(
             f"partition has {P.num_classes} classes, expected r={H.r}"
         )
-    for edge in H.edges:
-        labels = {P.class_of[v - 1] for v in edge}
-        if len(labels) != H.r:
-            return edge
-    return None
+    labels = np.sort(np.asarray(P.class_of, dtype=np.int64)[H.edge_array], axis=1)
+    bad = np.flatnonzero((labels != np.arange(1, H.r + 1)).any(axis=1))
+    return H.edges[bad[0]] if bad.size else None
 
 
 def validate_partition(H: UniformHypergraph, P: Partition) -> bool:

@@ -20,12 +20,15 @@ group's degrees lie within a band of width 1, recording the swaps in an
 :class:`~hgirr.core.EdgeTrace`. ``regularize`` passes all vertices as one
 group; ``regularize_partitewise`` passes the classes of the partition. The
 edit count is bounded by ``s_measure`` (respectively ``s_r_measure``) of the
-input.
+input. The routine keeps a sorted incidence list per vertex and sorted
+degree buckets per group, so after an O(r m + n) setup one swap costs
+O(r * max degree) instead of a re-sort of the whole edge set.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,7 +231,12 @@ def bound_suite(
         math.prod(int(deg[v - 1]) for v in edge) for edge in H.edges
     ]
     constant_product = m > 0 and len(set(edge_products)) == 1
-    connected = is_connected(H)
+    # spectral_radius already split H into components (isolated vertices
+    # included), so only a bare float needs the decomposition again
+    if isinstance(spectral, SpectralResult):
+        connected = len(spectral.component_rhos) == 1
+    else:
+        connected = is_connected(H)
     checks: list[BoundCheck] = []
 
     checks.append(_check("cooper_dutle", davg, rho, tol, eq=regular, reason="regular"))
@@ -373,46 +381,64 @@ def weyl_check(
 
 
 def _find_swap(
-    sorted_edges: list[Edge], edge_set: set[Edge], receiver: int, donor: int
+    incident: list[list[Edge]], edge_set: set[Edge], receiver: int, donor: int
 ) -> tuple[Edge, Edge] | None:
     """First edge in canonical order through the donor but not the receiver
     whose rewired version is not already present."""
-    for edge in sorted_edges:
-        if donor in edge and receiver not in edge:
+    for edge in incident[donor]:
+        if receiver not in edge:
             candidate = tuple(sorted([v for v in edge if v != donor] + [receiver]))
             if candidate not in edge_set:
                 return edge, candidate
     return None
 
 
+def _move(buckets: dict[int, list[int]], v: int, old: int, new: int) -> None:
+    """Move vertex v from degree bucket old to degree bucket new."""
+    bucket = buckets[old]
+    del bucket[bisect_left(bucket, v)]
+    if not bucket:
+        del buckets[old]
+    insort(buckets.setdefault(new, []), v)
+
+
 def _rewire(
     H: UniformHypergraph, groups: tuple[tuple[int, ...], ...]
 ) -> tuple[UniformHypergraph, EdgeTrace]:
-    """Rewire edges until, within each group of vertex ids, all degrees lie
-    within a band of width 1.
+    """Rewire edges until, within each group of ascending vertex ids, all
+    degrees lie within a band of width 1.
 
     Groups are handled in order. While a group's maximum and minimum degree
     differ by at least 2, an edge is moved from its lowest-id maximum-degree
     vertex to its lowest-id minimum-degree vertex (first admissible edge in
     canonical order). Such an edge always exists when the donor's degree
     exceeds the receiver's.
+
+    Each vertex keeps its incident edges in a sorted list whose length is
+    its degree; the donor's list is walked in canonical order, and a swap
+    updates the 2r lists it touches by bisection. Each group keeps its
+    vertices in sorted per-degree buckets, and the heads of the two extreme
+    buckets are the donor and the receiver. Setup costs O(r m + n); a swap
+    costs O(r * max degree) plus the walk over the donor's edges.
     """
-    deg = H.degree_array.tolist()
+    incident: list[list[Edge]] = [[] for _ in range(H.n + 1)]
+    for edge in H.edges:  # canonical order, so every list starts sorted
+        for v in edge:
+            incident[v].append(edge)
     edge_set = set(H.edges)
-    sorted_edges = sorted(edge_set)
     swaps: list[tuple[Edge, Edge]] = []
     for members in groups:
         if len(members) < 2:
             continue
-        while True:
-            group_degrees = [deg[v - 1] for v in members]
-            dmin = min(group_degrees)
-            dmax = max(group_degrees)
-            if dmax - dmin < 2:
-                break
-            receiver = members[group_degrees.index(dmin)]
-            donor = members[group_degrees.index(dmax)]
-            found = _find_swap(sorted_edges, edge_set, receiver, donor)
+        buckets: dict[int, list[int]] = {}
+        for v in members:  # ascending, so every bucket starts sorted
+            buckets.setdefault(len(incident[v]), []).append(v)
+        dmin = min(buckets)
+        dmax = max(buckets)
+        while dmax - dmin >= 2:
+            receiver = buckets[dmin][0]
+            donor = buckets[dmax][0]
+            found = _find_swap(incident, edge_set, receiver, donor)
             if found is None:
                 raise RuntimeError(
                     f"no swappable edge from vertex {donor} to vertex {receiver}; "
@@ -421,9 +447,17 @@ def _rewire(
             removed, inserted = found
             edge_set.remove(removed)
             edge_set.add(inserted)
-            sorted_edges = sorted(edge_set)
-            deg[donor - 1] -= 1
-            deg[receiver - 1] += 1
+            for v in removed:
+                edges = incident[v]
+                del edges[bisect_left(edges, removed)]
+            for v in inserted:
+                insort(incident[v], inserted)
+            _move(buckets, donor, dmax, dmax - 1)
+            _move(buckets, receiver, dmin, dmin + 1)
+            if dmax not in buckets:
+                dmax -= 1
+            if dmin not in buckets:
+                dmin += 1
             swaps.append((removed, inserted))
     if not swaps:
         return H, EdgeTrace(())

@@ -151,7 +151,7 @@ def scaled_row_sums(H: UniformHypergraph, p) -> np.ndarray:
 def residual(H: UniformHypergraph, rho: float, x) -> float:
     """max_i |(A x)_i - rho * x_i^(r-1)|, relative to max(1, rho)."""
     x = np.asarray(x, dtype=np.float64)
-    ax = _apply_adjacency_edges(H.edge_array, x)
+    ax = apply_adjacency(H, x)
     gap = np.max(np.abs(ax - rho * x ** (H.r - 1)))
     return float(gap / max(1.0, rho))
 

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from hgirr import (
@@ -7,6 +10,7 @@ from hgirr import (
     build,
     components,
     degrees,
+    first_partition_violation,
     is_connected,
     is_regular,
     relabel,
@@ -14,7 +18,7 @@ from hgirr import (
     union_edges,
     validate_partition,
 )
-from hgirr.constructions import complete_r_partite, single_edge
+from hgirr.constructions import complete_r_partite, random_uniform, single_edge
 
 
 def test_build_single_edge():
@@ -125,6 +129,19 @@ def test_validate_partition_examples(two_path, two_path_partition):
 def test_validate_partition_complete_by_construction():
     H, P = complete_r_partite([2, 3, 2])
     assert validate_partition(H, P)
+
+
+def test_first_partition_violation_is_first_in_canonical_order():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        r = int(rng.integers(2, 5))
+        n = int(rng.integers(r, 12))
+        H = random_uniform(n, int(rng.integers(0, math.comb(n, r) + 1)), r, rng)
+        P = Partition(tuple(int(c) for c in rng.integers(1, r + 1, n)), r)
+        expected = next(
+            (e for e in H.edges if len({P.class_of[v - 1] for v in e}) != r), None
+        )
+        assert first_partition_violation(H, P) == expected
 
 
 def test_validate_partition_requires_matching_shape(two_path):

@@ -152,6 +152,19 @@ def test_suite_skips_degree_product_bounds_on_isolated_vertex():
     assert by_name(checks, "edge_gm_upper").skipped_reason == "disconnected"
 
 
+@pytest.mark.parametrize(
+    "edges, n",
+    [([[1, 2, 3], [1, 4, 5]], 5), ([[1, 2, 3], [4, 5, 6]], 6), ([[1, 2, 3]], 4)],
+)
+def test_suite_connectivity_same_for_result_and_float(edges, n):
+    # a SpectralResult carries its components; a bare float is decomposed again
+    H = build(3, n, edges)
+    res = spectral_radius(H)
+    from_result = by_name(bound_suite(H, res), "edge_gm_upper").skipped_reason
+    from_float = by_name(bound_suite(H, res.rho), "edge_gm_upper").skipped_reason
+    assert from_result == from_float == (None if n == 5 else "disconnected")
+
+
 def test_suite_edgeless():
     H = build(3, 4, [])
     res = spectral_radius(H)

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from helpers import reference_rewire
 from hgirr import (
     build,
     complete_r_partite,
@@ -69,6 +71,44 @@ def test_partitewise_trace_is_pinned():
         ((1, 5, 6), (1, 5, 8)),
         ((1, 5, 7), (1, 5, 9)),
     )
+
+
+def test_rewire_matches_sort_and_scan_reference():
+    # small vertex counts force degree ties among donors and receivers
+    rng = np.random.default_rng(53)
+    swaps = 0
+    for _ in range(120):
+        r = int(rng.choice([2, 3, 4]))
+        n = int(rng.integers(r, 25))
+        m = int(rng.integers(0, min(math.comb(n, r), 120) + 1))
+        H = random_uniform(n, m, r, rng)
+        got = regularize(H)
+        assert got == reference_rewire(H, (tuple(range(1, n + 1)),))
+        swaps += len(got[1])
+    assert swaps > 500
+
+
+def test_partitewise_rewire_matches_sort_and_scan_reference():
+    # singleton classes are skipped; the others are rewired in class order
+    rng = np.random.default_rng(54)
+    size_pool = [(1, 3, 4), (2, 2, 2), (3, 5), (4, 2, 3, 2), (6, 1, 5), (5, 5, 5)]
+    swaps = 0
+    for i in range(90):
+        sizes = size_pool[i % len(size_pool)]
+        m = int(rng.integers(0, min(math.prod(sizes), 150) + 1))
+        H, P = random_r_partite(sizes, m, rng)
+        got = regularize_partitewise(H, P)
+        assert got == reference_rewire(H, P.classes)
+        swaps += len(got[1])
+    assert swaps > 200
+
+
+def test_large_trace_is_pinned():
+    # recorded with the sort-and-scan rewiring, which took 55 s on a 2-vCPU VM
+    _, trace = regularize(random_uniform(2000, 20000, 3, seed=1))
+    assert len(trace) == 4392
+    digest = hashlib.sha256(repr(trace.swaps).encode()).hexdigest()
+    assert digest == "ff16c7679371eb7eb157406352f487352bbc01d8f980f1d34821d4a19b0f23ea"
 
 
 def _phase1_decrements_check(H, trace):

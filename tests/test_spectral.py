@@ -205,6 +205,14 @@ def test_residual_exact_pair():
     assert residual(H, 1.0, x) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_residual_length_mismatch():
+    H = single_edge(3)
+    with pytest.raises(ValueError, match="length 3"):
+        residual(H, 1.0, [1.0, 1.0, 1.0, 5.0])
+    with pytest.raises(ValueError, match="length 3"):
+        residual(H, 1.0, [1.0, 1.0])
+
+
 def test_residual_perturbed_positive(two_path):
     res = spectral_radius(two_path)
     x = res.perron_vector.copy()
