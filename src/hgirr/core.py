@@ -11,14 +11,17 @@ functions and safe to use from multiple threads.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 Edge = tuple[int, ...]
+
+_INT64 = np.iinfo(np.int64)
+# Rows per chunk when edge tuples are made from an edge array.
+_CHUNK = 1 << 16
 
 __all__ = [
     "Edge",
@@ -43,7 +46,6 @@ class HypergraphError(ValueError):
     """Raised when input data violates a structural invariant."""
 
 
-@dataclass(frozen=True, repr=False)
 class UniformHypergraph:
     """An immutable r-uniform hypergraph with canonically sorted edges.
 
@@ -51,15 +53,33 @@ class UniformHypergraph:
     input. Direct construction is reserved for internal callers that already
     hold canonical data (for example component decomposition, which may
     produce edgeless pieces with fewer than r vertices).
+
+    The edges exist in two forms, each made from the other on first use:
+    ``edges``, a tuple of 1-based vertex tuples, and ``edge_array``, an
+    (m, r) int64 array of 0-based ids. Hypergraphs from :func:`build` and
+    :func:`components` start from the array, so numeric work never makes
+    the tuples. Equality and hashing are those of (r, n, edges).
     """
 
-    r: int
-    n: int
-    edges: tuple[Edge, ...]
+    def __init__(self, r: int, n: int, edges: tuple[Edge, ...]) -> None:
+        self.__dict__.update(r=r, n=n, edges=edges)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        if "edges" in self.__dict__:
+            return len(self.edges)
+        return self.edge_array.shape[0]
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Edges as 1-based vertex tuples in canonical order."""
+        return _edge_tuples(self.edge_array)
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -76,6 +96,18 @@ class UniformHypergraph:
     def degree_array(self) -> np.ndarray:
         """Per-vertex edge counts as an int64 array of length n."""
         return np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.int64)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UniformHypergraph):
+            return NotImplemented
+        return (
+            self.r == other.r
+            and self.n == other.n
+            and np.array_equal(self.edge_array, other.edge_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"UniformHypergraph(r={self.r}, n={self.n}, m={self.m})"
@@ -156,6 +188,79 @@ class EdgeTrace:
         return UniformHypergraph(H.r, H.n, tuple(sorted(edge_set)))
 
 
+def _edge_error(pos: int, edge: Edge, r: int, n: int) -> str | None:
+    """The message of the first per-edge check that input edge #pos fails,
+    in the order cardinality, repeated vertex, range; None if it passes."""
+    if len(edge) != r:
+        return f"edge #{pos} {list(edge)} has {len(edge)} vertices, expected {r}"
+    if len(set(edge)) != r:
+        return f"edge #{pos} {list(edge)} has a repeated vertex"
+    for v in edge:
+        if not 1 <= v <= n:
+            return f"edge #{pos} {list(edge)}: vertex id {v} out of range [1, {n}]"
+    return None
+
+
+def _input_rows(
+    edge_list: Iterable[Sequence[int]], r: int
+) -> tuple[np.ndarray, Edge | Exception | None]:
+    """The input edges as a (k, r) int64 array, plus what stopped the
+    conversion: None when every edge fits, else the first edge of another
+    size or holding an id beyond int64, or the exception raised converting
+    it. The array then holds the edges before that one."""
+    if isinstance(edge_list, np.ndarray) and edge_list.dtype.kind != "i":
+        edge_list = edge_list.tolist()  # convert entries as int() would
+    elif not isinstance(edge_list, (np.ndarray, list, tuple)):
+        edge_list = list(edge_list)
+    if len(edge_list) == 0:
+        return np.empty((0, r), dtype=np.int64), None
+    try:
+        rows = np.asarray(edge_list, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is not None and rows.ndim == 2 and rows.shape[1] == r:
+        return rows, None
+    # Ragged, of another width, or not int64: convert edge by edge, in order.
+    fitting: list[Edge] = []
+    for raw in edge_list:
+        try:
+            edge = tuple(int(v) for v in raw)
+        except (TypeError, ValueError) as exc:
+            return np.array(fitting, dtype=np.int64).reshape(-1, r), exc
+        if len(edge) != r or not all(_INT64.min <= v <= _INT64.max for v in edge):
+            return np.array(fitting, dtype=np.int64).reshape(-1, r), edge
+        fitting.append(edge)
+    return np.array(fitting, dtype=np.int64).reshape(-1, r), None
+
+
+def _edge_tuples(edge_array: np.ndarray) -> tuple[Edge, ...]:
+    """1-based edge tuples of a 0-based edge array, converted in chunks."""
+    out: list[Edge] = []
+    for start in range(0, edge_array.shape[0], _CHUNK):
+        out.extend(map(tuple, (edge_array[start : start + _CHUNK] + 1).tolist()))
+    return tuple(out)
+
+
+def _from_edge_array(r: int, n: int, edge_array: np.ndarray) -> UniformHypergraph:
+    """The hypergraph of a canonical 0-based (m, r) int64 edge array, which
+    it keeps as its ``edge_array``; the edge tuples are made on first use."""
+    H = UniformHypergraph.__new__(UniformHypergraph)
+    H.__dict__.update(r=r, n=n, edge_array=edge_array)
+    return H
+
+
+def _row_order(rows: np.ndarray, n: int) -> np.ndarray:
+    """Stable lexicographic order of the rows of a (k, r) array of ids in
+    1..n: one sort of a mixed-radix key when n**r fits int64."""
+    r = rows.shape[1]
+    if n**r > _INT64.max:
+        return np.lexsort(rows.T[::-1])
+    key = rows[:, 0] - 1
+    for j in range(1, r):
+        key = key * n + (rows[:, j] - 1)
+    return np.argsort(key, kind="stable")
+
+
 def build(
     r: int,
     n: int,
@@ -166,35 +271,41 @@ def build(
 
     Rejects edges of the wrong cardinality, repeated vertices within an edge,
     out-of-range vertex ids, and duplicate edges. With ``dedupe=True``
-    repeated edges are silently collapsed instead of rejected.
+    repeated edges are silently collapsed instead of rejected. The error
+    names the first input edge that fails a check (a duplicate fails at its
+    second occurrence); for that edge the checks run in the order listed.
     """
     if r < 2:
         raise HypergraphError(f"rank must be at least 2, got r={r}")
     if n < r:
         raise HypergraphError(f"need at least r={r} vertices, got n={n}")
-    seen: set[Edge] = set()
-    canonical: list[Edge] = []
-    for pos, raw in enumerate(edge_list, 1):
-        edge = tuple(int(v) for v in raw)
-        if len(edge) != r:
-            raise HypergraphError(
-                f"edge #{pos} {list(edge)} has {len(edge)} vertices, expected {r}"
-            )
-        if len(set(edge)) != r:
-            raise HypergraphError(f"edge #{pos} {list(edge)} has a repeated vertex")
-        for v in edge:
-            if not 1 <= v <= n:
-                raise HypergraphError(
-                    f"edge #{pos} {list(edge)}: vertex id {v} out of range [1, {n}]"
-                )
-        key = tuple(sorted(edge))
-        if key in seen:
-            if dedupe:
-                continue
-            raise HypergraphError(f"duplicate edge {list(key)} (edge #{pos})")
-        seen.add(key)
-        canonical.append(key)
-    return UniformHypergraph(r, n, tuple(sorted(canonical)))
+    rows, stop = _input_rows(edge_list, r)
+    k = rows.shape[0]
+    rows_sorted = np.sort(rows, axis=1)
+    failing = (np.diff(rows_sorted, axis=1) == 0).any(axis=1)
+    failing |= (rows_sorted[:, 0] < 1) | (rows_sorted[:, -1] > n)
+    first = int(np.argmax(failing)) if failing.any() else k
+    # Every edge before the first failing one is valid, so a duplicate
+    # among them is the earliest error.
+    order = _row_order(rows_sorted[:first], n)
+    canonical = rows_sorted[order]
+    # the order is stable, so within a run of equal rows the input order
+    # holds and every row but the run's first is a later occurrence
+    repeat = (canonical[1:] == canonical[:-1]).all(axis=1)
+    if not dedupe and repeat.any():
+        second = int(order[1:][repeat].min())
+        key = rows_sorted[second].tolist()
+        raise HypergraphError(f"duplicate edge {key} (edge #{second + 1})")
+    if first < k:
+        raise HypergraphError(_edge_error(first + 1, tuple(rows[first].tolist()), r, n))
+    if isinstance(stop, Exception):
+        raise stop
+    if stop is not None:
+        # an id beyond int64 is out of range for any n the degrees fit in
+        raise HypergraphError(_edge_error(k + 1, stop, r, n))
+    if repeat.any():
+        canonical = canonical[np.concatenate(([True], ~repeat))]
+    return _from_edge_array(r, n, canonical - 1)
 
 
 def degrees(H: UniformHypergraph) -> np.ndarray:
@@ -207,6 +318,35 @@ def is_regular(H: UniformHypergraph) -> bool:
     return bool(deg.max() == deg.min())
 
 
+def _component_labels(H: UniformHypergraph) -> np.ndarray:
+    """Per vertex, the 0-based smallest vertex of its connected component.
+
+    Every round hooks the label of each edge's vertices, and the labels
+    those point at, to the smallest label on the edge, then jumps pointers
+    until each label is a root. Labels only fall and never leave their
+    component, so at the fixed point each component is labelled by its
+    smallest vertex. Each tree is merged within two rounds, so the number
+    of rounds is logarithmic in n.
+    """
+    label = np.arange(H.n)
+    edges = H.edge_array
+    if edges.shape[0] == 0:
+        return label
+    while True:
+        ends = label[edges]
+        low = ends.min(axis=1)
+        if np.array_equal(ends.max(axis=1), low):
+            return label
+        low = np.repeat(low, H.r)
+        np.minimum.at(label, ends.ravel(), low)
+        np.minimum.at(label, edges.ravel(), low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
 def components(
     H: UniformHypergraph,
 ) -> list[tuple[tuple[int, ...], UniformHypergraph]]:
@@ -216,44 +356,38 @@ def components(
     links them. Returns (vertex subset, relabeled subhypergraph) pairs ordered
     by smallest original vertex; the subsets partition 1..n and the edge sets
     partition E(H). Isolated vertices become edgeless singleton components.
+    A connected H is returned as its own single component.
     """
-    incident: list[list[int]] = [[] for _ in range(H.n + 1)]
-    for idx, edge in enumerate(H.edges):
-        for v in edge:
-            incident[v].append(idx)
-
-    seen_vertex = [False] * (H.n + 1)
+    label = _component_labels(H)
+    roots = np.flatnonzero(label == np.arange(H.n))
+    if roots.size == 1:
+        return [(tuple(range(1, H.n + 1)), H)]
+    comp = np.searchsorted(roots, label)
+    vertex_order = np.argsort(comp, kind="stable")
+    vertex_count = np.bincount(comp, minlength=roots.size)
+    vertex_start = np.cumsum(vertex_count) - vertex_count
+    # Rank within the component: monotone, so relabeled edges keep their
+    # sorted vertices and their canonical order.
+    rank = np.empty(H.n, dtype=np.int64)
+    rank[vertex_order] = np.arange(H.n) - np.repeat(vertex_start, vertex_count)
+    edges = H.edge_array
+    edge_comp = comp[edges[:, 0]]
+    edge_order = np.argsort(edge_comp, kind="stable")
+    edge_count = np.bincount(edge_comp, minlength=roots.size).tolist()
+    sub_edges = rank[edges[edge_order]]
+    members = (vertex_order + 1).tolist()
     out: list[tuple[tuple[int, ...], UniformHypergraph]] = []
-    for start in range(1, H.n + 1):
-        if seen_vertex[start]:
-            continue
-        verts: list[int] = []
-        edge_ids: set[int] = set()
-        queue = deque([start])
-        seen_vertex[start] = True
-        while queue:
-            v = queue.popleft()
-            verts.append(v)
-            for idx in incident[v]:
-                if idx in edge_ids:
-                    continue
-                edge_ids.add(idx)
-                for w in H.edges[idx]:
-                    if not seen_vertex[w]:
-                        seen_vertex[w] = True
-                        queue.append(w)
-        verts.sort()
-        rank_of = {v: i + 1 for i, v in enumerate(verts)}
-        sub_edges = sorted(
-            tuple(rank_of[v] for v in H.edges[idx]) for idx in sorted(edge_ids)
-        )
-        sub = UniformHypergraph(H.r, len(verts), tuple(sub_edges))
-        out.append((tuple(verts), sub))
+    v0 = e0 = 0
+    for size, count in zip(vertex_count.tolist(), edge_count):
+        sub = _from_edge_array(H.r, size, sub_edges[e0 : e0 + count])
+        out.append((tuple(members[v0 : v0 + size]), sub))
+        v0 += size
+        e0 += count
     return out
 
 
 def is_connected(H: UniformHypergraph) -> bool:
-    return len(components(H)) == 1
+    return bool((_component_labels(H) == 0).all())
 
 
 def first_partition_violation(H: UniformHypergraph, P: Partition) -> Edge | None:
@@ -272,7 +406,7 @@ def first_partition_violation(H: UniformHypergraph, P: Partition) -> Edge | None
         )
     labels = np.sort(np.asarray(P.class_of, dtype=np.int64)[H.edge_array], axis=1)
     bad = np.flatnonzero((labels != np.arange(1, H.r + 1)).any(axis=1))
-    return H.edges[bad[0]] if bad.size else None
+    return tuple((H.edge_array[bad[0]] + 1).tolist()) if bad.size else None
 
 
 def validate_partition(H: UniformHypergraph, P: Partition) -> bool:

@@ -14,9 +14,15 @@ line.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import HypergraphError, Partition, UniformHypergraph, build, validate_partition
 
 __all__ = ["HgrFormatError", "parse_hgr", "parse_partition_text", "write_hgr"]
+
+
+# Edge lines parsed per chunk: bounds the token lists alive at a time.
+_CHUNK = 1 << 14
 
 
 class HgrFormatError(HypergraphError):
@@ -43,23 +49,50 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
     return values
 
 
+def _edge_line_numbers(text: str) -> list[int]:
+    """Line numbers of the edge lines: the content lines after the header."""
+    return [lineno for lineno, _ in _content_lines(text)[1:]]
+
+
+def _edge_rows(text: str, edge_lines: list[str], r: int, stop: int) -> np.ndarray:
+    """The integers of the first ``stop`` edge lines, each holding r tokens,
+    as a (stop, r) int64 array parsed chunk by chunk. A chunk that does not
+    parse is scanned line by line for the first token that is no integer.
+    If every token is one but some exceed int64, the rows come back as an
+    object array of Python ints."""
+    rows = np.empty((stop, r), dtype=np.int64)
+    for start in range(0, stop, _CHUNK):
+        end = min(start + _CHUNK, stop)
+        tokens = " ".join(edge_lines[start:end]).split()
+        try:
+            rows[start:end] = np.fromiter(
+                map(int, tokens), dtype=np.int64, count=len(tokens)
+            ).reshape(-1, r)
+        except (ValueError, OverflowError):
+            linenos = _edge_line_numbers(text)
+            for i in range(start, end):
+                _ints(edge_lines[i].split(), linenos[i])
+            rows = rows.astype(object)
+            rows[start:end] = np.array([int(tok) for tok in tokens], dtype=object).reshape(-1, r)
+    return rows
+
+
 def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
     """Parse an hgr document into a hypergraph and its optional partition."""
-    lines = _content_lines(text)
-    if not lines:
-        raise HgrFormatError("empty document, expected header 'hgr <r> <n> <m>'")
-
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "hgr":
-        raise HgrFormatError(f"line {lineno}: expected header 'hgr <r> <n> <m>'")
-    r, n, m = _ints(tokens[1:], lineno)
-
-    body = lines[1:]
-    edge_lines = []
+    header = None
+    edge_lines: list[str] = []
     partition_line = None
-    for lineno, line in body:
+    bad_count = None
+    for lineno, line in enumerate(text.splitlines(), 1):
         tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if header is None:
+            header = lineno
+            if len(tokens) != 4 or tokens[0] != "hgr":
+                raise HgrFormatError(f"line {lineno}: expected header 'hgr <r> <n> <m>'")
+            r, n, m = _ints(tokens[1:], lineno)
+            continue
         if tokens[0] == "partition":
             if partition_line is not None:
                 raise HgrFormatError(f"line {lineno}: duplicate partition line")
@@ -67,23 +100,26 @@ def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
             continue
         if partition_line is not None:
             raise HgrFormatError(f"line {lineno}: content after partition line")
-        edge_lines.append((lineno, tokens))
+        if bad_count is None and len(tokens) != r:
+            bad_count = (len(edge_lines), len(tokens))
+        edge_lines.append(line)
+    if header is None:
+        raise HgrFormatError("empty document, expected header 'hgr <r> <n> <m>'")
 
     if len(edge_lines) != m:
         raise HgrFormatError(
             f"edge count mismatch: header declares m={m}, found {len(edge_lines)} edge lines"
         )
-
-    edges = []
-    for lineno, tokens in edge_lines:
-        if len(tokens) != r:
-            raise HgrFormatError(
-                f"line {lineno}: edge has {len(tokens)} vertices, expected {r}"
-            )
-        edges.append(_ints(tokens, lineno))
+    stop = m if bad_count is None else bad_count[0]
+    rows = _edge_rows(text, edge_lines, r, stop) if stop else []
+    if bad_count is not None:
+        raise HgrFormatError(
+            f"line {_edge_line_numbers(text)[stop]}: edge has {bad_count[1]} vertices, expected {r}"
+        )
+    del edge_lines  # free the lines before build allocates its arrays
 
     try:
-        H = build(r, n, edges)
+        H = build(r, n, rows)
     except HypergraphError as exc:
         raise HgrFormatError(str(exc)) from None
 

@@ -143,22 +143,41 @@ def v_measure(H: UniformHypergraph) -> float:
     return float(np.mean(powered) - davg**alpha)
 
 
-def s_r_measure(H: UniformHypergraph, P: Partition) -> float:
-    """Per-class degree deviation: sum over classes of sum_j |d_j - m/n_i|."""
+def _s_r(H: UniformHypergraph, P: Partition) -> float:
+    """s_r for a partition already checked against H. Each class's sum is an
+    exact integer, divided once by the class size."""
+    deg = H.degree_array
+    class_of = np.asarray(P.class_of)
+    total = 0.0
+    for c in range(1, P.num_classes + 1):
+        members = deg[class_of == c]
+        if members.size:
+            total += int(np.abs(members.size * members - H.m).sum()) / members.size
+    return total
+
+
+def _check_partition(H: UniformHypergraph, P: Partition) -> None:
     violation = first_partition_violation(H, P)
     if violation is not None:
         raise HypergraphError(
             f"invalid partition: edge {list(violation)} does not meet every class once"
         )
+
+
+def s_r_measure(H: UniformHypergraph, P: Partition) -> float:
+    """Per-class degree deviation: sum over classes of sum_j |d_j - m/n_i|."""
+    _check_partition(H, P)
+    return _s_r(H, P)
+
+
+def _edge_degree_products(H: UniformHypergraph) -> np.ndarray:
+    """Product of the vertex degrees on each edge, in canonical edge order,
+    exactly: in int64 when the largest possible product fits, else as an
+    object array of Python integers."""
     deg = H.degree_array
-    total = 0.0
-    for members in P.classes:
-        size = len(members)
-        if size == 0:
-            continue
-        acc = sum(abs(size * int(deg[v - 1]) - H.m) for v in members)
-        total += acc / size
-    return total
+    if H.m and int(deg.max()) ** H.r >= 2**63:
+        deg = deg.astype(object)
+    return deg[H.edge_array].prod(axis=1)
 
 
 def _rho_value(rho) -> float:
@@ -217,20 +236,14 @@ def bound_suite(
     tol = _coupled_tolerance(check_tolerance, _certified_error(spectral))
 
     if partition is not None:
-        violation = first_partition_violation(H, partition)
-        if violation is not None:
-            raise HypergraphError(
-                f"invalid partition: edge {list(violation)} does not meet every class once"
-            )
+        _check_partition(H, partition)
 
     deg = H.degree_array
     n, m, r = H.n, H.m, H.r
     davg = (r * m) / n
     regular = bool(deg.max() == deg.min())
-    edge_products = [
-        math.prod(int(deg[v - 1]) for v in edge) for edge in H.edges
-    ]
-    constant_product = m > 0 and len(set(edge_products)) == 1
+    edge_products = _edge_degree_products(H)
+    constant_product = m > 0 and edge_products.min() == edge_products.max()
     # spectral_radius already split H into components (isolated vertices
     # included), so only a bare float needs the decomposition again
     if isinstance(spectral, SpectralResult):
@@ -272,7 +285,7 @@ def bound_suite(
     elif not connected:
         checks.append(_skip("edge_gm_upper", "disconnected"))
     else:
-        rhs = max(p ** (1.0 / r) for p in edge_products)
+        rhs = int(edge_products.max()) ** (1.0 / r)
         checks.append(
             _check(
                 "edge_gm_upper",
@@ -298,7 +311,9 @@ def bound_suite(
             _certified_error(spectral) * r * max(1.0, rho) ** (r - 1) + float_noise
         )
         tol_powered = _coupled_tolerance(check_tolerance, cert_powered)
-        gm = math.exp(sum(math.log(p) for p in edge_products) / m)
+        # sequential sums over Python floats, as the bits of gm and hm
+        # depend on the summation order
+        gm = math.exp(sum(map(math.log, edge_products.tolist())) / m)
         checks.append(
             _check(
                 "gm_lower",
@@ -309,7 +324,7 @@ def bound_suite(
                 reason="constant edge degree product",
             )
         )
-        hm = m / sum(1.0 / p for p in edge_products)
+        hm = m / sum((1.0 / edge_products).tolist())
         checks.append(
             _check(
                 "hm_lower",
@@ -350,12 +365,12 @@ def bound_suite(
         checks.append(_skip("claim2", "empty class"))
     else:
         geo = math.prod(partition.class_sizes) ** (1.0 / r)
-        s_r = s_r_measure(H, partition)
+        s_r = _s_r(H, partition)
         checks.append(
             _check("theorem1", rho - m / geo, (s_r / 2.0) ** ((r - 1) / r), tol)
         )
         checks.append(_check("claim1", (n / r) ** (1.0 / r), geo, tol))
-        regularized, _ = regularize_partitewise(H, partition)
+        regularized, _ = _rewire(H, partition.classes)
         hat = spectral_radius(regularized, opts)
         tol_hat = _coupled_tolerance(check_tolerance, hat.certified_error)
         rhs = m / geo + (n / r) ** (1.0 - 1.0 / r)
@@ -486,11 +501,7 @@ def regularize_partitewise(
     the output is r-partite with respect to P whenever the input is. The
     output differs from H in at most s_r_measure(H, P) edges.
     """
-    violation = first_partition_violation(H, P)
-    if violation is not None:
-        raise HypergraphError(
-            f"invalid partition: edge {list(violation)} does not meet every class once"
-        )
+    _check_partition(H, P)
     return _rewire(H, P.classes)
 
 
@@ -503,7 +514,8 @@ def analyze(
     """Solve for the spectral radius and assemble the full measure/bound report."""
     result = spectral_radius(H, opts)
     checks = bound_suite(H, result, partition, check_tolerance, opts)
-    s_r = s_r_measure(H, partition) if partition is not None else None
+    # bound_suite has checked the partition against H
+    s_r = _s_r(H, partition) if partition is not None else None
     return IrregularityReport(
         n=H.n,
         m=H.m,

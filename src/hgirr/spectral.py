@@ -86,17 +86,25 @@ class SpectralResult:
 def _apply_adjacency_edges(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(A x)_i over a 0-based (m, r) edge array: per-edge prefix/suffix
     products of the other members' entries, scattered by bincount. No product
-    is divided back out, so x may have zero entries."""
+    is divided back out, so x may have zero entries.
+
+    Column j of the (m, r) buffer gets the prefix x_0 * ... * x_(j-1),
+    multiplied left to right, times the suffix x_(r-1) * ... * x_(j+1),
+    multiplied right to left; the suffix of column 0 is written as is."""
     n = x.shape[0]
     m, r = edges.shape
     if m == 0:
         return np.zeros(n, dtype=np.float64)
     vals = x[edges]
-    prefix = np.ones((m, r))
-    suffix = np.ones((m, r))
-    np.cumprod(vals[:, :-1], axis=1, out=prefix[:, 1:])
-    suffix[:, :-1] = np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1]
-    contrib = prefix * suffix
+    contrib = np.empty((m, r))
+    contrib[:, 1] = vals[:, 0]
+    for j in range(2, r):
+        np.multiply(contrib[:, j - 1], vals[:, j - 1], out=contrib[:, j])
+    suffix = vals[:, r - 1].copy()
+    for j in range(r - 2, 0, -1):
+        contrib[:, j] *= suffix
+        suffix *= vals[:, j]
+    contrib[:, 0] = suffix
     return np.bincount(edges.ravel(), weights=contrib.ravel(), minlength=n)
 
 

@@ -8,13 +8,18 @@ usable for tiny connected instances.
 ``reference_rewire`` is the original sort-and-scan rewiring: after every swap
 it re-sorts the whole edge set and scans it for the first admissible edge.
 It fixes the tie-break rule that ``hgirr.irregularity._rewire`` must keep.
+
+``reference_apply_adjacency_edges`` (row-wise cumprod prefix/suffix kernel)
+and ``reference_components`` (breadth-first search over incidence lists) are
+the earlier implementations of ``hgirr.spectral._apply_adjacency_edges`` and
+``hgirr.components``. Their replacements must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
@@ -104,3 +109,58 @@ def reference_rewire(H, groups):
     if not swaps:
         return H, EdgeTrace(())
     return UniformHypergraph(H.r, H.n, tuple(sorted(edge_set))), EdgeTrace(tuple(swaps))
+
+
+def reference_apply_adjacency_edges(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(A x)_i over a 0-based (m, r) edge array: per-edge prefix/suffix
+    products of the other members' entries, scattered by bincount. No product
+    is divided back out, so x may have zero entries."""
+    n = x.shape[0]
+    m, r = edges.shape
+    if m == 0:
+        return np.zeros(n, dtype=np.float64)
+    vals = x[edges]
+    prefix = np.ones((m, r))
+    suffix = np.ones((m, r))
+    np.cumprod(vals[:, :-1], axis=1, out=prefix[:, 1:])
+    suffix[:, :-1] = np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1]
+    contrib = prefix * suffix
+    return np.bincount(edges.ravel(), weights=contrib.ravel(), minlength=n)
+
+
+def reference_components(H):
+    """Decompose into connected components by breadth-first search: (vertex
+    subset, relabeled subhypergraph) pairs ordered by smallest vertex."""
+    incident: list[list[int]] = [[] for _ in range(H.n + 1)]
+    for idx, edge in enumerate(H.edges):
+        for v in edge:
+            incident[v].append(idx)
+
+    seen_vertex = [False] * (H.n + 1)
+    out = []
+    for start in range(1, H.n + 1):
+        if seen_vertex[start]:
+            continue
+        verts: list[int] = []
+        edge_ids: set[int] = set()
+        queue = deque([start])
+        seen_vertex[start] = True
+        while queue:
+            v = queue.popleft()
+            verts.append(v)
+            for idx in incident[v]:
+                if idx in edge_ids:
+                    continue
+                edge_ids.add(idx)
+                for w in H.edges[idx]:
+                    if not seen_vertex[w]:
+                        seen_vertex[w] = True
+                        queue.append(w)
+        verts.sort()
+        rank_of = {v: i + 1 for i, v in enumerate(verts)}
+        sub_edges = sorted(
+            tuple(rank_of[v] for v in H.edges[idx]) for idx in sorted(edge_ids)
+        )
+        sub = UniformHypergraph(H.r, len(verts), tuple(sub_edges))
+        out.append((tuple(verts), sub))
+    return out

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import subprocess
@@ -5,7 +8,18 @@ import sys
 
 import pytest
 
-from hgirr import complete_r_partite, parse_hgr, single_edge, write_hgr
+import hgirr.core
+import hgirr.irregularity
+from hgirr import (
+    build,
+    complete_r_partite,
+    parse_hgr,
+    random_r_partite,
+    random_uniform,
+    single_edge,
+    union_edges,
+    write_hgr,
+)
 from hgirr.cli import main
 
 TWO_PATH = "hgr 3 5 2\n1 2 3\n1 4 5\n"
@@ -252,3 +266,60 @@ def test_console_entry_point(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["m"] == 2
+
+
+def _analyze_json_sha256(tmp_path, text):
+    path = tmp_path / "golden.hgr"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", str(path), "--json"])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_analyze_json_bytes_are_pinned(tmp_path):
+    # digests recorded with the per-edge Python implementation of parsing,
+    # components, the kernel and the edge products
+    uniform = random_uniform(2000, 20000, 3, seed=1)
+    partite, partition = random_r_partite((20, 25, 30), 400, seed=3)
+    union = union_edges(
+        build(3, 11, [[1, 2, 3], [3, 4, 5], [1, 5, 6]]),
+        build(3, 11, [[7, 8, 9], [8, 9, 10]]),
+    )
+    assert _analyze_json_sha256(tmp_path, write_hgr(uniform)) == (
+        0, "5b04a0b165ff02b7763591b57647912d28ee23ad31570d1001a980a036f4c86e"
+    )
+    assert _analyze_json_sha256(tmp_path, write_hgr(partite, partition)) == (
+        0, "2cf2e6221f6820bcf02bada84355fb02b4da4ea5cc0bbbefe32616e9dc868242"
+    )
+    assert _analyze_json_sha256(tmp_path, write_hgr(union)) == (
+        0, "45bfef53ac50342ab46a1b06bc543e104adfcb4ccc1011b9f298b8384f7bdebf"
+    )
+
+
+def test_analyze_checks_an_inline_partition_twice(tmp_path, monkeypatch, capsys):
+    calls = {"validate": 0, "s_r": 0, "s_r_measure": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    violation = counted("validate", hgirr.core.first_partition_violation)
+    monkeypatch.setattr(hgirr.core, "first_partition_violation", violation)
+    monkeypatch.setattr(hgirr.irregularity, "first_partition_violation", violation)
+    monkeypatch.setattr(hgirr.irregularity, "_s_r", counted("s_r", hgirr.irregularity._s_r))
+    monkeypatch.setattr(
+        hgirr.irregularity,
+        "s_r_measure",
+        counted("s_r_measure", hgirr.irregularity.s_r_measure),
+    )
+    H, P = random_r_partite((5, 6, 7), 60, seed=4)
+    path = tmp_path / "p.hgr"
+    path.write_text(write_hgr(H, P))
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["s_r"] > 0
+    # once in parse_hgr and once in bound_suite; s_r is computed once for
+    # theorem1 and once for the report, never through the checking entry point
+    assert calls == {"validate": 2, "s_r": 2, "s_r_measure": 0}

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from helpers import reference_components
 from hgirr import (
     EdgeTrace,
     HypergraphError,
@@ -220,3 +222,114 @@ def test_hashable_and_immutable(two_path):
     assert hash(two_path) == hash(build(3, 5, [[1, 4, 5], [1, 2, 3]]))
     with pytest.raises(AttributeError):
         two_path.n = 7
+
+
+def _blocky(rng):
+    """Edges drawn inside random vertex blocks: several components, often
+    isolated vertices, under a random labelling."""
+    r = int(rng.integers(2, 5))
+    n = int(rng.integers(r, 50))
+    block_of = rng.integers(0, int(rng.integers(1, 7)), n)
+    edges = []
+    for _ in range(int(rng.integers(0, n + 1))):
+        members = np.flatnonzero(block_of == block_of[rng.integers(0, n)])
+        if members.size >= r:
+            edges.append(rng.choice(members, r, replace=False) + 1)
+    return build(r, n, edges, dedupe=True)
+
+
+def _disjoint_union(rng):
+    """Two or three random pieces side by side, plus isolated vertices,
+    relabeled at random."""
+    r = int(rng.integers(2, 4))
+    edges, offset = [], 0
+    for _ in range(int(rng.integers(2, 4))):
+        size = int(rng.integers(r, 9))
+        piece = random_uniform(size, int(rng.integers(1, math.comb(size, r) + 1)), r, rng)
+        edges.extend((piece.edge_array + 1 + offset).tolist())
+        offset += size
+    n = offset + int(rng.integers(0, 4))
+    perm = rng.permutation(n) + 1
+    return build(r, n, [perm[np.asarray(e) - 1] for e in edges])
+
+
+def test_components_match_bfs_oracle():
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        if i % 3 == 0:
+            n = int(rng.integers(3, 30))
+            H = random_uniform(n, int(rng.integers(0, n)), 3, rng)
+        elif i % 3 == 1:
+            H = _blocky(rng)
+        else:
+            H = _disjoint_union(rng)
+        got = components(H)
+        assert got == reference_components(H)
+        assert is_connected(H) == (len(got) == 1)
+
+
+def test_components_of_a_long_relabeled_path_are_near_linear():
+    k = 100_000
+    n = 2 * k + 1
+    rng = np.random.default_rng(5)
+    base = np.arange(1, 2 * k, 2)
+    relabel_to = rng.permutation(n) + 1
+    H = build(3, n, relabel_to[np.stack([base, base + 1, base + 2], axis=1) - 1])
+    start = time.perf_counter()
+    comps = components(H)
+    elapsed = time.perf_counter() - start
+    assert len(comps) == 1 and comps[0][1] is H
+    assert elapsed < 5.0
+
+
+BUILD_ERRORS = [
+    ([[1, 2, 3], [1, 2]], "edge #2 [1, 2] has 2 vertices, expected 3"),
+    ([[1, 2, 3], [1, 2, 3, 4]], "edge #2 [1, 2, 3, 4] has 4 vertices, expected 3"),
+    ([[1, 2, 3], [4, 4, 5]], "edge #2 [4, 4, 5] has a repeated vertex"),
+    ([[1, 2, 3], [4, 6, 5]], "edge #2 [4, 6, 5]: vertex id 6 out of range [1, 5]"),
+    ([[0, 2, 3]], "edge #1 [0, 2, 3]: vertex id 0 out of range [1, 5]"),
+    ([[1, 2, 3], [2, 4, 5], [3, 1, 2]], "duplicate edge [1, 2, 3] (edge #3)"),
+    # the earlier input position wins, whatever the kind of error
+    ([[1, 2, 3], [2, 2, 9], [3, 1, 2]], "edge #2 [2, 2, 9] has a repeated vertex"),
+    ([[1, 2, 3], [3, 2, 1], [2, 2, 9]], "duplicate edge [1, 2, 3] (edge #2)"),
+    # ragged input
+    ([[1, 2, 3], [3, 3, 1], [1, 2]], "edge #2 [3, 3, 1] has a repeated vertex"),
+    ([[1, 2, 3], [1, 2], [3, 3, 1]], "edge #2 [1, 2] has 2 vertices, expected 3"),
+    ([[1, 2, 3, 4], [1, 2, 3, 5]], "edge #1 [1, 2, 3, 4] has 4 vertices, expected 3"),
+    (
+        [[1, 2, 3], [1, 2, 10**30]],
+        "edge #2 [1, 2, 1000000000000000000000000000000]: "
+        "vertex id 1000000000000000000000000000000 out of range [1, 5]",
+    ),
+    ((e for e in [[1, 2, 3], [3, 4, 5], [5, 4, 3]]), "duplicate edge [3, 4, 5] (edge #3)"),
+    (np.array([[1, 2, 3], [3, 4, 5], [5, 4, 6]]), "edge #3 [5, 4, 6]: vertex id 6 out of range [1, 5]"),
+    (np.array([[1, 2, 3], [3, 4, 5], [5, 4, 3]]), "duplicate edge [3, 4, 5] (edge #3)"),
+]
+
+
+@pytest.mark.parametrize("edges, message", BUILD_ERRORS)
+def test_build_error_messages_are_pinned(edges, message):
+    with pytest.raises(HypergraphError) as info:
+        build(3, 5, edges)
+    assert str(info.value) == message
+
+
+def test_build_dedupe_collapses_and_still_rejects():
+    H = build(3, 5, [[1, 2, 3], [3, 2, 1], [4, 5, 1], [1, 2, 3]], dedupe=True)
+    assert H.edges == ((1, 2, 3), (1, 4, 5))
+    with pytest.raises(HypergraphError) as info:
+        build(3, 5, [[1, 2, 3], [3, 2, 1], [4, 5, 5]], dedupe=True)
+    assert str(info.value) == "edge #3 [4, 5, 5] has a repeated vertex"
+
+
+@pytest.mark.parametrize("n, r", [(30, 4), (100, 10)])
+def test_build_from_array_and_from_tuples_agree(n, r):
+    # 100**10 exceeds int64, so the second case sorts rows column by column
+    rng = np.random.default_rng(11)
+    rows = np.array([rng.choice(n, r, replace=False) + 1 for _ in range(200)])
+    rows = np.concatenate([rows, rows[:20, ::-1]])
+    H = build(r, n, rows, dedupe=True)
+    assert H.edges == tuple(sorted({tuple(sorted(row)) for row in rows.tolist()}))
+    again = build(r, n, list(H.edges))
+    assert again == H and again.edges == H.edges and hash(again) == hash(H)
+    assert np.array_equal(again.edge_array, H.edge_array)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hgirr import (
@@ -110,3 +112,65 @@ def test_parse_partition_text_forms():
         parse_partition_text("1 2 3 2", 5, 3)
     with pytest.raises(HgrFormatError):
         parse_partition_text("1 2 9 2 3", 5, 3)
+
+
+HGR_ERRORS = [
+    ("hgr 3 5 2\n1 2 x\n3 4 5\n", "line 2: expected integer, got 'x'"),
+    ("hgr 3 5 2\n1 2\n3 4 5\n", "line 2: edge has 2 vertices, expected 3"),
+    ("hgr 3 5 2\n1 2 3 4\n3 4 5\n", "line 2: edge has 4 vertices, expected 3"),
+    ("hgr 3 5 2\n1 2 3\n1 x\n", "line 3: edge has 2 vertices, expected 3"),
+    ("hgr 3 5 2\n1 2 3 4\n1 x 3\n", "line 2: edge has 4 vertices, expected 3"),
+    ("hgr 3 5 2\n1 2 2\n3 4 5\n", "edge #1 [1, 2, 2] has a repeated vertex"),
+    ("hgr 3 5 2\n1 2 3\n3 4 9\n", "edge #2 [3, 4, 9]: vertex id 9 out of range [1, 5]"),
+    ("hgr 3 5 3\n1 2 3\n3 4 5\n3 2 1\n", "duplicate edge [1, 2, 3] (edge #3)"),
+    # errors in two edges: the earlier position wins
+    ("hgr 3 5 3\n1 2 3\n3 4 9\n1 1 2\n", "edge #2 [3, 4, 9]: vertex id 9 out of range [1, 5]"),
+    ("hgr 3 5 3\n4 4 1\n1 2 3\n3 2 1\n", "edge #1 [4, 4, 1] has a repeated vertex"),
+    ("hgr 3 5 3\n1 2 3\n3 2 1\n5 5 4\n", "duplicate edge [1, 2, 3] (edge #2)"),
+    # a syntax error anywhere comes before any edge error
+    ("hgr 3 5 2\n1 2 99999999999999999999999\n1 2 x\n", "line 3: expected integer, got 'x'"),
+    (
+        "hgr 3 5 1\n1 2 99999999999999999999999\n",
+        "edge #1 [1, 2, 99999999999999999999999]: "
+        "vertex id 99999999999999999999999 out of range [1, 5]",
+    ),
+    (
+        "hgr 3 5 2\n99999999999999999999999 99999999999999999999999 1\n1 2 3\n",
+        "edge #1 [99999999999999999999999, 99999999999999999999999, 1] has a repeated vertex",
+    ),
+    ("hgr 3 5 2\n1 2 3\n3 4 5\npartition 1 2 3 1\n", "line 4: partition assigns 4 vertices, expected 5"),
+    (
+        "hgr 3 5 2\n1 2 3\n3 4 5\npartition 1 2 3 1 4\n",
+        "line 4: vertex 5 assigned to class 4, outside [1, 3]",
+    ),
+    ("hgr 3 5 2\n1 2 3\n3 4 5\npartition 1 2 3 1 1\n", "line 4: invalid partition for the given edges"),
+    ("hgr 3 5 2\n1 2 3\npartition 1 2 3 1 2\n3 4 5\n", "line 4: content after partition line"),
+    (
+        "hgr 3 5 2\n1 2 3\n3 4 5\npartition 1 2 3 1 2\npartition 1 2 3 1 2\n",
+        "line 5: duplicate partition line",
+    ),
+    ("hgr 3 5 2\n1 2 3\n3 4 5\npartition 1 2 z 1 2\n", "line 4: expected integer, got 'z'"),
+    ("\n# c\nhgr 3 5 2\n\n1 2 3\n# x\n3 4 x\n", "line 7: expected integer, got 'x'"),
+    ("hgr 3 5 1\n1 2 3\n3 4 5\n", "edge count mismatch: header declares m=1, found 2 edge lines"),
+    ("hgr 1 5 1\n1\n", "rank must be at least 2, got r=1"),
+]
+
+
+@pytest.mark.parametrize("text, message", HGR_ERRORS)
+def test_parse_error_messages_are_pinned(text, message):
+    with pytest.raises(HgrFormatError) as info:
+        parse_hgr(text)
+    assert str(info.value) == message
+
+
+def test_parse_spans_several_chunks():
+    # more edge lines than one parsing chunk holds, in reverse order and
+    # with uneven whitespace
+    H = build(3, 50, itertools.combinations(range(1, 51), 3))
+    lines = [f"  {a}\t{b}  {c} " for a, b, c in reversed(H.edges)]
+    parsed, _ = parse_hgr(f"hgr 3 50 {H.m}\n# edges\n" + "\n".join(lines) + "\n")
+    assert parsed == H
+    lines[-2] = "1 2 y"
+    with pytest.raises(HgrFormatError) as info:
+        parse_hgr(f"hgr 3 50 {H.m}\n# edges\n" + "\n".join(lines) + "\n")
+    assert str(info.value) == f"line {H.m + 1}: expected integer, got 'y'"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from hgirr import (
     v_measure,
     weyl_check,
 )
+
+from hgirr.irregularity import _edge_degree_products
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -301,3 +304,45 @@ def test_analyze_report_fields(two_path, two_path_partition):
     assert len(report.bound_checks) == 12
     without = analyze(two_path)
     assert without.s_r is None
+
+
+def test_edge_degree_products_fall_back_to_exact_integers():
+    # complete 8-uniform on 16 vertices: degree 6435 and 6435**8 > 2**63;
+    # the values below were recorded with per-edge Python integer products
+    edges = list(itertools.combinations(range(1, 17), 8))
+    pinned = {
+        "full": (
+            edges,
+            {
+                "edge_gm_upper": (6435.000000000384, 6435.0),
+                "gm_lower": (2.9402781049884636e30, 2.9402781050194185e30),
+                "hm_lower": (2.940278105018616e30, 2.9402781050194185e30),
+            },
+        ),
+        "one edge removed": (
+            edges[1:],
+            {
+                "edge_gm_upper": (6434.50002081236, 6435.0),
+                "gm_lower": (2.9384509942075944e30, 2.9384509993159914e30),
+                "hm_lower": (2.938450956442179e30, 2.9384509993159914e30),
+            },
+        ),
+    }
+    for label, (edge_list, values) in pinned.items():
+        H = build(8, 16, edge_list)
+        products = _edge_degree_products(H)
+        assert products.dtype == object, label
+        assert int(products.max()) == 6435**8
+        checks = bound_suite(H, spectral_radius(H))
+        for name, (lhs, rhs) in values.items():
+            check = by_name(checks, name)
+            assert (check.lhs, check.rhs) == (lhs, rhs), (label, name)
+
+
+def test_edge_degree_products_in_int64_match_python_integers():
+    rng = np.random.default_rng(8)
+    H = random_uniform(12, 150, 4, rng)
+    products = _edge_degree_products(H)
+    assert products.dtype == np.int64
+    deg = H.degree_array.tolist()
+    assert products.tolist() == [math.prod(deg[v - 1] for v in e) for e in H.edges]

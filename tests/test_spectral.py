@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import coupled_tol, dense_rho
+from helpers import coupled_tol, dense_rho, reference_apply_adjacency_edges
 from hgirr import (
     SpectralOptions,
     apply_adjacency,
@@ -24,6 +24,8 @@ from hgirr import (
     spectral_radius,
     union_edges,
 )
+
+from hgirr.spectral import _apply_adjacency_edges
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -366,3 +368,26 @@ def test_union_with_components_max_rule():
         ra, rb = spectral_radius(A), spectral_radius(B)
         rt = spectral_radius(together)
         assert abs(rt.rho - max(ra.rho, rb.rho)) <= coupled_tol(ra, rb, rt)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_kernel_bit_identical_to_cumprod_oracle(r):
+    rng = np.random.default_rng(400 + r)
+    n = 40
+    canonical = random_uniform(n, 150, r, rng).edge_array
+    # any rows, in any order, repeated vertices included
+    scrambled = rng.integers(0, n, size=(90, r))
+    for edges in (canonical, scrambled):
+        x = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        x[rng.random(n) < 0.2] = 0.0
+        got = _apply_adjacency_edges(edges, x)
+        assert np.array_equal(got, reference_apply_adjacency_edges(edges, x))
+
+
+def test_kernel_without_edges_matches_oracle():
+    x = np.linspace(0.0, 1.0, 7)
+    for r in (2, 5):
+        edges = np.empty((0, r), dtype=np.int64)
+        got = _apply_adjacency_edges(edges, x)
+        assert np.array_equal(got, reference_apply_adjacency_edges(edges, x))
+        assert np.array_equal(got, np.zeros(7))
