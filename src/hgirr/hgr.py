@@ -29,14 +29,13 @@ class HgrFormatError(HypergraphError):
     """Malformed hgr document; messages carry 1-based line numbers."""
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
+def _content_lines(text: str):
+    """Yield (line number, line, tokens) for every line that is neither
+    blank nor a comment."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        tokens = line.split()
+        if tokens and tokens[0][0] != "#":
+            yield lineno, line, tokens
 
 
 def _ints(tokens: list[str], lineno: int) -> list[int]:
@@ -51,7 +50,7 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
 
 def _edge_line_numbers(text: str) -> list[int]:
     """Line numbers of the edge lines: the content lines after the header."""
-    return [lineno for lineno, _ in _content_lines(text)[1:]]
+    return [lineno for lineno, _, _ in _content_lines(text)][1:]
 
 
 def _edge_rows(text: str, edge_lines: list[str], r: int, stop: int) -> np.ndarray:
@@ -61,6 +60,7 @@ def _edge_rows(text: str, edge_lines: list[str], r: int, stop: int) -> np.ndarra
     If every token is one but some exceed int64, the rows come back as an
     object array of Python ints."""
     rows = np.empty((stop, r), dtype=np.int64)
+    linenos = None  # found on the first chunk that fails, for every later one
     for start in range(0, stop, _CHUNK):
         end = min(start + _CHUNK, stop)
         tokens = " ".join(edge_lines[start:end]).split()
@@ -69,7 +69,8 @@ def _edge_rows(text: str, edge_lines: list[str], r: int, stop: int) -> np.ndarra
                 map(int, tokens), dtype=np.int64, count=len(tokens)
             ).reshape(-1, r)
         except (ValueError, OverflowError):
-            linenos = _edge_line_numbers(text)
+            if linenos is None:
+                linenos = _edge_line_numbers(text)
             for i in range(start, end):
                 _ints(edge_lines[i].split(), linenos[i])
             rows = rows.astype(object)
@@ -83,10 +84,7 @@ def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
     edge_lines: list[str] = []
     partition_line = None
     bad_count = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        tokens = line.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
+    for lineno, line, tokens in _content_lines(text):
         if header is None:
             header = lineno
             if len(tokens) != 4 or tokens[0] != "hgr":
@@ -157,8 +155,8 @@ def parse_partition_text(text: str, n: int, r: int) -> Partition:
     """Parse a standalone partition file: n class ids, optionally preceded by
     the word 'partition'; comments and blank lines are ignored."""
     tokens: list[tuple[str, int]] = []
-    for lineno, line in _content_lines(text):
-        tokens.extend((tok, lineno) for tok in line.split())
+    for lineno, _, line_tokens in _content_lines(text):
+        tokens.extend((tok, lineno) for tok in line_tokens)
     if tokens and tokens[0][0] == "partition":
         tokens = tokens[1:]
     if len(tokens) != n:

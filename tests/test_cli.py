@@ -297,7 +297,7 @@ def test_analyze_json_bytes_are_pinned(tmp_path):
     )
 
 
-def test_analyze_checks_an_inline_partition_twice(tmp_path, monkeypatch, capsys):
+def test_analyze_checks_an_inline_partition_three_times(tmp_path, monkeypatch, capsys):
     calls = {"validate": 0, "s_r": 0, "s_r_measure": 0}
 
     def counted(key, fn):
@@ -320,6 +320,7 @@ def test_analyze_checks_an_inline_partition_twice(tmp_path, monkeypatch, capsys)
     path.write_text(write_hgr(H, P))
     assert main(["analyze", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["s_r"] > 0
-    # once in parse_hgr and once in bound_suite; s_r is computed once for
-    # theorem1 and once for the report, never through the checking entry point
-    assert calls == {"validate": 2, "s_r": 2, "s_r_measure": 0}
+    # in parse_hgr, bound_suite and regularize_partitewise; s_r is computed
+    # for theorem1 and again for the report, never through the checking
+    # entry point
+    assert calls == {"validate": 3, "s_r": 2, "s_r_measure": 0}

@@ -174,3 +174,8 @@ def test_parse_spans_several_chunks():
     with pytest.raises(HgrFormatError) as info:
         parse_hgr(f"hgr 3 50 {H.m}\n# edges\n" + "\n".join(lines) + "\n")
     assert str(info.value) == f"line {H.m + 1}: expected integer, got 'y'"
+    # an id beyond int64 in the first chunk, a bad token in the second
+    lines[0] = "1 2 99999999999999999999999"
+    with pytest.raises(HgrFormatError) as info:
+        parse_hgr(f"hgr 3 50 {H.m}\n# edges\n" + "\n".join(lines) + "\n")
+    assert str(info.value) == f"line {H.m + 1}: expected integer, got 'y'"
