@@ -2,16 +2,16 @@
 
 Subcommands::
 
-    hgirr analyze FILE [--partition FILE] [--tol T] [--json]
+    hgirr analyze FILE [--partition FILE] [--tol T] [--check-tol T]
+                  [--max-iterations N] [--json]
     hgirr verify [--r LIST] [--n N|LO:HI] [--m M] [--count K] [--seed S]
-                 [--partite SIZES] [--workers W]
+                 [--partite SIZES] [--tol T] [--check-tol T]
     hgirr regularize FILE -o OUT [--partitewise]
     hgirr transform {blowup,product,union} ... [-o OUT]
 
 Exit codes are a contract: 0 success, 1 bound violation or verify failure,
 2 input/parameter error, 3 solver non-convergence. All output is
-byte-deterministic for fixed inputs, flags, and seed, independent of the
-worker count.
+byte-deterministic for fixed inputs, flags, and seed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +156,12 @@ def _report_text(report: IrregularityReport) -> str:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
+        opts = SpectralOptions(tolerance=args.tol, max_iterations=args.max_iterations)
+    except ValueError as exc:
+        return _fail(str(exc))
+    if math.isnan(args.check_tol):
+        return _fail("check-tol must be a number, got nan")
+    try:
         text = _read_text(args.file)
     except OSError as exc:
         return _fail(str(exc))
@@ -171,7 +175,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except (OSError, HypergraphError) as exc:
         return _fail(str(exc))
 
-    opts = SpectralOptions(tolerance=args.tol, max_iterations=args.max_iterations)
     report = analyze(H, partition, opts, check_tolerance=args.check_tol)
     print(_report_json(report) if args.json else _report_text(report))
     if not report.converged:
@@ -183,39 +186,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- verify
 
-@dataclass(frozen=True)
-class _InstanceSpec:
-    index: int
-    seed: int
-    r_choices: tuple[int, ...]
-    n_range: tuple[int, int]
-    m_fixed: int | None
-    partite_sizes: tuple[int, ...] | None
-    run_extras: bool
-    tol: float
-    check_tol: float
-
-
-def _run_instance(spec: _InstanceSpec) -> dict:
-    rng = np.random.default_rng(spec.seed)
-    opts = SpectralOptions(tolerance=spec.tol)
+def _run_instance(
+    index: int,
+    args: argparse.Namespace,
+    r_choices: tuple[int, ...],
+    n_range: tuple[int, int],
+    sizes: tuple[int, ...] | None,
+    opts: SpectralOptions,
+) -> dict:
+    rng = np.random.default_rng(args.seed + index)
     partition = None
-    if spec.partite_sizes is not None:
-        sizes = spec.partite_sizes
+    if sizes is not None:
         cap = math.prod(sizes)
-        m = spec.m_fixed if spec.m_fixed is not None else int(rng.integers(0, cap + 1))
+        m = args.m if args.m is not None else int(rng.integers(0, cap + 1))
         H, partition = random_r_partite(sizes, m, rng)
     else:
-        r = int(spec.r_choices[int(rng.integers(0, len(spec.r_choices)))])
-        lo = max(r, spec.n_range[0])
-        hi = max(lo, spec.n_range[1])
+        r = int(r_choices[int(rng.integers(0, len(r_choices)))])
+        lo = max(r, n_range[0])
+        hi = max(lo, n_range[1])
         n = int(rng.integers(lo, hi + 1))
         cap = math.comb(n, r)
-        m = spec.m_fixed if spec.m_fixed is not None else int(rng.integers(0, cap + 1))
+        m = args.m if args.m is not None else int(rng.integers(0, cap + 1))
         H = random_uniform(n, m, r, rng)
 
     result = spectral_radius(H, opts)
-    checks = bound_suite(H, result, partition, spec.check_tol, opts)
+    checks = bound_suite(H, result, partition, args.check_tol, opts)
     bounds = []
     for check in checks:
         if check.skipped:
@@ -224,19 +219,21 @@ def _run_instance(spec: _InstanceSpec) -> dict:
             bounds.append((check.name, "pass" if check.holds else "fail", check.slack))
 
     extras: list[tuple[str, bool]] = []
-    if spec.run_extras:
-        extras = _run_extra_checks(H, partition, result, rng, opts, spec)
+    if index % 10 == 0:
+        extras = _run_extra_checks(H, partition, result, rng, opts, index, args.check_tol)
 
     failed = any(st == "fail" for _, st, _ in bounds) or any(not ok for _, ok in extras)
     return {"bounds": bounds, "extras": extras, "failed": failed}
 
 
-def _run_extra_checks(H, partition, result, rng, opts, spec) -> list[tuple[str, bool]]:
+def _run_extra_checks(
+    H, partition, result, rng, opts, index, check_tol
+) -> list[tuple[str, bool]]:
     out: list[tuple[str, bool]] = []
     r = H.r
     rho = result.rho
 
-    k = 2 + (spec.index // 10) % 2
+    k = 2 + (index // 10) % 2
     if H.m >= 1 and k**r * H.m <= 1500 and k * H.n <= 30:
         blown = blow_up(H, k)
         expected = k ** (r - 1) * rho
@@ -252,7 +249,7 @@ def _run_extra_checks(H, partition, result, rng, opts, spec) -> list[tuple[str, 
 
     cap = math.comb(H.n, r)
     other = random_uniform(H.n, int(rng.integers(0, cap + 1)), r, rng)
-    out.append(("weyl", weyl_check(H, other, opts, spec.check_tol).holds))
+    out.append(("weyl", weyl_check(H, other, opts, check_tol).holds))
 
     regular, _trace = regularize(H)
     deg = regular.degree_array
@@ -296,10 +293,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         r_choices = _parse_int_list(args.r)
         n_range = _parse_range(args.n)
         sizes = _parse_int_list(args.partite) if args.partite else None
+        opts = SpectralOptions(tolerance=args.tol)
     except ValueError as exc:
         return _fail(f"bad parameter: {exc}")
+    if math.isnan(args.check_tol):
+        return _fail("check-tol must be a number, got nan")
     if args.count < 1:
         return _fail("count must be at least 1")
+    if args.seed < 0:
+        return _fail(f"seed must be nonnegative, got {args.seed}")
     if sizes is not None:
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             return _fail(f"bad partite sizes {list(sizes)}")
@@ -316,26 +318,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not 0 <= args.m <= math.comb(n_range[0], r_choices[0]):
                 return _fail(f"m={args.m} infeasible for n={n_range[0]}, r={r_choices[0]}")
 
-    specs = [
-        _InstanceSpec(
-            index=i,
-            seed=args.seed + i,
-            r_choices=r_choices,
-            n_range=n_range,
-            m_fixed=args.m,
-            partite_sizes=sizes,
-            run_extras=(i % 10 == 0),
-            tol=args.tol,
-            check_tol=args.check_tol,
-        )
+    results = [
+        _run_instance(i, args, r_choices, n_range, sizes, opts)
         for i in range(args.count)
     ]
-
-    if args.workers <= 1:
-        results = [_run_instance(s) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_run_instance, specs))
 
     mode = f"partite {','.join(str(s) for s in sizes)}" if sizes else "uniform"
     print(
@@ -485,7 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partite", default=None, help="comma class sizes, e.g. 2,2,2")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.add_argument("--check-tol", type=float, default=1e-8, help="bound check tolerance")
     p.set_defaults(func=_cmd_verify)

@@ -189,6 +189,9 @@ def _certified_error(rho) -> float:
 
 
 def _coupled_tolerance(base: float | None, certified: float) -> float:
+    # max() with a NaN base would be NaN and fail every check
+    if base is not None and math.isnan(base):
+        raise ValueError("check_tolerance must be a number, got nan")
     derived = 10.0 * (certified + 1e-9)
     return derived if base is None else max(float(base), derived)
 
@@ -227,10 +230,10 @@ def bound_suite(
     ``spectral`` is the :class:`SpectralResult` for H (a bare float is
     accepted and treated as exact). The effective tolerance of each check is
     ``max(check_tolerance, 10 * (certified error + 1e-9))``; passing
-    ``check_tolerance=None`` uses the certified part alone. Partition-
-    dependent checks are emitted as skipped when no partition is supplied;
-    ``opts`` configures the extra solve needed by the class-regularized
-    radius check.
+    ``check_tolerance=None`` uses the certified part alone, and a NaN one
+    raises ValueError. Partition-dependent checks are emitted as skipped
+    when no partition is supplied; ``opts`` configures the extra solve
+    needed by the class-regularized radius check.
     """
     rho = _rho_value(spectral)
     tol = _coupled_tolerance(check_tolerance, _certified_error(spectral))

@@ -38,25 +38,19 @@ class SpectralOptions:
     """Solver knobs.
 
     ``tolerance`` bounds the relative width of the eigenvalue bracket at
-    convergence. ``shift`` is the nonnegative diagonal shift; "auto" uses the
-    maximum degree of each component, which guarantees convergence on
-    connected components.
+    convergence; ``max_iterations`` caps the iterations per component. The
+    diagonal shift is not a setting: it is always the component's maximum
+    degree, which guarantees convergence on connected components.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 100_000
-    shift: float | str = "auto"
 
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if isinstance(self.shift, str):
-            if self.shift != "auto":
-                raise ValueError(f"shift must be a number or 'auto', got {self.shift!r}")
-        elif self.shift < 0:
-            raise ValueError(f"shift must be nonnegative, got {self.shift}")
 
 
 @dataclass(frozen=True)
@@ -173,17 +167,18 @@ def _solve_component(
 ) -> tuple[float, np.ndarray, int, tuple[float, float], bool]:
     """Shifted power iteration on one connected component.
 
-    Iterates y = A x + sigma * x^[r-1]; for positive x the ratios
-    y_i / x_i^(r-1) bracket rho + sigma, and x is updated to the renormalized
-    (r-1)-th root of y. Stops when the bracket is relatively narrower than
-    the tolerance. Returns (rho, perron vector, iterations, bracket,
-    converged); the bracket is already shifted back.
+    Iterates y = A x + sigma * x^[r-1] with sigma the component's maximum
+    degree; for positive x the ratios y_i / x_i^(r-1) bracket rho + sigma,
+    and x is updated to the renormalized (r-1)-th root of y. Stops when the
+    bracket is relatively narrower than the tolerance. Returns (rho, perron
+    vector, iterations, bracket, converged); the bracket is already shifted
+    back.
     """
     if edges.shape[0] == 0:
         return 0.0, np.ones(n, dtype=np.float64), 0, (0.0, 0.0), True
 
     deg = np.bincount(edges.ravel(), minlength=n)
-    sigma = float(deg.max()) if opts.shift == "auto" else float(opts.shift)
+    sigma = float(deg.max())
 
     x = np.full(n, n ** (-1.0 / r))
     root = 1.0 / (r - 1)

@@ -1,10 +1,14 @@
+import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,7 @@ from hgirr import (
     union_edges,
     write_hgr,
 )
-from hgirr.cli import main
+from hgirr.cli import _build_parser, main
 
 TWO_PATH = "hgr 3 5 2\n1 2 3\n1 4 5\n"
 STAR = "hgr 3 7 3\n1 2 3\n1 4 5\n1 6 7\n"
@@ -139,9 +143,7 @@ def test_verify_deterministic_bytes(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     second = capsys.readouterr().out
-    assert main(args + ["--workers", "3"]) == 0
-    third = capsys.readouterr().out
-    assert first == second == third
+    assert first == second
 
 
 def test_verify_fixed_m(capsys):
@@ -155,6 +157,68 @@ def test_verify_parameter_errors(capsys):
     assert main(["verify", "--partite", "0,2,2"]) == 2
     assert main(["verify", "--r", "1", "--n", "5"]) == 2
     assert main(["verify", "--count", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "FILE", "--tol", "0"],
+        ["analyze", "FILE", "--tol", "nan"],
+        ["analyze", "FILE", "--max-iterations", "0"],
+        ["analyze", "FILE", "--check-tol", "nan"],
+        ["verify", "--count", "1", "--tol", "-1"],
+        ["verify", "--count", "1", "--seed", "-2"],
+        ["verify", "--count", "1", "--check-tol", "nan"],
+    ],
+)
+def test_bad_solver_parameters_exit_2(argv, two_path_file, capsys):
+    argv = [two_path_file if a == "FILE" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_workers_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--count", "1", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def _readme_synopsis_flags() -> dict[tuple[str, ...], set[str]]:
+    """Flag tokens per subcommand in the README's CLI synopsis block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    flags: dict[tuple[str, ...], set[str]] = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        if words[0] == "hgirr":
+            command = tuple(itertools.takewhile(lambda w: w.isalpha() and w.islower(), words[1:]))
+        flags.setdefault(command, set()).update(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", line))
+    return flags
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(command words, parser) for every subcommand that takes no further one."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix, parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def test_readme_synopsis_lists_every_flag():
+    readme = _readme_synopsis_flags()
+    leaves = dict(_leaf_parsers(_build_parser()))
+    assert set(readme) == set(leaves)
+    for command, parser in leaves.items():
+        actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        known = {o for a in actions for o in a.option_strings}
+        assert readme[command] <= known, command
+        for action in actions:
+            assert set(action.option_strings) & readme[command], (command, action.option_strings)
 
 
 def test_regularize_command(tmp_path, capsys):
@@ -251,7 +315,7 @@ def test_verify_deterministic_across_processes():
         "verify", "--r", "3", "--n", "4:6", "--count", "12", "--seed", "21",
     ]
     first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd + ["--workers", "2"], capture_output=True, check=True)
+    second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
 
 

@@ -192,6 +192,12 @@ def test_suite_derived_tolerance_mode(two_path):
             assert check.holds
 
 
+def test_suite_rejects_nan_check_tolerance(two_path):
+    res = spectral_radius(two_path)
+    with pytest.raises(ValueError, match="check_tolerance must be a number"):
+        bound_suite(two_path, res, check_tolerance=float("nan"))
+
+
 def test_suite_holds_at_derived_tolerance_on_random_instances():
     rng = np.random.default_rng(33)
     for _ in range(20):

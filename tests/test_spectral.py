@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,25 @@ def test_spectral_radius_nonconvergence_reports_bracket(two_path):
     lo, hi = res.bracket
     assert lo <= res.rho <= hi
     assert hi - lo > 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tolerance": 0.0}, "tolerance must be positive, got 0.0"),
+        ({"tolerance": -1e-3}, "tolerance must be positive, got -0.001"),
+        ({"tolerance": float("nan")}, "tolerance must be positive, got nan"),
+        ({"max_iterations": 0}, "max_iterations must be >= 1, got 0"),
+    ],
+)
+def test_spectral_options_rejects_bad_values(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SpectralOptions(**kwargs)
+
+
+def test_spectral_options_has_no_shift():
+    with pytest.raises(TypeError):
+        SpectralOptions(shift="auto")
 
 
 def test_certified_bracket_contains_true_value(two_path):
