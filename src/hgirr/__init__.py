@@ -53,10 +53,7 @@ from .spectral import (
     SpectralOptions,
     SpectralResult,
     apply_adjacency,
-    rayleigh_quotient,
     residual,
-    row_sums,
-    scaled_row_sums,
     spectral_radius,
 )
 
@@ -90,15 +87,12 @@ __all__ = [
     "parse_partition_text",
     "random_r_partite",
     "random_uniform",
-    "rayleigh_quotient",
     "regularize",
     "regularize_partitewise",
     "relabel",
     "residual",
-    "row_sums",
     "s_measure",
     "s_r_measure",
-    "scaled_row_sums",
     "single_edge",
     "spectral_radius",
     "symmetric_difference_size",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from .core import (
 )
 from .hgr import parse_hgr, parse_partition_text, write_hgr
 from .irregularity import (
+    BoundCheck,
     IrregularityReport,
     analyze,
     bound_suite,
@@ -193,7 +195,7 @@ def _run_instance(
     n_range: tuple[int, int],
     sizes: tuple[int, ...] | None,
     opts: SpectralOptions,
-) -> dict:
+) -> tuple[list[BoundCheck], list[tuple[str, bool]]]:
     rng = np.random.default_rng(args.seed + index)
     partition = None
     if sizes is not None:
@@ -211,19 +213,10 @@ def _run_instance(
 
     result = spectral_radius(H, opts)
     checks = bound_suite(H, result, partition, args.check_tol, opts)
-    bounds = []
-    for check in checks:
-        if check.skipped:
-            bounds.append((check.name, "skip", None))
-        else:
-            bounds.append((check.name, "pass" if check.holds else "fail", check.slack))
-
     extras: list[tuple[str, bool]] = []
     if index % 10 == 0:
         extras = _run_extra_checks(H, partition, result, rng, opts, index, args.check_tol)
-
-    failed = any(st == "fail" for _, st, _ in bounds) or any(not ok for _, ok in extras)
-    return {"bounds": bounds, "extras": extras, "failed": failed}
+    return checks, extras
 
 
 def _run_extra_checks(
@@ -318,10 +311,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not 0 <= args.m <= math.comb(n_range[0], r_choices[0]):
                 return _fail(f"m={args.m} infeasible for n={n_range[0]}, r={r_choices[0]}")
 
-    results = [
-        _run_instance(i, args, r_choices, n_range, sizes, opts)
-        for i in range(args.count)
-    ]
+    counts: Counter[tuple[str, str]] = Counter()  # (name, "pass" | "fail" | "skip")
+    min_slack: dict[str, float] = {}
+    failures = 0
+    for i in range(args.count):
+        checks, extras = _run_instance(i, args, r_choices, n_range, sizes, opts)
+        for check in checks:
+            if check.skipped:
+                counts[check.name, "skip"] += 1
+                continue
+            counts[check.name, "pass" if check.holds else "fail"] += 1
+            if check.name not in min_slack or check.slack < min_slack[check.name]:
+                min_slack[check.name] = check.slack
+        for name, ok in extras:
+            counts[name, "pass" if ok else "fail"] += 1
+        if not all(c.holds for c in checks) or not all(ok for _, ok in extras):
+            failures += 1
 
     mode = f"partite {','.join(str(s) for s in sizes)}" if sizes else "uniform"
     print(
@@ -332,37 +337,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     print(f"{'bound':<21} {'checked':>8} {'passed':>8} {'failed':>8} {'skipped':>8}  min_slack")
     for name in _BOUND_ORDER:
-        checked = passed = failed = skipped = 0
-        min_slack = None
-        for res in results:
-            for bname, status, slack in res["bounds"]:
-                if bname != name:
-                    continue
-                if status == "skip":
-                    skipped += 1
-                    continue
-                checked += 1
-                if status == "pass":
-                    passed += 1
-                else:
-                    failed += 1
-                if min_slack is None or slack < min_slack:
-                    min_slack = slack
-        slack_text = "n/a" if min_slack is None else _fmt17(min_slack)
-        print(f"{name:<21} {checked:>8} {passed:>8} {failed:>8} {skipped:>8}  {slack_text}")
+        passed, failed, skipped = (counts[name, status] for status in ("pass", "fail", "skip"))
+        slack_text = _fmt17(min_slack[name]) if name in min_slack else "n/a"
+        print(f"{name:<21} {passed + failed:>8} {passed:>8} {failed:>8} {skipped:>8}  {slack_text}")
 
     print(f"{'extra':<21} {'checked':>8} {'passed':>8} {'failed':>8}")
     for name in _EXTRA_ORDER:
-        checked = passed = 0
-        for res in results:
-            for ename, ok in res["extras"]:
-                if ename != name:
-                    continue
-                checked += 1
-                passed += ok
-        print(f"{name:<21} {checked:>8} {passed:>8} {checked - passed:>8}")
+        passed, failed = counts[name, "pass"], counts[name, "fail"]
+        print(f"{name:<21} {passed + failed:>8} {passed:>8} {failed:>8}")
 
-    failures = sum(res["failed"] for res in results)
     print(f"instances with failures: {failures} / {args.count}")
     print("PASS" if failures == 0 else "FAIL")
     return 0 if failures == 0 else 1
@@ -458,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="measures and bound checks for one instance")
     p.add_argument("file", help="input .hgr file")
     p.add_argument("--partition", help="partition file overriding any inline partition")
-    p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance (relative)")
+    p.add_argument("--tol", type=float, default=1e-10, help="relative solver tolerance, in (0, 1)")
     p.add_argument("--check-tol", type=float, default=1e-8, help="bound check tolerance")
     p.add_argument("--max-iterations", type=int, default=100_000)
     p.add_argument("--json", action="store_true", help="emit a single JSON object")
@@ -471,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partite", default=None, help="comma class sizes, e.g. 2,2,2")
-    p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
+    p.add_argument("--tol", type=float, default=1e-10, help="relative solver tolerance, in (0, 1)")
     p.add_argument("--check-tol", type=float, default=1e-8, help="bound check tolerance")
     p.set_defaults(func=_cmd_verify)
 

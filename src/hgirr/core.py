@@ -1,7 +1,7 @@
 """Canonical r-uniform hypergraphs and set-level edge operations.
 
-Vertices are 1-based contiguous integers ``1..n``. Every edge is stored as a
-strictly increasing tuple of r vertex ids and the edge list is kept sorted
+Vertices are 1-based contiguous integers ``1..n``. Every edge is a strictly
+increasing row of r vertex ids and the edge list is kept sorted
 lexicographically, so two hypergraphs compare equal exactly when they have the
 same rank, vertex count, and edge set. Isolated vertices are legal.
 
@@ -51,18 +51,20 @@ class UniformHypergraph:
 
     Construct through :func:`build`, which validates and canonicalizes the
     input. Direct construction is reserved for internal callers that already
-    hold canonical data (for example component decomposition, which may
-    produce edgeless pieces with fewer than r vertices).
+    hold a canonical edge array, which the hypergraph takes over and marks
+    read-only (for example component decomposition, which may produce
+    edgeless pieces with fewer than r vertices).
 
-    The edges exist in two forms, each made from the other on first use:
-    ``edges``, a tuple of 1-based vertex tuples, and ``edge_array``, an
-    (m, r) int64 array of 0-based ids. Hypergraphs from :func:`build` and
-    :func:`components` start from the array, so numeric work never makes
-    the tuples. Equality and hashing are those of (r, n, edges).
+    The edges are stored once, as ``edge_array``: a read-only (m, r) int64
+    array of 0-based ids whose rows are strictly increasing and sorted
+    lexicographically. ``edges`` (1-based vertex tuples) and ``edge_set``
+    are views made from it on first use. Equality and hashing are those of
+    (r, n, edge_array).
     """
 
-    def __init__(self, r: int, n: int, edges: tuple[Edge, ...]) -> None:
-        self.__dict__.update(r=r, n=n, edges=edges)
+    def __init__(self, r: int, n: int, edge_array: np.ndarray) -> None:
+        edge_array.flags.writeable = False
+        self.__dict__.update(r=r, n=n, edge_array=edge_array)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -72,8 +74,6 @@ class UniformHypergraph:
 
     @property
     def m(self) -> int:
-        if "edges" in self.__dict__:
-            return len(self.edges)
         return self.edge_array.shape[0]
 
     @cached_property
@@ -86,16 +86,11 @@ class UniformHypergraph:
         return frozenset(self.edges)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (m, r) int64 array of 0-based ids, for numeric kernels."""
-        if not self.edges:
-            return np.empty((0, self.r), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64) - 1
-
-    @cached_property
     def degree_array(self) -> np.ndarray:
-        """Per-vertex edge counts as an int64 array of length n."""
-        return np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.int64)
+        """Per-vertex edge counts as a read-only int64 array of length n."""
+        deg = np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.int64)
+        deg.flags.writeable = False
+        return deg
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniformHypergraph):
@@ -107,7 +102,7 @@ class UniformHypergraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.r, self.n, self.edges))
+        return hash((self.r, self.n, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"UniformHypergraph(r={self.r}, n={self.n}, m={self.m})"
@@ -161,8 +156,9 @@ class Partition:
 class EdgeTrace:
     """Ordered record of (removed, inserted) edge swaps.
 
-    Each swap must remove an edge present before the swap and insert one
-    absent before it; :meth:`apply` replays the trace and enforces this.
+    Each swap must remove an edge present before the swap and insert a
+    canonical edge (r strictly increasing ids in 1..n) absent before it;
+    :meth:`apply` replays the trace and enforces this.
     """
 
     swaps: tuple[tuple[Edge, Edge], ...]
@@ -181,11 +177,18 @@ class EdgeTrace:
                 raise HypergraphError(f"trace removes missing edge {list(removed)}")
             if inserted in edge_set:
                 raise HypergraphError(f"trace inserts existing edge {list(inserted)}")
-            if len(inserted) != H.r:
-                raise HypergraphError(f"trace inserts edge of size {len(inserted)}")
+            if (
+                len(inserted) != H.r
+                or list(inserted) != sorted(set(inserted))
+                or not 1 <= inserted[0] <= inserted[-1] <= H.n
+            ):
+                raise HypergraphError(
+                    f"trace inserts non-canonical edge {list(inserted)}: expected "
+                    f"{H.r} strictly increasing vertex ids in [1, {H.n}]"
+                )
             edge_set.remove(removed)
             edge_set.add(inserted)
-        return UniformHypergraph(H.r, H.n, tuple(sorted(edge_set)))
+        return build(H.r, H.n, sorted(edge_set))
 
 
 def _edge_error(pos: int, edge: Edge, r: int, n: int) -> str | None:
@@ -239,14 +242,6 @@ def _edge_tuples(edge_array: np.ndarray) -> tuple[Edge, ...]:
     for start in range(0, edge_array.shape[0], _CHUNK):
         out.extend(map(tuple, (edge_array[start : start + _CHUNK] + 1).tolist()))
     return tuple(out)
-
-
-def _from_edge_array(r: int, n: int, edge_array: np.ndarray) -> UniformHypergraph:
-    """The hypergraph of a canonical 0-based (m, r) int64 edge array, which
-    it keeps as its ``edge_array``; the edge tuples are made on first use."""
-    H = UniformHypergraph.__new__(UniformHypergraph)
-    H.__dict__.update(r=r, n=n, edge_array=edge_array)
-    return H
 
 
 def _row_order(rows: np.ndarray, n: int) -> np.ndarray:
@@ -307,7 +302,7 @@ def build(
         raise HypergraphError(_edge_error(k + 1, stop, r, n))
     if repeat.any():
         canonical = canonical[np.concatenate(([True], ~repeat))]
-    return _from_edge_array(r, n, canonical - 1)
+    return UniformHypergraph(r, n, canonical - 1)
 
 
 def degrees(H: UniformHypergraph) -> np.ndarray:
@@ -381,7 +376,7 @@ def components(
     out: list[tuple[tuple[int, ...], UniformHypergraph]] = []
     v0 = e0 = 0
     for size, count in zip(vertex_count.tolist(), edge_count):
-        sub = _from_edge_array(H.r, size, sub_edges[e0 : e0 + count])
+        sub = UniformHypergraph(H.r, size, sub_edges[e0 : e0 + count])
         out.append((tuple(members[v0 : v0 + size]), sub))
         v0 += size
         e0 += count
@@ -426,9 +421,8 @@ def union_edges(
     """
     if H1.r != H2.r:
         raise HypergraphError(f"rank mismatch: {H1.r} vs {H2.r}")
-    return UniformHypergraph(
-        H1.r, max(H1.n, H2.n), tuple(sorted(H1.edge_set | H2.edge_set))
-    )
+    both = np.concatenate((H1.edge_array, H2.edge_array)) + 1
+    return build(H1.r, max(H1.n, H2.n), both, dedupe=True)
 
 
 def symmetric_difference_size(
@@ -444,7 +438,4 @@ def relabel(H: UniformHypergraph, new_ids: Sequence[int]) -> UniformHypergraph:
     """Rename vertices: vertex i becomes new_ids[i - 1] (a permutation of 1..n)."""
     if sorted(new_ids) != list(range(1, H.n + 1)):
         raise HypergraphError("new_ids must be a permutation of 1..n")
-    mapped = sorted(
-        tuple(sorted(new_ids[v - 1] for v in edge)) for edge in H.edges
-    )
-    return UniformHypergraph(H.r, H.n, tuple(mapped))
+    return build(H.r, H.n, np.asarray(new_ids, dtype=np.int64)[H.edge_array])

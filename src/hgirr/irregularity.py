@@ -481,7 +481,8 @@ def _rewire(
             swaps.append((removed, inserted))
     if not swaps:
         return H, EdgeTrace(())
-    return UniformHypergraph(H.r, H.n, tuple(sorted(edge_set))), EdgeTrace(tuple(swaps))
+    edge_array = np.array(sorted(edge_set), dtype=np.int64) - 1
+    return UniformHypergraph(H.r, H.n, edge_array), EdgeTrace(tuple(swaps))
 
 
 def regularize(H: UniformHypergraph) -> tuple[UniformHypergraph, EdgeTrace]:

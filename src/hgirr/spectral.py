@@ -25,10 +25,7 @@ __all__ = [
     "SpectralOptions",
     "SpectralResult",
     "apply_adjacency",
-    "rayleigh_quotient",
     "residual",
-    "row_sums",
-    "scaled_row_sums",
     "spectral_radius",
 ]
 
@@ -37,8 +34,9 @@ __all__ = [
 class SpectralOptions:
     """Solver knobs.
 
-    ``tolerance`` bounds the relative width of the eigenvalue bracket at
-    convergence; ``max_iterations`` caps the iterations per component. The
+    ``tolerance``, in (0, 1), bounds the relative width of the eigenvalue
+    bracket at convergence (a bracket as wide as rho itself certifies
+    nothing); ``max_iterations`` caps the iterations per component. The
     diagonal shift is not a setting: it is always the component's maximum
     degree, which guarantees convergence on connected components.
     """
@@ -49,6 +47,8 @@ class SpectralOptions:
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.tolerance < 1:
+            raise ValueError(f"tolerance must be below 1, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -110,46 +110,6 @@ def apply_adjacency(H: UniformHypergraph, x) -> np.ndarray:
     return _apply_adjacency_edges(H.edge_array, x)
 
 
-def row_sums(H: UniformHypergraph) -> np.ndarray:
-    """Tensor row sums; each incident edge contributes exactly 1, so this
-    equals the degree vector."""
-    return H.degree_array.astype(np.float64)
-
-
-def rayleigh_quotient(H: UniformHypergraph, x, norm_tol: float = 1e-8) -> float:
-    """x^T (A x) = r * sum over edges of the product of the entries on the edge.
-
-    ``x`` must be entrywise nonnegative with unit r-norm (within norm_tol).
-    The value never exceeds the spectral radius.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (H.n,):
-        raise ValueError(f"expected a vector of length {H.n}, got shape {x.shape}")
-    if np.any(x < 0):
-        raise ValueError("vector must be entrywise nonnegative")
-    norm_r = float(np.sum(x**H.r))
-    if abs(norm_r - 1.0) > norm_tol:
-        raise ValueError(f"sum of r-th powers is {norm_r}, expected 1")
-    if H.m == 0:
-        return 0.0
-    return float(H.r * x[H.edge_array].prod(axis=1).sum())
-
-
-def scaled_row_sums(H: UniformHypergraph, p) -> np.ndarray:
-    """Row sums after the diagonal similarity with scaling vector p > 0.
-
-    Entry i is sum over edges containing i of p_i^-(r-1) * prod of the other
-    p values, i.e. (A p)_i / p_i^(r-1). The spectral radius is invariant
-    under this rescaling, so the max entry always bounds it from above.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (H.n,):
-        raise ValueError(f"expected a vector of length {H.n}, got shape {p.shape}")
-    if np.any(p <= 0):
-        raise ValueError("scaling vector must be entrywise positive")
-    return _apply_adjacency_edges(H.edge_array, p) / p ** (H.r - 1)
-
-
 def residual(H: UniformHypergraph, rho: float, x) -> float:
     """max_i |(A x)_i - rho * x_i^(r-1)|, relative to max(1, rho)."""
     x = np.asarray(x, dtype=np.float64)
@@ -177,6 +137,9 @@ def _solve_component(
     if edges.shape[0] == 0:
         return 0.0, np.ones(n, dtype=np.float64), 0, (0.0, 0.0), True
 
+    # np.bincount copies a read-only index array on every call (numpy asks
+    # for a writeable one), so the iteration runs on one writable copy
+    edges = edges.copy()
     deg = np.bincount(edges.ravel(), minlength=n)
     sigma = float(deg.max())
 

@@ -108,7 +108,8 @@ def reference_rewire(H, groups):
             swaps.append((removed, inserted))
     if not swaps:
         return H, EdgeTrace(())
-    return UniformHypergraph(H.r, H.n, tuple(sorted(edge_set))), EdgeTrace(tuple(swaps))
+    edge_array = np.array(sorted(edge_set), dtype=np.int64) - 1
+    return UniformHypergraph(H.r, H.n, edge_array), EdgeTrace(tuple(swaps))
 
 
 def reference_apply_adjacency_edges(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -161,6 +162,7 @@ def reference_components(H):
         sub_edges = sorted(
             tuple(rank_of[v] for v in H.edges[idx]) for idx in sorted(edge_ids)
         )
-        sub = UniformHypergraph(H.r, len(verts), tuple(sub_edges))
+        sub_array = np.array(sub_edges, dtype=np.int64).reshape(-1, H.r) - 1
+        sub = UniformHypergraph(H.r, len(verts), sub_array)
         out.append((tuple(verts), sub))
     return out

@@ -169,6 +169,10 @@ def test_verify_parameter_errors(capsys):
         ["verify", "--count", "1", "--tol", "-1"],
         ["verify", "--count", "1", "--seed", "-2"],
         ["verify", "--count", "1", "--check-tol", "nan"],
+        ["analyze", "FILE", "--tol", "inf"],
+        ["analyze", "FILE", "--tol", "1"],
+        ["verify", "--count", "1", "--tol", "inf"],
+        ["verify", "--count", "1", "--tol", "1"],
     ],
 )
 def test_bad_solver_parameters_exit_2(argv, two_path_file, capsys):
@@ -309,6 +313,23 @@ def test_transform_rank_mismatch_exit_2(tmp_path, capsys):
     assert main(["transform", "union", str(a), str(b)]) == 2
 
 
+def _main_sha256(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_verify_bytes_are_pinned():
+    # digests recorded before the verify tally became a single pass
+    assert _main_sha256(["verify", "--r", "2,3,4", "--n", "4:12", "--count", "300", "--seed", "7"]) == (
+        0, "b2f47b9d38eb192c586dc815c28f2655a00851d8494ac25856e5c44eeb2435c1"
+    )
+    assert _main_sha256(["verify", "--partite", "2,3,3", "--count", "100", "--seed", "3"]) == (
+        0, "42f13ad36a3486230fa37a6e50474d65f24fdef0b3006c20f85e40d05a53cd37"
+    )
+
+
 def test_verify_deterministic_across_processes():
     cmd = [
         sys.executable, "-m", "hgirr.cli",
@@ -335,10 +356,7 @@ def test_console_entry_point(tmp_path):
 def _analyze_json_sha256(tmp_path, text):
     path = tmp_path / "golden.hgr"
     path.write_text(text)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["analyze", str(path), "--json"])
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return _main_sha256(["analyze", str(path), "--json"])
 
 
 def test_analyze_json_bytes_are_pinned(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -216,12 +217,23 @@ def test_edge_trace_apply_validates(two_path):
         EdgeTrace((((2, 4, 5), (3, 4, 5)),)).apply(two_path)
     with pytest.raises(HypergraphError, match="existing edge"):
         EdgeTrace((((1, 2, 3), (1, 4, 5)),)).apply(two_path)
+    for inserted in [(3, 2, 9), (2, 4, 9), (2, 2, 4), (2, 4), (2, 4, 5, 6), (5, 4, 1), (2, 1, 3)]:
+        # out of range, repeated vertex, wrong size, unsorted, unsorted duplicate
+        with pytest.raises(HypergraphError, match=re.escape(f"edge {list(inserted)}")):
+            EdgeTrace((((1, 4, 5), inserted),)).apply(two_path)
 
 
 def test_hashable_and_immutable(two_path):
     assert hash(two_path) == hash(build(3, 5, [[1, 4, 5], [1, 2, 3]]))
     with pytest.raises(AttributeError):
         two_path.n = 7
+    rng = np.random.default_rng(5)
+    pieces = components(build(3, 8, [[1, 2, 3], [4, 5, 6], [6, 7, 8]]))
+    for H in [two_path, random_uniform(12, 30, 3, rng)] + [sub for _, sub in pieces]:
+        with pytest.raises(ValueError, match="read-only"):
+            H.edge_array[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            H.degree_array[0] = 1
 
 
 def _blocky(rng):
