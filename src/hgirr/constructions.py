@@ -41,6 +41,19 @@ def _class_blocks(sizes: Sequence[int]) -> list[range]:
     return blocks
 
 
+def _class_layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], list[range], Partition]:
+    """Consecutive vertex classes of the given sizes: class i occupies the ids
+    following class i-1. Returns the sizes as ints, the id block of each
+    class and the partition."""
+    sizes = tuple(int(s) for s in sizes)
+    if len(sizes) < 2:
+        raise HypergraphError(f"need at least 2 classes, got {len(sizes)}")
+    if any(s < 1 for s in sizes):
+        raise HypergraphError(f"every class must be nonempty, got sizes {list(sizes)}")
+    class_of = tuple(c for c, s in enumerate(sizes, 1) for _ in range(s))
+    return sizes, _class_blocks(sizes), Partition(class_of, len(sizes))
+
+
 def complete_r_partite(
     sizes: Sequence[int],
 ) -> tuple[UniformHypergraph, Partition]:
@@ -49,19 +62,9 @@ def complete_r_partite(
     Class i occupies the ids following class i-1, so vertex 1..n_1 is class 1
     and so on. Returns the hypergraph and its defining partition.
     """
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) < 2:
-        raise HypergraphError(f"need at least 2 classes, got {len(sizes)}")
-    if any(s < 1 for s in sizes):
-        raise HypergraphError(f"every class must be nonempty, got sizes {list(sizes)}")
-    blocks = _class_blocks(sizes)
+    sizes, blocks, P = _class_layout(sizes)
     edges = [tuple(t) for t in itertools.product(*blocks)]
-    H = build(len(sizes), sum(sizes), edges)
-    class_of = [0] * H.n
-    for c, block in enumerate(blocks, 1):
-        for v in block:
-            class_of[v - 1] = c
-    return H, Partition(tuple(class_of), len(sizes))
+    return build(len(sizes), sum(sizes), edges), P
 
 
 def blow_up(
@@ -154,11 +157,7 @@ def random_r_partite(
     sizes: Sequence[int], m: int, seed
 ) -> tuple[UniformHypergraph, Partition]:
     """m distinct transversal edges drawn uniformly over the given class sizes."""
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) < 2:
-        raise HypergraphError(f"need at least 2 classes, got {len(sizes)}")
-    if any(s < 1 for s in sizes):
-        raise HypergraphError(f"every class must be nonempty, got sizes {list(sizes)}")
+    sizes, blocks, P = _class_layout(sizes)
     total = math.prod(sizes)
     if not 0 <= m <= total:
         raise HypergraphError(f"m={m} outside [0, {total}]")
@@ -173,7 +172,6 @@ def random_r_partite(
         excluded = _sample_distinct(rng, draw, total - m)
         codes = set(range(total)) - excluded
 
-    blocks = _class_blocks(sizes)
     edges = []
     for code in sorted(codes):
         edge = []
@@ -181,9 +179,4 @@ def random_r_partite(
             edge.append(block[code % s])
             code //= s
         edges.append(tuple(edge))
-    H = build(len(sizes), sum(sizes), edges)
-    class_of = [0] * H.n
-    for c, block in enumerate(blocks, 1):
-        for v in block:
-            class_of[v - 1] = c
-    return H, Partition(tuple(class_of), len(sizes))
+    return build(len(sizes), sum(sizes), edges), P

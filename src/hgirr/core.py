@@ -156,9 +156,10 @@ class Partition:
 class EdgeTrace:
     """Ordered record of (removed, inserted) edge swaps.
 
-    Each swap must remove an edge present before the swap and insert a
-    canonical edge (r strictly increasing ids in 1..n) absent before it;
-    :meth:`apply` replays the trace and enforces this.
+    Each swap is a pair of vertex-id tuples. It must remove an edge present
+    before the swap and insert a canonical edge (r strictly increasing ids
+    in 1..n) absent before it; :meth:`apply` replays the trace and enforces
+    this.
     """
 
     swaps: tuple[tuple[Edge, Edge], ...]
@@ -173,6 +174,9 @@ class EdgeTrace:
         """Replay the swaps against H and return the rewired hypergraph."""
         edge_set = set(H.edges)
         for removed, inserted in self.swaps:
+            for edge in (removed, inserted):
+                if not isinstance(edge, tuple):
+                    raise HypergraphError(f"trace edge {edge!r} is not a tuple")
             if removed not in edge_set:
                 raise HypergraphError(f"trace removes missing edge {list(removed)}")
             if inserted in edge_set:

@@ -9,10 +9,12 @@ vector d:
 * ``s_r_measure``: for an r-partite instance, the deviation of each class's
   degrees from that class's average m/n_i, summed over classes.
 
-``bound_suite`` evaluates every supported inequality against a certified
-spectral radius and reports each as a named :class:`BoundCheck`. Checks whose
-hypotheses fail (no partition supplied, isolated vertices, disconnected input
-where connectivity is required) are reported as skipped rather than failed.
+``bound_suite`` evaluates every supported inequality against the
+:class:`~hgirr.spectral.SpectralResult` of ``spectral_radius``, whose
+Collatz-Wielandt bracket is the only certificate of rho, and reports each as
+a named :class:`BoundCheck`. Checks whose hypotheses fail (no partition
+supplied, isolated vertices, disconnected input where connectivity is
+required) are reported as skipped rather than failed.
 
 ``regularize`` and ``regularize_partitewise`` share one rewiring routine that
 moves edges from maximum- to minimum-degree vertices of a group until the
@@ -40,7 +42,7 @@ from .core import (
     Partition,
     UniformHypergraph,
     first_partition_violation,
-    is_connected,
+    is_regular,
     union_edges,
 )
 from .spectral import SpectralOptions, SpectralResult, spectral_radius
@@ -114,9 +116,10 @@ def average_degree(H: UniformHypergraph) -> float:
     return (H.r * H.m) / H.n
 
 
-def epsilon(H: UniformHypergraph, rho) -> float:
-    """Spectral radius minus average degree; nonnegative, zero iff regular."""
-    return _rho_value(rho) - average_degree(H)
+def epsilon(H: UniformHypergraph, result: SpectralResult) -> float:
+    """Spectral radius minus average degree, from ``spectral_radius(H)``'s
+    result; nonnegative, zero iff regular."""
+    return float(result.rho) - average_degree(H)
 
 
 def s_measure(H: UniformHypergraph) -> float:
@@ -133,9 +136,9 @@ def v_measure(H: UniformHypergraph) -> float:
     Nonnegative by the power-mean inequality; exactly 0 on regular inputs
     (both terms coincide analytically, so the subtraction is skipped).
     """
-    deg = H.degree_array
-    if deg.max() == deg.min():
+    if is_regular(H):
         return 0.0
+    deg = H.degree_array
     alpha = H.r / (H.r - 1)
     davg = (H.r * H.m) / H.n
     # summing in sorted order makes the value invariant under relabeling
@@ -180,20 +183,11 @@ def _edge_degree_products(H: UniformHypergraph) -> np.ndarray:
     return deg[H.edge_array].prod(axis=1)
 
 
-def _rho_value(rho) -> float:
-    return float(rho.rho) if isinstance(rho, SpectralResult) else float(rho)
-
-
-def _certified_error(rho) -> float:
-    return rho.certified_error if isinstance(rho, SpectralResult) else 0.0
-
-
-def _coupled_tolerance(base: float | None, certified: float) -> float:
+def _coupled_tolerance(base: float, certified: float) -> float:
     # max() with a NaN base would be NaN and fail every check
-    if base is not None and math.isnan(base):
+    if math.isnan(base):
         raise ValueError("check_tolerance must be a number, got nan")
-    derived = 10.0 * (certified + 1e-9)
-    return derived if base is None else max(float(base), derived)
+    return max(float(base), 10.0 * (certified + 1e-9))
 
 
 def _check(
@@ -220,39 +214,44 @@ def _skip(name: str, reason: str) -> BoundCheck:
 
 def bound_suite(
     H: UniformHypergraph,
-    spectral,
+    spectral: SpectralResult,
     partition: Partition | None = None,
-    check_tolerance: float | None = 1e-8,
+    check_tolerance: float = 1e-8,
     opts: SpectralOptions | None = None,
 ) -> list[BoundCheck]:
     """Evaluate every supported inequality for H at a certified spectral radius.
 
-    ``spectral`` is the :class:`SpectralResult` for H (a bare float is
-    accepted and treated as exact). The effective tolerance of each check is
-    ``max(check_tolerance, 10 * (certified error + 1e-9))``; passing
-    ``check_tolerance=None`` uses the certified part alone, and a NaN one
-    raises ValueError. Partition-dependent checks are emitted as skipped
-    when no partition is supplied; ``opts`` configures the extra solve
-    needed by the class-regularized radius check.
+    ``spectral`` must be the :class:`SpectralResult` of ``spectral_radius(H)``:
+    its bracket certifies rho, and a bare float, which carries no
+    certificate, raises TypeError. The effective tolerance of each check is
+    ``max(check_tolerance, 10 * (certified error + 1e-9))``, so
+    ``check_tolerance=0.0`` uses the certified part alone; a NaN one raises
+    ValueError. A supplied partition is checked against H by the
+    class-preserving rewiring that claim2 needs, before any bound is
+    evaluated. Partition-dependent checks are emitted as skipped when no
+    partition is supplied; ``opts`` configures the extra solve needed by
+    claim2.
     """
-    rho = _rho_value(spectral)
-    tol = _coupled_tolerance(check_tolerance, _certified_error(spectral))
-
+    if not isinstance(spectral, SpectralResult):
+        raise TypeError(
+            "spectral must be the SpectralResult of spectral_radius(H), "
+            f"got {type(spectral).__name__}"
+        )
+    rho = float(spectral.rho)
+    tol = _coupled_tolerance(check_tolerance, spectral.certified_error)
     if partition is not None:
-        _check_partition(H, partition)
+        # claim2's rewiring is the only partition check; it goes through the
+        # public entry point so that perfbench's per-layer trace counts it
+        regularized, _ = regularize_partitewise(H, partition)
 
     deg = H.degree_array
     n, m, r = H.n, H.m, H.r
     davg = (r * m) / n
-    regular = bool(deg.max() == deg.min())
+    regular = is_regular(H)
     edge_products = _edge_degree_products(H)
     constant_product = m > 0 and edge_products.min() == edge_products.max()
-    # spectral_radius already split H into components (isolated vertices
-    # included), so only a bare float needs the decomposition again
-    if isinstance(spectral, SpectralResult):
-        connected = len(spectral.component_rhos) == 1
-    else:
-        connected = is_connected(H)
+    # spectral_radius split H into components, isolated vertices included
+    connected = len(spectral.component_rhos) == 1
     checks: list[BoundCheck] = []
 
     checks.append(_check("cooper_dutle", davg, rho, tol, eq=regular, reason="regular"))
@@ -311,7 +310,7 @@ def bound_suite(
         scale = max(1.0, rho) ** r
         float_noise = 64.0 * _EPS * scale * (1.0 + math.log(scale))
         cert_powered = (
-            _certified_error(spectral) * r * max(1.0, rho) ** (r - 1) + float_noise
+            spectral.certified_error * r * max(1.0, rho) ** (r - 1) + float_noise
         )
         tol_powered = _coupled_tolerance(check_tolerance, cert_powered)
         # sequential sums over Python floats, as the bits of gm and hm
@@ -373,9 +372,6 @@ def bound_suite(
             _check("theorem1", rho - m / geo, (s_r / 2.0) ** ((r - 1) / r), tol)
         )
         checks.append(_check("claim1", (n / r) ** (1.0 / r), geo, tol))
-        # through the public entry point, so that perfbench's per-layer trace
-        # counts these swaps; its partition check repeats the one above
-        regularized, _ = regularize_partitewise(H, partition)
         hat = spectral_radius(regularized, opts)
         tol_hat = _coupled_tolerance(check_tolerance, hat.certified_error)
         rhs = m / geo + (n / r) ** (1.0 - 1.0 / r)
@@ -388,7 +384,7 @@ def weyl_check(
     H1: UniformHypergraph,
     H2: UniformHypergraph,
     opts: SpectralOptions | None = None,
-    check_tolerance: float | None = 1e-8,
+    check_tolerance: float = 1e-8,
 ) -> BoundCheck:
     """Subadditivity of the spectral radius over the edge-set union."""
     union = union_edges(H1, H2)
@@ -515,7 +511,7 @@ def analyze(
     H: UniformHypergraph,
     partition: Partition | None = None,
     opts: SpectralOptions | None = None,
-    check_tolerance: float | None = 1e-8,
+    check_tolerance: float = 1e-8,
 ) -> IrregularityReport:
     """Solve for the spectral radius and assemble the full measure/bound report."""
     result = spectral_radius(H, opts)

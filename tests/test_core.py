@@ -217,10 +217,15 @@ def test_edge_trace_apply_validates(two_path):
         EdgeTrace((((2, 4, 5), (3, 4, 5)),)).apply(two_path)
     with pytest.raises(HypergraphError, match="existing edge"):
         EdgeTrace((((1, 2, 3), (1, 4, 5)),)).apply(two_path)
-    for inserted in [(3, 2, 9), (2, 4, 9), (2, 2, 4), (2, 4), (2, 4, 5, 6), (5, 4, 1), (2, 1, 3)]:
-        # out of range, repeated vertex, wrong size, unsorted, unsorted duplicate
+    for inserted in [
+        (3, 2, 9), (2, 4, 9), (2, 2, 4), (2, 4), (2, 4, 5, 6), (5, 4, 1), (2, 1, 3), [2, 4, 5]
+    ]:
+        # out of range, repeated vertex, wrong size, unsorted, unsorted
+        # duplicate, not a tuple
         with pytest.raises(HypergraphError, match=re.escape(f"edge {list(inserted)}")):
             EdgeTrace((((1, 4, 5), inserted),)).apply(two_path)
+    with pytest.raises(HypergraphError, match=re.escape("edge [1, 4, 5] is not a tuple")):
+        EdgeTrace((([1, 4, 5], (2, 4, 5)),)).apply(two_path)
 
 
 def test_hashable_and_immutable(two_path):

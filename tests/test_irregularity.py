@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from hgirr import (
     build,
     complete_r_partite,
     epsilon,
+    is_connected,
     random_r_partite,
     random_uniform,
     s_measure,
@@ -160,12 +162,12 @@ def test_suite_skips_degree_product_bounds_on_isolated_vertex():
     [([[1, 2, 3], [1, 4, 5]], 5), ([[1, 2, 3], [4, 5, 6]], 6), ([[1, 2, 3]], 4)],
 )
 def test_suite_connectivity_same_for_result_and_float(edges, n):
-    # a SpectralResult carries its components; a bare float is decomposed again
+    # connectivity comes from the components the SpectralResult carries,
+    # and must agree with is_connected(H)
     H = build(3, n, edges)
-    res = spectral_radius(H)
-    from_result = by_name(bound_suite(H, res), "edge_gm_upper").skipped_reason
-    from_float = by_name(bound_suite(H, res.rho), "edge_gm_upper").skipped_reason
-    assert from_result == from_float == (None if n == 5 else "disconnected")
+    reason = by_name(bound_suite(H, spectral_radius(H)), "edge_gm_upper").skipped_reason
+    assert reason == (None if is_connected(H) else "disconnected")
+    assert is_connected(H) == (n == 5)
 
 
 def test_suite_edgeless():
@@ -178,14 +180,18 @@ def test_suite_edgeless():
     assert by_name(checks, "theorem2_upper").holds
 
 
-def test_suite_accepts_float_rho(two_path):
-    checks = bound_suite(two_path, CBRT2)
-    assert all(c.holds for c in checks)
+def test_suite_rejects_float_rho(two_path):
+    # a bare float carries no certificate
+    with pytest.raises(TypeError, match="SpectralResult"):
+        bound_suite(two_path, CBRT2)
+    # every bound holds at the exact 2^(1/3), given as a zero-width bracket
+    exact = dataclasses.replace(spectral_radius(two_path), rho=CBRT2, bracket=(CBRT2, CBRT2))
+    assert all(c.holds for c in bound_suite(two_path, exact))
 
 
 def test_suite_derived_tolerance_mode(two_path):
     res = spectral_radius(two_path)
-    checks = bound_suite(two_path, res, check_tolerance=None)
+    checks = bound_suite(two_path, res, check_tolerance=0.0)
     for check in checks:
         if not check.skipped:
             assert check.tolerance >= 10.0 * 1e-9
@@ -206,7 +212,7 @@ def test_suite_holds_at_derived_tolerance_on_random_instances():
         m = int(rng.integers(0, math.comb(n, r) + 1))
         H = random_uniform(n, m, r, rng)
         res = spectral_radius(H)
-        assert all(c.holds for c in bound_suite(H, res, check_tolerance=None))
+        assert all(c.holds for c in bound_suite(H, res, check_tolerance=0.0))
 
 
 def test_suite_names_unique_and_ordered(two_path, two_path_partition):
