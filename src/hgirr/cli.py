@@ -2,12 +2,14 @@
 
 Subcommands::
 
-    hgirr analyze FILE [--partition FILE] [--tol T] [--check-tol T]
-                  [--max-iterations N] [--json]
-    hgirr verify [--r LIST] [--n N|LO:HI] [--m M] [--count K] [--seed S]
-                 [--partite SIZES] [--tol T] [--check-tol T]
+    hgirr analyze FILE [--partition FILE] [--tol 1e-10]
+                       [--max-iterations 100000] [--json]
+    hgirr verify [--r 2,3,4] [--n 2:10] [--m M] [--count K] [--seed S]
+                 [--partite 2,2,2] [--tol 1e-10]
     hgirr regularize FILE -o OUT [--partitewise]
-    hgirr transform {blowup,product,union} ... [-o OUT]
+    hgirr transform blowup FILE --k 2 [-o OUT]
+    hgirr transform product FILE1 FILE2 [-o OUT]
+    hgirr transform union FILE1 FILE2 [-o OUT]
 
 Exit codes are a contract: 0 success, 1 bound violation or verify failure,
 2 input/parameter error, 3 solver non-convergence. All output is
@@ -146,8 +148,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         opts = SpectralOptions(tolerance=args.tol, max_iterations=args.max_iterations)
     except ValueError as exc:
         return _fail(str(exc))
-    if math.isnan(args.check_tol):
-        return _fail("check-tol must be a number, got nan")
     try:
         text = _read_text(args.file)
     except OSError as exc:
@@ -162,7 +162,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except (OSError, HypergraphError) as exc:
         return _fail(str(exc))
 
-    report = analyze(H, partition, opts, check_tolerance=args.check_tol)
+    report = analyze(H, partition, opts)
     print(_report_json(report) if args.json else _report_text(report))
     if not report.converged:
         return 3
@@ -197,16 +197,14 @@ def _run_instance(
         H = random_uniform(n, m, r, rng)
 
     result = spectral_radius(H, opts)
-    checks = bound_suite(H, result, partition, args.check_tol, opts)
+    checks = bound_suite(H, result, partition, opts)
     extras: list[tuple[str, bool]] = []
     if index % 10 == 0:
-        extras = _run_extra_checks(H, partition, result, rng, opts, index, args.check_tol)
+        extras = _run_extra_checks(H, partition, result, rng, opts, index)
     return checks, extras
 
 
-def _run_extra_checks(
-    H, partition, result, rng, opts, index, check_tol
-) -> list[tuple[str, bool]]:
+def _run_extra_checks(H, partition, result, rng, opts, index) -> list[tuple[str, bool]]:
     out: list[tuple[str, bool]] = []
     r = H.r
     rho = result.rho
@@ -227,7 +225,7 @@ def _run_extra_checks(
 
     cap = math.comb(H.n, r)
     other = random_uniform(H.n, int(rng.integers(0, cap + 1)), r, rng)
-    out.append(("weyl", weyl_check(H, other, opts, check_tol).holds))
+    out.append(("weyl", weyl_check(H, other, opts).holds))
 
     regular, _trace = regularize(H)
     deg = regular.degree_array
@@ -274,8 +272,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         opts = SpectralOptions(tolerance=args.tol)
     except ValueError as exc:
         return _fail(f"bad parameter: {exc}")
-    if math.isnan(args.check_tol):
-        return _fail("check-tol must be a number, got nan")
     if args.count < 1:
         return _fail("count must be at least 1")
     if args.seed < 0:
@@ -318,8 +314,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     mode = f"partite {','.join(str(s) for s in sizes)}" if sizes else "uniform"
     print(
         f"hgirr verify: count={args.count} seed={args.seed} mode={mode} "
-        f"r={args.r} n={args.n} m={'random' if args.m is None else args.m} "
-        f"check_tol={args.check_tol:g}"
+        f"r={args.r} n={args.n} m={'random' if args.m is None else args.m}"
     )
 
     print(f"{'bound':<21} {'checked':>8} {'passed':>8} {'failed':>8} {'skipped':>8}  min_slack")
@@ -435,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="input .hgr file")
     p.add_argument("--partition", help="partition file overriding any inline partition")
     p.add_argument("--tol", type=float, default=1e-10, help="relative solver tolerance, in (0, 1)")
-    p.add_argument("--check-tol", type=float, default=1e-8, help="bound check tolerance")
     p.add_argument("--max-iterations", type=int, default=100_000)
     p.add_argument("--json", action="store_true", help="emit a single JSON object")
     p.set_defaults(func=_cmd_analyze)
@@ -448,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partite", default=None, help="comma class sizes, e.g. 2,2,2")
     p.add_argument("--tol", type=float, default=1e-10, help="relative solver tolerance, in (0, 1)")
-    p.add_argument("--check-tol", type=float, default=1e-8, help="bound check tolerance")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("regularize", help="rewire to a near-regular instance")

@@ -11,6 +11,7 @@ functions and safe to use from multiple threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -112,22 +113,29 @@ class UniformHypergraph:
 class Partition:
     """Assignment of all vertices to classes 1..num_classes.
 
-    ``class_of[i - 1]`` is the class of vertex i. Classes may be empty; for
-    an r-partite hypergraph ``num_classes`` equals the rank.
+    ``class_of[i - 1]`` is the class of vertex i, an integer (a float such
+    as 1.7 is rejected, not truncated). Classes may be empty; for an
+    r-partite hypergraph ``num_classes`` equals the rank.
     """
 
     class_of: tuple[int, ...]
     num_classes: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "class_of", tuple(int(c) for c in self.class_of))
+        given = tuple(self.class_of)
+        class_of = tuple(map(_as_id, given))
         if self.num_classes < 1:
             raise HypergraphError(f"need at least one class, got {self.num_classes}")
-        for i, c in enumerate(self.class_of, 1):
+        for i, c in enumerate(class_of, 1):
+            if c is None:
+                raise HypergraphError(
+                    f"vertex {i} assigned to class {given[i - 1]!r}, not an integer"
+                )
             if not 1 <= c <= self.num_classes:
                 raise HypergraphError(
                     f"vertex {i} assigned to class {c}, outside [1, {self.num_classes}]"
                 )
+        object.__setattr__(self, "class_of", class_of)
 
     @property
     def n(self) -> int:
@@ -157,8 +165,8 @@ class EdgeTrace:
     """Ordered record of (removed, inserted) edge swaps.
 
     Each swap is a pair of vertex-id tuples. It must remove an edge present
-    before the swap and insert a canonical edge (r strictly increasing ids
-    in 1..n) absent before it; :meth:`apply` replays the trace and enforces
+    before the swap and insert a canonical edge (r strictly increasing
+    integer ids in 1..n) absent before it; :meth:`apply` replays the trace and enforces
     this.
     """
 
@@ -183,6 +191,7 @@ class EdgeTrace:
                 raise HypergraphError(f"trace inserts existing edge {list(inserted)}")
             if (
                 len(inserted) != H.r
+                or None in map(_as_id, inserted)
                 or list(inserted) != sorted(set(inserted))
                 or not 1 <= inserted[0] <= inserted[-1] <= H.n
             ):
@@ -195,9 +204,22 @@ class EdgeTrace:
         return build(H.r, H.n, sorted(edge_set))
 
 
-def _edge_error(pos: int, edge: Edge, r: int, n: int) -> str | None:
+def _as_id(v) -> int | None:
+    """v as a Python int, or None when v is not of an integer type (a float
+    such as 1.5 or 2.0, a string)."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
+
+
+def _edge_error(pos: int, edge: tuple, r: int, n: int) -> str | None:
     """The message of the first per-edge check that input edge #pos fails,
-    in the order cardinality, repeated vertex, range; None if it passes."""
+    in the order integer ids, cardinality, repeated vertex, range; None if
+    it passes."""
+    for v in edge:
+        if _as_id(v) is None:
+            return f"edge #{pos} {list(edge)}: vertex id {v!r} is not an integer"
     if len(edge) != r:
         return f"edge #{pos} {list(edge)} has {len(edge)} vertices, expected {r}"
     if len(set(edge)) != r:
@@ -210,33 +232,38 @@ def _edge_error(pos: int, edge: Edge, r: int, n: int) -> str | None:
 
 def _input_rows(
     edge_list: Iterable[Sequence[int]], r: int
-) -> tuple[np.ndarray, Edge | Exception | None]:
+) -> tuple[np.ndarray, tuple | Exception | None]:
     """The input edges as a (k, r) int64 array, plus what stopped the
     conversion: None when every edge fits, else the first edge of another
-    size or holding an id beyond int64, or the exception raised converting
-    it. The array then holds the edges before that one."""
-    if isinstance(edge_list, np.ndarray) and edge_list.dtype.kind != "i":
-        edge_list = edge_list.tolist()  # convert entries as int() would
-    elif not isinstance(edge_list, (np.ndarray, list, tuple)):
+    size or holding an id that is no integer or lies beyond int64, or the
+    exception raised converting it. The array then holds the edges before
+    that one."""
+    if not isinstance(edge_list, (np.ndarray, list, tuple)):
         edge_list = list(edge_list)
     if len(edge_list) == 0:
         return np.empty((0, r), dtype=np.int64), None
     try:
-        rows = np.asarray(edge_list, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
+        rows = np.asarray(edge_list)
+    except ValueError:  # ragged
         rows = None
-    if rows is not None and rows.ndim == 2 and rows.shape[1] == r:
-        return rows, None
-    # Ragged, of another width, or not int64: convert edge by edge, in order.
+    if rows is not None and rows.dtype.kind == "i" and rows.ndim == 2 and rows.shape[1] == r:
+        return rows.astype(np.int64, copy=False), None
+    # Ragged, of another width, or not of an integer dtype: convert edge by
+    # edge, in order.
+    if isinstance(edge_list, np.ndarray):
+        edge_list = edge_list.tolist()
     fitting: list[Edge] = []
     for raw in edge_list:
         try:
-            edge = tuple(int(v) for v in raw)
-        except (TypeError, ValueError) as exc:
+            edge = tuple(raw.tolist() if isinstance(raw, np.ndarray) else raw)
+        except TypeError as exc:
             return np.array(fitting, dtype=np.int64).reshape(-1, r), exc
-        if len(edge) != r or not all(_INT64.min <= v <= _INT64.max for v in edge):
+        ids = tuple(map(_as_id, edge))
+        if len(ids) != r or not all(
+            v is not None and _INT64.min <= v <= _INT64.max for v in ids
+        ):
             return np.array(fitting, dtype=np.int64).reshape(-1, r), edge
-        fitting.append(edge)
+        fitting.append(ids)
     return np.array(fitting, dtype=np.int64).reshape(-1, r), None
 
 
@@ -262,24 +289,23 @@ def _row_order(rows: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def build(
-    r: int,
-    n: int,
-    edge_list: Iterable[Sequence[int]],
-    dedupe: bool = False,
-) -> UniformHypergraph:
+def _check_sizes(r: int, n: int, error: type[HypergraphError] = HypergraphError) -> None:
+    if r < 2:
+        raise error(f"rank must be at least 2, got r={r}")
+    if n < r:
+        raise error(f"need at least r={r} vertices, got n={n}")
+
+
+def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergraph:
     """Validate and canonicalize an edge list into a UniformHypergraph.
 
-    Rejects edges of the wrong cardinality, repeated vertices within an edge,
-    out-of-range vertex ids, and duplicate edges. With ``dedupe=True``
-    repeated edges are silently collapsed instead of rejected. The error
-    names the first input edge that fails a check (a duplicate fails at its
-    second occurrence); for that edge the checks run in the order listed.
+    Rejects vertex ids that are not of an integer type (1.5, and also 2.0),
+    edges of the wrong cardinality, repeated vertices within an edge,
+    out-of-range vertex ids, and duplicate edges. The error names the first
+    input edge that fails a check (a duplicate fails at its second
+    occurrence); for that edge the checks run in the order listed.
     """
-    if r < 2:
-        raise HypergraphError(f"rank must be at least 2, got r={r}")
-    if n < r:
-        raise HypergraphError(f"need at least r={r} vertices, got n={n}")
+    _check_sizes(r, n)
     rows, stop = _input_rows(edge_list, r)
     k = rows.shape[0]
     rows_sorted = np.sort(rows, axis=1)
@@ -293,7 +319,7 @@ def build(
     # the order is stable, so within a run of equal rows the input order
     # holds and every row but the run's first is a later occurrence
     repeat = (canonical[1:] == canonical[:-1]).all(axis=1)
-    if not dedupe and repeat.any():
+    if repeat.any():
         second = int(order[1:][repeat].min())
         key = rows_sorted[second].tolist()
         raise HypergraphError(f"duplicate edge {key} (edge #{second + 1})")
@@ -302,10 +328,9 @@ def build(
     if isinstance(stop, Exception):
         raise stop
     if stop is not None:
-        # an id beyond int64 is out of range for any n the degrees fit in
+        # an id that is no integer, or beyond int64 and so out of range for
+        # any n the degrees fit in
         raise HypergraphError(_edge_error(k + 1, stop, r, n))
-    if repeat.any():
-        canonical = canonical[np.concatenate(([True], ~repeat))]
     return UniformHypergraph(r, n, canonical - 1)
 
 
@@ -425,8 +450,12 @@ def union_edges(
     """
     if H1.r != H2.r:
         raise HypergraphError(f"rank mismatch: {H1.r} vs {H2.r}")
-    both = np.concatenate((H1.edge_array, H2.edge_array)) + 1
-    return build(H1.r, max(H1.n, H2.n), both, dedupe=True)
+    # both edge arrays are canonical, so their sorted distinct rows are too
+    n = max(H1.n, H2.n)
+    both = np.concatenate((H1.edge_array, H2.edge_array))
+    both = both[_row_order(both + 1, n)]
+    distinct = (np.diff(both, axis=0, prepend=-1) != 0).any(axis=1)  # ids are >= 0
+    return UniformHypergraph(H1.r, n, both[distinct])
 
 
 def symmetric_difference_size(

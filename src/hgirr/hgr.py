@@ -16,7 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HypergraphError, Partition, UniformHypergraph, build, validate_partition
+from .core import (
+    HypergraphError,
+    Partition,
+    UniformHypergraph,
+    _check_sizes,
+    build,
+    validate_partition,
+)
 
 __all__ = ["HgrFormatError", "parse_hgr", "parse_partition_text", "write_hgr"]
 
@@ -90,6 +97,7 @@ def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
             if len(tokens) != 4 or tokens[0] != "hgr":
                 raise HgrFormatError(f"line {lineno}: expected header 'hgr <r> <n> <m>'")
             r, n, m = _ints(tokens[1:], lineno)
+            _check_sizes(r, n, HgrFormatError)
             continue
         if tokens[0] == "partition":
             if partition_line is not None:
@@ -139,14 +147,16 @@ def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
 
 
 def write_hgr(H: UniformHypergraph, partition: Partition | None = None) -> str:
-    """Serialize to the canonical hgr form (deterministic bytes)."""
+    """Serialize to the canonical hgr form (deterministic bytes).
+
+    A partition is written only if it is one :func:`parse_hgr` accepts: r
+    classes covering the n vertices, every edge meeting each class once.
+    """
+    if partition is not None and not validate_partition(H, partition):
+        raise HypergraphError("invalid partition for the given edges")
     out = [f"hgr {H.r} {H.n} {H.m}"]
     out.extend(" ".join(str(v) for v in edge) for edge in H.edges)
     if partition is not None:
-        if partition.n != H.n:
-            raise HypergraphError(
-                f"partition covers {partition.n} vertices, hypergraph has {H.n}"
-            )
         out.append("partition " + " ".join(str(c) for c in partition.class_of))
     return "\n".join(out) + "\n"
 

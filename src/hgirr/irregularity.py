@@ -69,10 +69,11 @@ __all__ = [
 class BoundCheck:
     """One named inequality lhs <= rhs with its evaluation.
 
-    ``holds`` tolerates a slack down to -tolerance; the tolerance is widened
-    by the certified solver error so that floating point cannot produce a
-    false violation. A check whose hypotheses fail carries ``skipped_reason``
-    and counts as neither passed nor failed.
+    ``holds`` tolerates a slack down to -tolerance. The tolerance is derived
+    from the certified solver error alone, ``10 * (certified error + 1e-9)``
+    at the scale of the compared quantities, so that floating point cannot
+    produce a false violation. A check whose hypotheses fail carries
+    ``skipped_reason`` and counts as neither passed nor failed.
     """
 
     name: str
@@ -183,11 +184,8 @@ def _edge_degree_products(H: UniformHypergraph) -> np.ndarray:
     return deg[H.edge_array].prod(axis=1)
 
 
-def _coupled_tolerance(base: float, certified: float) -> float:
-    # max() with a NaN base would be NaN and fail every check
-    if math.isnan(base):
-        raise ValueError("check_tolerance must be a number, got nan")
-    return max(float(base), 10.0 * (certified + 1e-9))
+def _certified_tolerance(certified: float) -> float:
+    return 10.0 * (certified + 1e-9)
 
 
 def _check(
@@ -216,29 +214,34 @@ def bound_suite(
     H: UniformHypergraph,
     spectral: SpectralResult,
     partition: Partition | None = None,
-    check_tolerance: float = 1e-8,
     opts: SpectralOptions | None = None,
 ) -> list[BoundCheck]:
     """Evaluate every supported inequality for H at a certified spectral radius.
 
     ``spectral`` must be the :class:`SpectralResult` of ``spectral_radius(H)``:
     its bracket certifies rho, and a bare float, which carries no
-    certificate, raises TypeError. The effective tolerance of each check is
-    ``max(check_tolerance, 10 * (certified error + 1e-9))``, so
-    ``check_tolerance=0.0`` uses the certified part alone; a NaN one raises
-    ValueError. A supplied partition is checked against H by the
-    class-preserving rewiring that claim2 needs, before any bound is
-    evaluated. Partition-dependent checks are emitted as skipped when no
-    partition is supplied; ``opts`` configures the extra solve needed by
-    claim2.
+    certificate, raises TypeError, and a bracket that is not finite or whose
+    lower end exceeds its upper end raises ValueError. The tolerance of each
+    check is ``10 * (certified error + 1e-9)``, with the certified error
+    carried to the rho**r scale for ``gm_lower`` and ``hm_lower``. A supplied
+    partition is checked against H by the class-preserving rewiring that
+    claim2 needs, before any bound is evaluated. Partition-dependent checks
+    are emitted as skipped when no partition is supplied; ``opts``
+    configures the extra solve needed by claim2.
     """
     if not isinstance(spectral, SpectralResult):
         raise TypeError(
             "spectral must be the SpectralResult of spectral_radius(H), "
             f"got {type(spectral).__name__}"
         )
+    lower, upper = spectral.bracket
+    if not -math.inf < lower <= upper < math.inf:  # False for a NaN end
+        raise ValueError(
+            f"bracket ({lower:g}, {upper:g}) certifies nothing: "
+            "it must be finite, with lower end <= upper end"
+        )
     rho = float(spectral.rho)
-    tol = _coupled_tolerance(check_tolerance, spectral.certified_error)
+    tol = _certified_tolerance(spectral.certified_error)
     if partition is not None:
         # claim2's rewiring is the only partition check; it goes through the
         # public entry point so that perfbench's per-layer trace counts it
@@ -252,31 +255,24 @@ def bound_suite(
     constant_product = m > 0 and edge_products.min() == edge_products.max()
     # spectral_radius split H into components, isolated vertices included
     connected = len(spectral.component_rhos) == 1
+    # equality cases, as keyword arguments of _check
+    if_regular = {"eq": regular, "reason": "regular"}
+    if_constant = {"eq": constant_product, "reason": "constant edge degree product"}
     checks: list[BoundCheck] = []
 
-    checks.append(_check("cooper_dutle", davg, rho, tol, eq=regular, reason="regular"))
+    checks.append(_check("cooper_dutle", davg, rho, tol, **if_regular))
 
     # Two-sided sandwich min d <= rho <= max d, encoded by its binding side.
     if rho - float(deg.min()) <= float(deg.max()) - rho:
-        checks.append(
-            _check("row_sum_sandwich", float(deg.min()), rho, tol, eq=regular, reason="regular")
-        )
+        checks.append(_check("row_sum_sandwich", float(deg.min()), rho, tol, **if_regular))
     else:
-        checks.append(
-            _check("row_sum_sandwich", rho, float(deg.max()), tol, eq=regular, reason="regular")
-        )
+        checks.append(_check("row_sum_sandwich", rho, float(deg.max()), tol, **if_regular))
 
     if partition is not None:
         complete = m >= 1 and m == math.prod(partition.class_sizes)
+        rhs = m ** ((r - 1) / r)
         checks.append(
-            _check(
-                "size_upper",
-                rho,
-                m ** ((r - 1) / r),
-                tol,
-                eq=complete,
-                reason="complete r-partite",
-            )
+            _check("size_upper", rho, rhs, tol, eq=complete, reason="complete r-partite")
         )
     else:
         coef = r / math.factorial(r) ** (1.0 / r)
@@ -288,16 +284,7 @@ def bound_suite(
         checks.append(_skip("edge_gm_upper", "disconnected"))
     else:
         rhs = int(edge_products.max()) ** (1.0 / r)
-        checks.append(
-            _check(
-                "edge_gm_upper",
-                rho,
-                rhs,
-                tol,
-                eq=constant_product,
-                reason="constant edge degree product",
-            )
-        )
+        checks.append(_check("edge_gm_upper", rho, rhs, tol, **if_constant))
 
     if m == 0 or int(deg.min()) == 0:
         checks.append(_skip("gm_lower", "zero degree"))
@@ -312,35 +299,17 @@ def bound_suite(
         cert_powered = (
             spectral.certified_error * r * max(1.0, rho) ** (r - 1) + float_noise
         )
-        tol_powered = _coupled_tolerance(check_tolerance, cert_powered)
+        tol_powered = _certified_tolerance(cert_powered)
         # sequential sums over Python floats, as the bits of gm and hm
         # depend on the summation order
         gm = math.exp(sum(map(math.log, edge_products.tolist())) / m)
-        checks.append(
-            _check(
-                "gm_lower",
-                gm,
-                rho**r,
-                tol_powered,
-                eq=constant_product,
-                reason="constant edge degree product",
-            )
-        )
+        checks.append(_check("gm_lower", gm, rho**r, tol_powered, **if_constant))
         hm = m / sum((1.0 / edge_products).tolist())
-        checks.append(
-            _check(
-                "hm_lower",
-                hm,
-                rho**r,
-                tol_powered,
-                eq=constant_product,
-                reason="constant edge degree product",
-            )
-        )
+        checks.append(_check("hm_lower", hm, rho**r, tol_powered, **if_constant))
 
     alpha = r / (r - 1)
     power_mean = float(np.mean(deg.astype(np.float64) ** alpha)) ** ((r - 1) / r)
-    checks.append(_check("power_mean_lower", power_mean, rho, tol, eq=regular, reason="regular"))
+    checks.append(_check("power_mean_lower", power_mean, rho, tol, **if_regular))
 
     s = s_measure(H)
     coef_upper = r / math.factorial(r) ** (1.0 / r)
@@ -373,7 +342,7 @@ def bound_suite(
         )
         checks.append(_check("claim1", (n / r) ** (1.0 / r), geo, tol))
         hat = spectral_radius(regularized, opts)
-        tol_hat = _coupled_tolerance(check_tolerance, hat.certified_error)
+        tol_hat = _certified_tolerance(hat.certified_error)
         rhs = m / geo + (n / r) ** (1.0 - 1.0 / r)
         checks.append(_check("claim2", hat.rho, rhs, tol_hat))
 
@@ -384,7 +353,6 @@ def weyl_check(
     H1: UniformHypergraph,
     H2: UniformHypergraph,
     opts: SpectralOptions | None = None,
-    check_tolerance: float = 1e-8,
 ) -> BoundCheck:
     """Subadditivity of the spectral radius over the edge-set union."""
     union = union_edges(H1, H2)
@@ -392,8 +360,7 @@ def weyl_check(
     r2 = spectral_radius(H2, opts)
     ru = spectral_radius(union, opts)
     certified = r1.certified_error + r2.certified_error + ru.certified_error
-    tol = _coupled_tolerance(check_tolerance, certified)
-    return _check("weyl", ru.rho, r1.rho + r2.rho, tol)
+    return _check("weyl", ru.rho, r1.rho + r2.rho, _certified_tolerance(certified))
 
 
 def _find_swap(
@@ -511,11 +478,10 @@ def analyze(
     H: UniformHypergraph,
     partition: Partition | None = None,
     opts: SpectralOptions | None = None,
-    check_tolerance: float = 1e-8,
 ) -> IrregularityReport:
     """Solve for the spectral radius and assemble the full measure/bound report."""
     result = spectral_radius(H, opts)
-    checks = bound_suite(H, result, partition, check_tolerance, opts)
+    checks = bound_suite(H, result, partition, opts)
     # bound_suite has checked the partition against H
     s_r = _s_r(H, partition) if partition is not None else None
     return IrregularityReport(

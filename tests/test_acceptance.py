@@ -117,7 +117,6 @@ def test_criterion_5_fuzz_verification():
                 "--n", "2:10",
                 "--count", "1000",
                 "--seed", "20260810",
-                "--check-tol", "1e-8",
             ]
         )
         assert code == 0
@@ -131,7 +130,6 @@ def test_criterion_5_fuzz_verification():
                     "--partite", sizes,
                     "--count", str(count),
                     "--seed", str(seed),
-                    "--check-tol", "1e-8",
                 ]
             )
             assert code == 0, sizes

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import hgirr.cli
 import hgirr.core
 import hgirr.irregularity
 from hgirr import (
@@ -165,10 +166,10 @@ def test_verify_parameter_errors(capsys):
         ["analyze", "FILE", "--tol", "0"],
         ["analyze", "FILE", "--tol", "nan"],
         ["analyze", "FILE", "--max-iterations", "0"],
-        ["analyze", "FILE", "--check-tol", "nan"],
+        ["analyze", "FILE", "--max-iterations", "-1"],
         ["verify", "--count", "1", "--tol", "-1"],
         ["verify", "--count", "1", "--seed", "-2"],
-        ["verify", "--count", "1", "--check-tol", "nan"],
+        ["verify", "--count", "1", "--tol", "nan"],
         ["analyze", "FILE", "--tol", "inf"],
         ["analyze", "FILE", "--tol", "1"],
         ["verify", "--count", "1", "--tol", "inf"],
@@ -190,10 +191,29 @@ def test_verify_workers_flag_is_gone(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-def _readme_synopsis_flags() -> dict[tuple[str, ...], set[str]]:
-    """Flag tokens per subcommand in the README's CLI synopsis block."""
+@pytest.mark.parametrize("command", [["analyze", "FILE"], ["verify", "--count", "1"]])
+def test_check_tol_flag_is_gone(command, two_path_file, capsys):
+    # every check tolerance derives from the certified bracket alone
+    argv = [two_path_file if a == "FILE" else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--check-tol", "1e-8"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--check-tol" in captured.err
+
+
+def _synopsis_blocks() -> dict[str, str]:
+    """The CLI synopsis of the README and of the ``hgirr.cli`` docstring."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return {
+        "README.md": readme.split("## CLI", 1)[1].split("```")[1],
+        "hgirr.cli": hgirr.cli.__doc__.split("Subcommands::", 1)[1].split("\n\n")[1],
+    }
+
+
+def _synopsis_flags(block: str) -> dict[tuple[str, ...], set[str]]:
+    """Flag tokens per subcommand in a synopsis block."""
     flags: dict[tuple[str, ...], set[str]] = {}
     for line in block.strip().splitlines():
         words = line.split()
@@ -214,15 +234,18 @@ def _leaf_parsers(parser, prefix=()):
 
 
 def test_readme_synopsis_lists_every_flag():
-    readme = _readme_synopsis_flags()
     leaves = dict(_leaf_parsers(_build_parser()))
-    assert set(readme) == set(leaves)
-    for command, parser in leaves.items():
-        actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
-        known = {o for a in actions for o in a.option_strings}
-        assert readme[command] <= known, command
-        for action in actions:
-            assert set(action.option_strings) & readme[command], (command, action.option_strings)
+    for source, block in _synopsis_blocks().items():
+        synopsis = _synopsis_flags(block)
+        assert set(synopsis) == set(leaves), source
+        for command, parser in leaves.items():
+            actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+            known = {o for a in actions for o in a.option_strings}
+            assert synopsis[command] <= known, (source, command)
+            for action in actions:
+                assert set(action.option_strings) & synopsis[command], (
+                    source, command, action.option_strings
+                )
 
 
 def test_regularize_command(tmp_path, capsys):
@@ -337,12 +360,14 @@ def _main_sha256(argv):
 
 
 def test_verify_bytes_are_pinned():
-    # digests recorded before the verify tally became a single pass
+    # digests recorded when the check-tolerance flag and the
+    # " check_tol=1e-08" token of line 1 were removed; the other lines are
+    # those recorded before the verify tally became a single pass
     assert _main_sha256(["verify", "--r", "2,3,4", "--n", "4:12", "--count", "300", "--seed", "7"]) == (
-        0, "b2f47b9d38eb192c586dc815c28f2655a00851d8494ac25856e5c44eeb2435c1"
+        0, "738695238f6586e1b81bcef10cae2802544906c2bbccc5df41cb4d24c3fd72e1"
     )
     assert _main_sha256(["verify", "--partite", "2,3,3", "--count", "100", "--seed", "3"]) == (
-        0, "42f13ad36a3486230fa37a6e50474d65f24fdef0b3006c20f85e40d05a53cd37"
+        0, "7d889b448bf6ee30c97cda7155d1f28e4b1a579a4f14f6a843d867a1aabd7b07"
     )
 
 
@@ -396,6 +421,11 @@ def test_analyze_json_bytes_are_pinned(tmp_path):
 
 
 def test_analyze_checks_an_inline_partition_twice(tmp_path, monkeypatch, capsys):
+    # written before the counters are installed: write_hgr checks the
+    # partition too
+    H, P = random_r_partite((5, 6, 7), 60, seed=4)
+    path = tmp_path / "p.hgr"
+    path.write_text(write_hgr(H, P))
     calls = {"validate": 0, "s_r": 0, "s_r_measure": 0, "regularize_partitewise": 0}
 
     def counted(key, fn):
@@ -418,9 +448,6 @@ def test_analyze_checks_an_inline_partition_twice(tmp_path, monkeypatch, capsys)
         "regularize_partitewise",
         counted("regularize_partitewise", hgirr.irregularity.regularize_partitewise),
     )
-    H, P = random_r_partite((5, 6, 7), 60, seed=4)
-    path = tmp_path / "p.hgr"
-    path.write_text(write_hgr(H, P))
     assert main(["analyze", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["s_r"] > 0
     # in parse_hgr and in claim2's rewiring, which bound_suite calls once

@@ -61,7 +61,8 @@ def test_build_rejects_out_of_range():
 def test_build_duplicate_edge_strict_and_lenient():
     with pytest.raises(HypergraphError, match="duplicate edge"):
         build(3, 4, [[1, 2, 3], [3, 2, 1]])
-    H = build(3, 4, [[1, 2, 3], [3, 2, 1]], dedupe=True)
+    # the union of two edge sets is the one place repeated edges collapse
+    H = union_edges(build(3, 4, [[1, 2, 3]]), build(3, 4, [[3, 2, 1]]))
     assert H.m == 1
 
 
@@ -164,6 +165,9 @@ def test_partition_rejects_bad_labels():
         Partition((1, 4), 3)
     with pytest.raises(HypergraphError):
         Partition((0, 1), 2)
+    with pytest.raises(HypergraphError) as info:
+        Partition((1.7, 2, 3), 3)
+    assert str(info.value) == "vertex 1 assigned to class 1.7, not an integer"
 
 
 def test_union_idempotent(two_path):
@@ -180,6 +184,19 @@ def test_union_absorbs_duplicates():
     H1 = build(3, 4, [[1, 2, 3]])
     H2 = build(3, 4, [[1, 2, 3], [2, 3, 4]])
     assert union_edges(H1, H2).m == 2
+
+
+def test_union_of_empty_and_unequal_operands(two_path):
+    empty3, empty6 = build(3, 3, []), build(3, 6, [])
+    union = union_edges(empty3, empty6)
+    assert (union.n, union.m, union.edge_array.shape) == (6, 0, (0, 3))
+    assert union.edge_array.dtype == np.int64
+    assert union_edges(two_path, empty6) == build(3, 6, two_path.edges)
+    assert union_edges(empty3, two_path) == two_path
+    wider = build(3, 8, [[6, 7, 8], [1, 2, 3], [2, 3, 4]])
+    assert union_edges(two_path, wider) == union_edges(wider, two_path) == build(
+        3, 8, [[1, 2, 3], [1, 4, 5], [2, 3, 4], [6, 7, 8]]
+    )
 
 
 def test_union_rank_mismatch(two_path):
@@ -218,10 +235,11 @@ def test_edge_trace_apply_validates(two_path):
     with pytest.raises(HypergraphError, match="existing edge"):
         EdgeTrace((((1, 2, 3), (1, 4, 5)),)).apply(two_path)
     for inserted in [
-        (3, 2, 9), (2, 4, 9), (2, 2, 4), (2, 4), (2, 4, 5, 6), (5, 4, 1), (2, 1, 3), [2, 4, 5]
+        (3, 2, 9), (2, 4, 9), (2, 2, 4), (2, 4), (2, 4, 5, 6), (5, 4, 1), (2, 1, 3), [2, 4, 5],
+        (1.5, 2, 4), (2.0, 4, 5),
     ]:
         # out of range, repeated vertex, wrong size, unsorted, unsorted
-        # duplicate, not a tuple
+        # duplicate, not a tuple, ids that are not integers
         with pytest.raises(HypergraphError, match=re.escape(f"edge {list(inserted)}")):
             EdgeTrace((((1, 4, 5), inserted),)).apply(two_path)
     with pytest.raises(HypergraphError, match=re.escape("edge [1, 4, 5] is not a tuple")):
@@ -252,7 +270,7 @@ def _blocky(rng):
         members = np.flatnonzero(block_of == block_of[rng.integers(0, n)])
         if members.size >= r:
             edges.append(rng.choice(members, r, replace=False) + 1)
-    return build(r, n, edges, dedupe=True)
+    return build(r, n, sorted({tuple(sorted(e.tolist())) for e in edges}))
 
 
 def _disjoint_union(rng):
@@ -321,6 +339,13 @@ BUILD_ERRORS = [
     ((e for e in [[1, 2, 3], [3, 4, 5], [5, 4, 3]]), "duplicate edge [3, 4, 5] (edge #3)"),
     (np.array([[1, 2, 3], [3, 4, 5], [5, 4, 6]]), "edge #3 [5, 4, 6]: vertex id 6 out of range [1, 5]"),
     (np.array([[1, 2, 3], [3, 4, 5], [5, 4, 3]]), "duplicate edge [3, 4, 5] (edge #3)"),
+    # ids that are not integers are rejected, not truncated
+    ([[1, 2, 3], [1.5, 2, 4]], "edge #2 [1.5, 2, 4]: vertex id 1.5 is not an integer"),
+    # in a float array every id is a float, whole or not
+    (np.array([[1.5, 2, 3], [2, 3, 4]]), "edge #1 [1.5, 2.0, 3.0]: vertex id 1.5 is not an integer"),
+    (np.array([[1, 2, 3], [3, 4, 5]], dtype=float), "edge #1 [1.0, 2.0, 3.0]: vertex id 1.0 is not an integer"),
+    ([[1, 2, 3], [3, 3, 1], [1.5, 2, 4]], "edge #2 [3, 3, 1] has a repeated vertex"),
+    ([[1, 2, 3], [2.0, 3, 4], [3, 2, 1]], "edge #2 [2.0, 3, 4]: vertex id 2.0 is not an integer"),
 ]
 
 
@@ -331,21 +356,15 @@ def test_build_error_messages_are_pinned(edges, message):
     assert str(info.value) == message
 
 
-def test_build_dedupe_collapses_and_still_rejects():
-    H = build(3, 5, [[1, 2, 3], [3, 2, 1], [4, 5, 1], [1, 2, 3]], dedupe=True)
-    assert H.edges == ((1, 2, 3), (1, 4, 5))
-    with pytest.raises(HypergraphError) as info:
-        build(3, 5, [[1, 2, 3], [3, 2, 1], [4, 5, 5]], dedupe=True)
-    assert str(info.value) == "edge #3 [4, 5, 5] has a repeated vertex"
-
-
 @pytest.mark.parametrize("n, r", [(30, 4), (100, 10)])
 def test_build_from_array_and_from_tuples_agree(n, r):
     # 100**10 exceeds int64, so the second case sorts rows column by column
     rng = np.random.default_rng(11)
     rows = np.array([rng.choice(n, r, replace=False) + 1 for _ in range(200)])
-    rows = np.concatenate([rows, rows[:20, ::-1]])
-    H = build(r, n, rows, dedupe=True)
+    # keep the first occurrence of each edge, in input order
+    _, first = np.unique(np.sort(rows, axis=1), axis=0, return_index=True)
+    rows = rows[np.sort(first)]
+    H = build(r, n, rows)
     assert H.edges == tuple(sorted({tuple(sorted(row)) for row in rows.tolist()}))
     again = build(r, n, list(H.edges))
     assert again == H and again.edges == H.edges and hash(again) == hash(H)

@@ -4,6 +4,7 @@ import pytest
 
 from hgirr import (
     HgrFormatError,
+    HypergraphError,
     Partition,
     build,
     complete_r_partite,
@@ -96,6 +97,20 @@ def test_round_trip_identity(two_path, two_path_partition):
     assert write_hgr(H, P) == text
 
 
+def test_write_refuses_a_partition_parse_rejects(two_path):
+    # one class, a class missing from an edge, a vertex count that differs
+    for partition, message in [
+        (Partition((1,) * 5, 1), "partition has 1 classes, expected r=3"),
+        (Partition((1, 2, 3, 1, 1), 3), "invalid partition for the given edges"),
+        (Partition((1, 2, 3, 2), 3), "partition covers 4 vertices, hypergraph has 5"),
+    ]:
+        with pytest.raises(HypergraphError) as info:
+            write_hgr(two_path, partition)
+        assert str(info.value) == message
+        with pytest.raises(HgrFormatError):
+            parse_hgr(write_hgr(two_path) + "partition " + " ".join(map(str, partition.class_of)))
+
+
 def test_write_canonical_determinism():
     H, P = complete_r_partite([2, 2])
     text = write_hgr(H, P)
@@ -153,6 +168,9 @@ HGR_ERRORS = [
     ("\n# c\nhgr 3 5 2\n\n1 2 3\n# x\n3 4 x\n", "line 7: expected integer, got 'x'"),
     ("hgr 3 5 1\n1 2 3\n3 4 5\n", "edge count mismatch: header declares m=1, found 2 edge lines"),
     ("hgr 1 5 1\n1\n", "rank must be at least 2, got r=1"),
+    # the header's rank and size are checked before any edge line
+    ("hgr -1 5 1\n1\n", "rank must be at least 2, got r=-1"),
+    ("hgr 0 5 1\n1 2 3\n", "rank must be at least 2, got r=0"),
 ]
 
 

@@ -17,10 +17,12 @@ from hgirr import (
     is_connected,
     random_r_partite,
     random_uniform,
+    regularize_partitewise,
     s_measure,
     s_r_measure,
     single_edge,
     spectral_radius,
+    union_edges,
     v_measure,
     weyl_check,
 )
@@ -189,19 +191,42 @@ def test_suite_rejects_float_rho(two_path):
     assert all(c.holds for c in bound_suite(two_path, exact))
 
 
-def test_suite_derived_tolerance_mode(two_path):
-    res = spectral_radius(two_path)
-    checks = bound_suite(two_path, res, check_tolerance=0.0)
-    for check in checks:
-        if not check.skipped:
-            assert check.tolerance >= 10.0 * 1e-9
-            assert check.holds
+def test_suite_tolerances_are_the_certified_values():
+    H, P = random_r_partite((4, 5, 6), 40, seed=8)
+    res = spectral_radius(H)
+    rho, r = res.rho, H.r
+    rho_scale = 10.0 * (res.certified_error + 1e-9)
+    # gm_lower and hm_lower compare rho**r: the certified error times the
+    # derivative r * rho**(r-1), plus the rounding of the exp/log means
+    scale = max(1.0, rho) ** r
+    noise = 64.0 * np.finfo(np.float64).eps * scale * (1.0 + math.log(scale))
+    powered = 10.0 * (res.certified_error * r * max(1.0, rho) ** (r - 1) + noise + 1e-9)
+    hat = spectral_radius(regularize_partitewise(H, P)[0])
+    expected = {name: rho_scale for name in (
+        "cooper_dutle", "row_sum_sandwich", "size_upper", "edge_gm_upper",
+        "power_mean_lower", "theorem2_upper", "theorem2_lower", "theorem1", "claim1",
+    )}
+    expected.update(gm_lower=powered, hm_lower=powered, claim2=10.0 * (hat.certified_error + 1e-9))
+    checks = bound_suite(H, res, P)
+    assert {c.name: c.tolerance for c in checks if not c.skipped} == expected
+    assert rho_scale > 1e-8 and powered > rho_scale
+    assert all(c.holds for c in checks)
+
+    H2 = random_uniform(15, 60, 3, seed=9)
+    union = union_edges(H, H2)
+    certified = sum(spectral_radius(G).certified_error for G in (H, H2, union))
+    assert weyl_check(H, H2).tolerance == 10.0 * (certified + 1e-9)
 
 
-def test_suite_rejects_nan_check_tolerance(two_path):
-    res = spectral_radius(two_path)
-    with pytest.raises(ValueError, match="check_tolerance must be a number"):
-        bound_suite(two_path, res, check_tolerance=float("nan"))
+@pytest.mark.parametrize(
+    "bracket",
+    [(math.nan, math.nan), (1.3, 1.2), (1.2, math.inf), (-math.inf, 1.3)],
+    ids=["nan", "inverted", "infinite-upper", "infinite-lower"],
+)
+def test_suite_rejects_an_uncertified_bracket(two_path, bracket):
+    res = dataclasses.replace(spectral_radius(two_path), bracket=bracket)
+    with pytest.raises(ValueError, match="certifies nothing"):
+        bound_suite(two_path, res)
 
 
 def test_suite_holds_at_derived_tolerance_on_random_instances():
@@ -212,7 +237,7 @@ def test_suite_holds_at_derived_tolerance_on_random_instances():
         m = int(rng.integers(0, math.comb(n, r) + 1))
         H = random_uniform(n, m, r, rng)
         res = spectral_radius(H)
-        assert all(c.holds for c in bound_suite(H, res, check_tolerance=0.0))
+        assert all(c.holds for c in bound_suite(H, res))
 
 
 def test_suite_names_unique_and_ordered(two_path, two_path_partition):
