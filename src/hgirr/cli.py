@@ -311,10 +311,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not all(c.holds for c in checks) or not all(ok for _, ok in extras):
             failures += 1
 
-    mode = f"partite {','.join(str(s) for s in sizes)}" if sizes else "uniform"
+    if sizes:
+        mode = f"partite {','.join(str(s) for s in sizes)}"
+        r_text, n_text = len(sizes), sum(sizes)
+    else:
+        mode, r_text, n_text = "uniform", args.r, args.n
     print(
         f"hgirr verify: count={args.count} seed={args.seed} mode={mode} "
-        f"r={args.r} n={args.n} m={'random' if args.m is None else args.m}"
+        f"r={r_text} n={n_text} m={'random' if args.m is None else args.m}"
     )
 
     print(f"{'bound':<21} {'checked':>8} {'passed':>8} {'failed':>8} {'skipped':>8}  min_slack")

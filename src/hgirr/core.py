@@ -164,10 +164,10 @@ class Partition:
 class EdgeTrace:
     """Ordered record of (removed, inserted) edge swaps.
 
-    Each swap is a pair of vertex-id tuples. It must remove an edge present
-    before the swap and insert a canonical edge (r strictly increasing
-    integer ids in 1..n) absent before it; :meth:`apply` replays the trace and enforces
-    this.
+    Each swap is a pair of integer vertex-id tuples. It must remove an edge
+    present before the swap and insert a canonical edge (r strictly increasing
+    ids in 1..n) absent before it; :meth:`apply` replays the trace and
+    enforces this.
     """
 
     swaps: tuple[tuple[Edge, Edge], ...]
@@ -185,6 +185,12 @@ class EdgeTrace:
             for edge in (removed, inserted):
                 if not isinstance(edge, tuple):
                     raise HypergraphError(f"trace edge {edge!r} is not a tuple")
+            # checked before the lookup: (1.0, 4, 5) hashes and compares
+            # equal to the edge (1, 4, 5)
+            if None in map(_as_id, removed):
+                raise HypergraphError(
+                    f"trace removes edge {list(removed)}: vertex ids must be integers"
+                )
             if removed not in edge_set:
                 raise HypergraphError(f"trace removes missing edge {list(removed)}")
             if inserted in edge_set:

@@ -8,13 +8,23 @@ product per incident edge:
 
 The spectral radius is the largest eigenvalue of A in the sense
 A x = lambda x^[r-1], computed here per connected component by a shifted
-power iteration. The shift keeps the iteration strictly positive and makes
-the min/max ratio bracket converge on connected components; the bracket
-provides a rigorous stopping criterion and a certified error bound.
+power iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 31, 2009). The
+shift keeps the iteration strictly positive and makes the min/max ratio
+bracket converge on connected components; the bracket provides a rigorous
+stopping criterion and a certified error bound.
+
+The power iteration contracts at about 1 - O(1/k^2) per step on a loose path
+with k edges, so a component that has not converged after _NEWTON_AFTER
+iterations continues with safeguarded Newton-Noda steps (Liu, Guo and Lin,
+Numer. Math. 137, 2017), each a conjugate-gradient solve with a matrix-free
+product. If a Newton step finds no acceptable candidate, the power iteration
+takes over again for the rest of the budget. Both phases stop on the same
+ratio bracket, which stays the only certificate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +39,19 @@ __all__ = [
     "spectral_radius",
 ]
 
+# Power iterations before a component that has not converged switches to
+# Newton-Noda steps. The components of random and fuzzed instances converge
+# within a few hundred, so their results are those of the power iteration
+# alone; a loose path with k edges needs about k^2 (k = 250: over 100,000).
+_NEWTON_AFTER = 1000
+# Step halvings a Newton step may try before it is rejected.
+_HALVINGS = 10
+# Conjugate gradients stop at this relative residual, or after this many
+# steps per vertex. A loose solve slows Newton but cannot move the
+# certificate, which is the ratio bracket of whatever iterate is accepted.
+_CG_TOL = 1e-8
+_CG_STEPS_PER_VERTEX = 4
+
 
 @dataclass(frozen=True)
 class SpectralOptions:
@@ -36,9 +59,10 @@ class SpectralOptions:
 
     ``tolerance``, in (0, 1), bounds the relative width of the eigenvalue
     bracket at convergence (a bracket as wide as rho itself certifies
-    nothing); ``max_iterations`` caps the iterations per component. The
-    diagonal shift is not a setting: it is always the component's maximum
-    degree, which guarantees convergence on connected components.
+    nothing); ``max_iterations`` caps, per component, the power iterations
+    plus the Newton steps taken together. The diagonal shift is not a
+    setting: it is always the component's maximum degree, which guarantees
+    convergence on connected components.
     """
 
     tolerance: float = 1e-10
@@ -122,17 +146,150 @@ def _norm_r(x: np.ndarray, r: int) -> float:
     return float(np.sum(x**r) ** (1.0 / r))
 
 
+def _shifted_ratios(
+    edges: np.ndarray, x: np.ndarray, sigma: float, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """y = A x + sigma * x^[r-1] and the Collatz-Wielandt ratios y_i / x_i^(r-1).
+
+    For positive x the ratios' min and max enclose rho + sigma; both phases of
+    the solve certify through this one function."""
+    xp = x ** (r - 1)
+    y = _apply_adjacency_edges(edges, x) + sigma * xp
+    return y, y / xp
+
+
+def _power_steps(
+    edges: np.ndarray, x: np.ndarray, sigma: float, r: int, tol: float, budget: int
+) -> tuple[np.ndarray, float, float, int, bool]:
+    """Up to ``budget`` (>= 1) shifted power iterations (Ng-Qi-Zhou) from x.
+
+    Each takes the ratios of x, then moves x to the renormalized (r-1)-th root
+    of y; it stops once the ratios are relatively narrower than ``tol``.
+    Returns (x, lo, hi, iterations, converged): lo and hi are the shifted
+    ratio bounds of the iterate before the last update."""
+    root = 1.0 / (r - 1)
+    lo = hi = 0.0
+    steps = 0
+    for steps in range(1, budget + 1):
+        y, ratios = _shifted_ratios(edges, x, sigma, r)
+        lo = float(ratios.min())
+        hi = float(ratios.max())
+        x = y**root
+        x /= _norm_r(x, r)
+        if hi - lo <= tol * max(1.0, hi):
+            return x, lo, hi, steps, True
+    return x, lo, hi, steps, False
+
+
+def _pair_products(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """B(x) in coordinate form: (rows, columns, weights), r(r-1) per edge.
+
+    B(x) is the symmetric matrix with B(x) x = A x^(r-1): entry (i, j) is
+    1/(r-1) times the sum, over the edges holding both i and j, of the product
+    of the edge's other r-2 entries of x. A pair held by several edges appears
+    once per edge, so B v is np.bincount(rows, weights * v[columns])."""
+    r = edges.shape[1]
+    vals = x[edges]
+    rows, cols, weights = [], [], []
+    for a, b in itertools.combinations(range(r), 2):
+        others = [c for c in range(r) if c != a and c != b]
+        w = vals[:, others].prod(axis=1) / (r - 1)
+        rows += [edges[:, a], edges[:, b]]
+        cols += [edges[:, b], edges[:, a]]
+        weights += [w, w]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
+
+
+def _newton_step(
+    edges: np.ndarray, x: np.ndarray, lam: float, r: int
+) -> np.ndarray | None:
+    """The Newton-Noda correction of x at the upper ratio ``lam`` of A.
+
+    Solves (lam D - B(x)) y = x^[r-1], D = diag(x^(r-2)), by Jacobi
+    preconditioned conjugate gradients, and returns ((r-2) x + y / <x^[r-1],
+    y>)/(r-1) - x; None when the solve gives no usable direction. The matrix
+    is a symmetric M-matrix while lam exceeds rho, but rounding can break
+    that near convergence, so the caller checks every candidate."""
+    n = x.shape[0]
+    rows, cols, weights = _pair_products(edges, x)
+    diag = lam * x ** (r - 2)
+    b = x ** (r - 1)
+    y = np.zeros(n)
+    res = b.copy()
+    z = res / diag
+    p = z.copy()
+    rz = float(res @ z)
+    stop = _CG_TOL * float(np.sqrt(b @ b))
+    for _ in range(_CG_STEPS_PER_VERTEX * n):
+        q = diag * p - np.bincount(rows, weights=weights * p[cols], minlength=n)
+        pq = float(p @ q)
+        if not pq > 0:
+            break
+        alpha = rz / pq
+        y += alpha * p
+        res -= alpha * q
+        if float(np.sqrt(res @ res)) <= stop:
+            break
+        z = res / diag
+        rz_next = float(res @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    scale = float(b @ y)
+    if not (np.isfinite(scale) and scale > 0):
+        return None
+    return ((r - 2) * x + y / scale) / (r - 1) - x
+
+
+def _newton_steps(
+    edges: np.ndarray, x: np.ndarray, sigma: float, r: int, tol: float, budget: int
+) -> tuple[np.ndarray, float, float, int, bool]:
+    """Up to ``budget`` safeguarded Newton-Noda steps from x.
+
+    A step tries x + theta * delta for theta = 1, 1/2, ..., 2^-_HALVINGS and
+    takes the first candidate that is positive and whose upper ratio does not
+    rise. When none qualifies, or the solve gives no direction, the phase ends
+    early, unconverged, at the last accepted iterate.
+    Returns (x, lo, hi, steps, converged) with lo and hi the shifted ratio
+    bounds of the returned x itself."""
+    _, ratios = _shifted_ratios(edges, x, sigma, r)
+    lo, hi = float(ratios.min()), float(ratios.max())
+    steps = 0
+    while hi - lo > tol * max(1.0, hi):
+        if steps == budget:
+            return x, lo, hi, steps, False
+        delta = _newton_step(edges, x, hi - sigma, r)
+        if delta is None:
+            return x, lo, hi, steps, False
+        for halvings in range(_HALVINGS + 1):
+            cand = x + 0.5**halvings * delta
+            if not (cand > 0).all():
+                continue
+            cand /= _norm_r(cand, r)
+            _, ratios = _shifted_ratios(edges, cand, sigma, r)
+            if float(ratios.max()) <= hi:
+                break
+        else:
+            return x, lo, hi, steps, False
+        x, lo, hi = cand, float(ratios.min()), float(ratios.max())
+        steps += 1
+    return x, lo, hi, steps, True
+
+
 def _solve_component(
     edges: np.ndarray, n: int, r: int, opts: SpectralOptions
 ) -> tuple[float, np.ndarray, int, tuple[float, float], bool]:
-    """Shifted power iteration on one connected component.
+    """Certified spectral radius of one connected component.
 
-    Iterates y = A x + sigma * x^[r-1] with sigma the component's maximum
-    degree; for positive x the ratios y_i / x_i^(r-1) bracket rho + sigma,
-    and x is updated to the renormalized (r-1)-th root of y. Stops when the
-    bracket is relatively narrower than the tolerance. Returns (rho, perron
-    vector, iterations, bracket, converged); the bracket is already shifted
-    back.
+    Runs the shifted power iteration y = A x + sigma * x^[r-1] (sigma the
+    component's maximum degree) for up to _NEWTON_AFTER iterations. A
+    component that has not converged by then continues with safeguarded
+    Newton-Noda steps from the current iterate; if a step finds no acceptable
+    candidate, the rest of the budget goes back to the power iteration from
+    the last accepted iterate, and Newton is not tried again. Either way the
+    certificate is the min/max ratio bracket of the iterate and the stop is
+    the bracket being relatively narrower than the tolerance. Returns (rho,
+    perron vector, iterations, bracket, converged); the bracket is already
+    shifted back, and iterations counts power iterations plus Newton steps.
     """
     if edges.shape[0] == 0:
         return 0.0, np.ones(n, dtype=np.float64), 0, (0.0, 0.0), True
@@ -142,23 +299,22 @@ def _solve_component(
     edges = edges.copy()
     deg = np.bincount(edges.ravel(), minlength=n)
     sigma = float(deg.max())
+    tol, budget = opts.tolerance, opts.max_iterations
 
     x = np.full(n, n ** (-1.0 / r))
-    root = 1.0 / (r - 1)
-    lo = hi = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        xp = x ** (r - 1)
-        y = _apply_adjacency_edges(edges, x) + sigma * xp
-        ratios = y / xp
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        x = y**root
-        x /= _norm_r(x, r)
-        if hi - lo <= opts.tolerance * max(1.0, hi):
-            converged = True
-            break
+    x, lo, hi, iterations, converged = _power_steps(
+        edges, x, sigma, r, tol, min(_NEWTON_AFTER, budget)
+    )
+    if not converged and iterations < budget:
+        x, lo, hi, steps, converged = _newton_steps(
+            edges, x, sigma, r, tol, budget - iterations
+        )
+        iterations += steps
+        if not converged and iterations < budget:
+            x, lo, hi, steps, converged = _power_steps(
+                edges, x, sigma, r, tol, budget - iterations
+            )
+            iterations += steps
     # The ratio evaluation itself rounds, so the enclosure must be padded by
     # a machine-epsilon margin before the bracket can be called certified.
     noise = 32.0 * np.finfo(np.float64).eps * max(1.0, hi)

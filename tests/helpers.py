@@ -13,6 +13,14 @@ It fixes the tie-break rule that ``hgirr.irregularity._rewire`` must keep.
 and ``reference_components`` (breadth-first search over incidence lists) are
 the earlier implementations of ``hgirr.spectral._apply_adjacency_edges`` and
 ``hgirr.components``. Their replacements must match them bit for bit.
+
+``reference_solve_component`` is the shifted power iteration alone, as
+``hgirr.spectral._solve_component`` ran before it could switch to Newton-Noda
+steps. Wherever the solver never takes a Newton step, it must match bit for
+bit.
+
+``loose_path`` and ``star_with_tail`` build the slowly converging instances
+the Newton-Noda phase exists for.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from collections import Counter, deque
 
 import numpy as np
 
-from hgirr import EdgeTrace, UniformHypergraph
+from hgirr import EdgeTrace, UniformHypergraph, build
 
 
 def coupled_tol(*results, base: float = 1e-9) -> float:
@@ -127,6 +135,57 @@ def reference_apply_adjacency_edges(edges: np.ndarray, x: np.ndarray) -> np.ndar
     suffix[:, :-1] = np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1]
     contrib = prefix * suffix
     return np.bincount(edges.ravel(), weights=contrib.ravel(), minlength=n)
+
+
+def reference_solve_component(edges, n, r, opts):
+    """Shifted power iteration on one connected component: (rho, perron
+    vector, iterations, bracket, converged), the bracket shifted back."""
+    if edges.shape[0] == 0:
+        return 0.0, np.ones(n, dtype=np.float64), 0, (0.0, 0.0), True
+
+    edges = edges.copy()
+    deg = np.bincount(edges.ravel(), minlength=n)
+    sigma = float(deg.max())
+
+    x = np.full(n, n ** (-1.0 / r))
+    root = 1.0 / (r - 1)
+    lo = hi = 0.0
+    converged = False
+    iterations = 0
+    for iterations in range(1, opts.max_iterations + 1):
+        xp = x ** (r - 1)
+        y = reference_apply_adjacency_edges(edges, x) + sigma * xp
+        ratios = y / xp
+        lo = float(ratios.min())
+        hi = float(ratios.max())
+        x = y**root
+        x /= float(np.sum(x**r) ** (1.0 / r))
+        if hi - lo <= opts.tolerance * max(1.0, hi):
+            converged = True
+            break
+    noise = 32.0 * np.finfo(np.float64).eps * max(1.0, hi)
+    bracket = (lo - sigma - noise, hi - sigma + noise)
+    return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
+
+
+def loose_path(r: int, k: int) -> UniformHypergraph:
+    """The r-uniform loose path with k edges: consecutive edges share one
+    vertex, n = (r-1)k + 1. It is the r-th power of the path graph on k+1
+    vertices, so its radius is (2 cos(pi/(k+2)))^(2/r)."""
+    step = r - 1
+    starts = np.arange(k, dtype=np.int64)[:, None] * step
+    return build(r, step * k + 1, starts + np.arange(1, r + 1))
+
+
+def star_with_tail(petals: int, tail: int) -> UniformHypergraph:
+    """3-uniform: ``petals`` edges through vertex 1, then a loose path of
+    ``tail`` edges hanging from the last petal's last vertex."""
+    edges = [[1, 2 * i + 2, 2 * i + 3] for i in range(petals)]
+    v = 2 * petals + 1
+    for _ in range(tail):
+        edges.append([v, v + 1, v + 2])
+        v += 2
+    return build(3, v, edges)
 
 
 def reference_components(H):

@@ -15,6 +15,7 @@ import pytest
 import hgirr.cli
 import hgirr.core
 import hgirr.irregularity
+from helpers import loose_path
 from hgirr import (
     build,
     complete_r_partite,
@@ -118,6 +119,16 @@ def test_analyze_nonconvergence_exit_3(two_path_file, capsys):
     assert "converged  = NO" in capsys.readouterr().out
 
 
+def test_analyze_converges_on_a_long_loose_path(tmp_path, capsys):
+    # 501 vertices: the power iteration alone stops unconverged at 100k
+    path = tmp_path / "path.hgr"
+    path.write_text(write_hgr(loose_path(3, 250)))
+    assert main(["analyze", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True
+    assert all(b["holds"] for b in payload["bounds"])
+
+
 def test_verify_small_run(capsys):
     code = main(["verify", "--r", "3", "--n", "4:7", "--count", "20", "--seed", "5"])
     out = capsys.readouterr().out
@@ -136,6 +147,20 @@ def test_verify_partite_run(capsys):
     # partition checks actually ran
     line = [l for l in out.splitlines() if l.startswith("theorem1")][0]
     assert " 15 " in line
+
+
+@pytest.mark.parametrize(
+    "sizes, header",
+    [
+        ("3,4,5", "mode=partite 3,4,5 r=3 n=12 m=random"),
+        ("2,2,3,3", "mode=partite 2,2,3,3 r=4 n=10 m=random"),
+    ],
+)
+def test_verify_partite_header_reports_the_instance_shape(sizes, header, capsys):
+    # the --r and --n defaults (3 and 8) play no part in partite mode
+    assert main(["verify", "--partite", sizes, "--count", "20", "--seed", "11"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"hgirr verify: count=20 seed=11 {header}"
 
 
 def test_verify_deterministic_bytes(capsys):

@@ -244,6 +244,14 @@ def test_edge_trace_apply_validates(two_path):
             EdgeTrace((((1, 4, 5), inserted),)).apply(two_path)
     with pytest.raises(HypergraphError, match=re.escape("edge [1, 4, 5] is not a tuple")):
         EdgeTrace((([1, 4, 5], (2, 4, 5)),)).apply(two_path)
+    for removed in [(1.0, 4, 5), (1, 4, 5.0), (1, np.float64(4), 5), ("1", 4, 5)]:
+        # equal to the present edge (1, 4, 5) as far as a set can tell, or not
+        # an integer at all: refused like the same ids on the inserted side
+        with pytest.raises(
+            HypergraphError, match=re.escape(f"removes edge {list(removed)}: vertex ids")
+        ):
+            EdgeTrace(((removed, (2, 4, 5)),)).apply(two_path)
+    assert EdgeTrace((((1, np.int64(4), 5), (2, 4, 5)),)).apply(two_path) == moved
 
 
 def test_hashable_and_immutable(two_path):

@@ -5,16 +5,26 @@ import re
 import numpy as np
 import pytest
 
-from helpers import coupled_tol, dense_rho, reference_apply_adjacency_edges
+import hgirr.spectral
+from helpers import (
+    coupled_tol,
+    dense_rho,
+    loose_path,
+    reference_apply_adjacency_edges,
+    reference_solve_component,
+    star_with_tail,
+)
 from hgirr import (
     SpectralOptions,
     apply_adjacency,
     blow_up,
     build,
     complete_r_partite,
+    components,
     degrees,
     direct_product,
     is_connected,
+    random_r_partite,
     random_uniform,
     relabel,
     residual,
@@ -23,7 +33,12 @@ from hgirr import (
     union_edges,
 )
 
-from hgirr.spectral import _apply_adjacency_edges
+from hgirr.spectral import (
+    _NEWTON_AFTER,
+    _apply_adjacency_edges,
+    _pair_products,
+    _solve_component,
+)
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -396,3 +411,131 @@ def test_kernel_without_edges_matches_oracle():
         got = _apply_adjacency_edges(edges, x)
         assert np.array_equal(got, reference_apply_adjacency_edges(edges, x))
         assert np.array_equal(got, np.zeros(7))
+
+
+# ------------------------------------------- power iteration, then Newton-Noda
+
+def _assert_same_solve(got, want):
+    """Bit-equal (rho, perron vector, iterations, bracket, converged)."""
+    assert got[0].hex() == want[0].hex()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+    assert [v.hex() for v in got[3]] == [v.hex() for v in want[3]]
+    assert got[4] is want[4]
+
+
+def _seeded_components():
+    """Components with edges of seeded uniform, sparse and partite instances."""
+    rng = np.random.default_rng(909)
+    for kind in itertools.cycle(range(3)):
+        if kind == 0:
+            H = _random_instance(rng, max_n=12, min_m=1)
+        elif kind == 1:
+            # sparse: forests and long thin components take the most iterations
+            r = int(rng.choice([2, 3, 4]))
+            H = random_uniform(40, int(rng.integers(10, 40)), r, rng)
+        else:
+            sizes = [int(s) for s in rng.integers(1, 6, size=int(rng.integers(2, 5)))]
+            m = int(rng.integers(1, math.prod(sizes) + 1))
+            H, _ = random_r_partite(sizes, m, rng)
+        yield from (sub for _, sub in components(H) if sub.m)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_pair_products_are_the_jacobian_over_r_minus_1(r):
+    # (A x)_i is linear in each x_j separately, so column j of its Jacobian
+    # is exactly A(x + e_j) - A x
+    rng = np.random.default_rng(60 + r)
+    H = random_uniform(9, 30, r, rng)
+    x = rng.uniform(0.2, 2.0, H.n)
+    base = apply_adjacency(H, x)
+    jacobian = np.column_stack([apply_adjacency(H, x + np.eye(H.n)[j]) - base for j in range(H.n)])
+    rows, cols, weights = _pair_products(H.edge_array, x)
+    B = np.zeros((H.n, H.n))
+    np.add.at(B, (rows, cols), weights)
+    np.testing.assert_allclose(B, jacobian / (r - 1), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(B @ x, base, rtol=1e-12)
+
+
+def test_solve_matches_the_power_oracle_bit_for_bit_within_the_switch():
+    opts = SpectralOptions()
+    slowest = 0
+    for sub in itertools.islice(_seeded_components(), 200):
+        want = reference_solve_component(sub.edge_array, sub.n, sub.r, opts)
+        assert want[4] and want[2] <= _NEWTON_AFTER
+        slowest = max(slowest, want[2])
+        _assert_same_solve(_solve_component(sub.edge_array, sub.n, sub.r, opts), want)
+    assert slowest > 500
+
+
+def test_early_newton_phase_encloses_the_dense_radius(monkeypatch):
+    # Switch after 3 power iterations, so that Newton steps finish
+    # instances of every shape; graphs against the dense eigensolver.
+    monkeypatch.setattr(hgirr.spectral, "_NEWTON_AFTER", 3)
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 40:
+        H = _random_instance(rng, max_n=8, min_m=1)
+        if not is_connected(H):
+            continue
+        res = spectral_radius(H)
+        assert res.converged
+        if H.r == 2:
+            A = np.zeros((H.n, H.n))
+            for u, v in H.edges:
+                A[u - 1, v - 1] = A[v - 1, u - 1] = 1.0
+            lo, hi = res.bracket
+            assert lo - 1e-12 <= float(np.linalg.eigvalsh(A)[-1]) <= hi + 1e-12
+        else:
+            assert res.rho == pytest.approx(dense_rho(H), abs=1e-6)
+        checked += 1
+
+
+def test_rejected_newton_step_hands_the_budget_back_once(monkeypatch):
+    # The star's hub converges long before its tail, so the upper ratio sits
+    # at rho and the Newton system is numerically singular there: the first
+    # step is rejected and the power iteration finishes as it always did.
+    H = star_with_tail(20, 150)
+    calls = []
+    real_step = hgirr.spectral._newton_step
+
+    def counted_step(*args):
+        calls.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(hgirr.spectral, "_newton_step", counted_step)
+    opts = SpectralOptions()
+    want = reference_solve_component(H.edge_array, H.n, H.r, opts)
+    assert want[4] and want[2] > _NEWTON_AFTER
+    _assert_same_solve(_solve_component(H.edge_array, H.n, H.r, opts), want)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("r, k", [(3, 250), (3, 1000), (2, 799), (4, 300)])
+def test_loose_path_converges_to_its_closed_form(r, k, monkeypatch):
+    # the power iteration alone needs about k^2 iterations on these
+    upper = []
+    real_step = hgirr.spectral._newton_step
+
+    def recorded_step(edges, x, lam, r):
+        upper.append(lam)
+        return real_step(edges, x, lam, r)
+
+    monkeypatch.setattr(hgirr.spectral, "_newton_step", recorded_step)
+    res = spectral_radius(loose_path(r, k))
+    assert res.converged
+    assert _NEWTON_AFTER < res.iterations <= _NEWTON_AFTER + 20
+    lo, hi = res.bracket
+    assert lo <= (2.0 * math.cos(math.pi / (k + 2))) ** (2.0 / r) <= hi
+    # every step starts from an accepted iterate: the upper ratio never rose
+    assert len(upper) == res.iterations - _NEWTON_AFTER
+    assert all(later <= earlier for earlier, later in zip(upper, upper[1:]))
+
+
+def test_newton_steps_count_against_max_iterations():
+    budget = _NEWTON_AFTER + 2
+    res = spectral_radius(loose_path(3, 250), SpectralOptions(max_iterations=budget))
+    assert not res.converged
+    assert res.iterations == budget
+    lo, hi = res.bracket
+    assert lo <= (2.0 * math.cos(math.pi / 252)) ** (2.0 / 3.0) <= hi
