@@ -1,5 +1,7 @@
 """Hypergraph families, blow-ups, direct products, and seeded random generators.
 
+Each construction computes its edges as one array and hands it to ``build``,
+which canonicalizes the order; only rejection sampling keeps a set of draws.
 Every generator is a deterministic function of its parameters and seed, so
 fuzz runs are replayable. ``seed`` arguments accept anything
 ``numpy.random.default_rng`` does, including an existing Generator.
@@ -13,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HypergraphError, Partition, UniformHypergraph, build
+from .core import HypergraphError, Partition, UniformHypergraph, _as_id, build
 
 __all__ = [
     "blow_up",
@@ -32,70 +34,75 @@ def single_edge(r: int) -> UniformHypergraph:
     return build(r, r, [tuple(range(1, r + 1))])
 
 
-def _class_blocks(sizes: Sequence[int]) -> list[range]:
-    blocks = []
-    offset = 0
-    for s in sizes:
-        blocks.append(range(offset + 1, offset + s + 1))
-        offset += s
-    return blocks
+def _ints(values: Sequence, what: str) -> tuple[int, ...]:
+    """values as Python ints; a value not of an integer type (2.5, and also
+    2.0 or a string) is refused, not truncated."""
+    out = tuple(map(_as_id, values))
+    if None in out:
+        raise HypergraphError(f"{what} {values[out.index(None)]!r} is not an integer")
+    return out
 
 
-def _class_layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], list[range], Partition]:
+def _class_layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], Partition]:
     """Consecutive vertex classes of the given sizes: class i occupies the ids
-    following class i-1. Returns the sizes as ints, the id block of each
-    class and the partition."""
-    sizes = tuple(int(s) for s in sizes)
+    following class i-1. Returns the sizes as ints and the partition."""
+    sizes = _ints(tuple(sizes), "class size")
     if len(sizes) < 2:
         raise HypergraphError(f"need at least 2 classes, got {len(sizes)}")
     if any(s < 1 for s in sizes):
         raise HypergraphError(f"every class must be nonempty, got sizes {list(sizes)}")
     class_of = tuple(c for c, s in enumerate(sizes, 1) for _ in range(s))
-    return sizes, _class_blocks(sizes), Partition(class_of, len(sizes))
+    return sizes, Partition(class_of, len(sizes))
 
 
-def complete_r_partite(
-    sizes: Sequence[int],
-) -> tuple[UniformHypergraph, Partition]:
+def _digits(codes: np.ndarray, bases: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """The (len(codes), r) array whose column j is firsts[..., j] plus digit j
+    of codes in the mixed radix bases[..., j], column 0 least significant."""
+    out = np.empty((codes.shape[0], bases.shape[-1]), dtype=np.int64)
+    for j in range(bases.shape[-1]):
+        out[:, j] = firsts[..., j] + codes % bases[..., j]
+        codes = codes // bases[..., j]
+    return out
+
+
+def complete_r_partite(sizes: Sequence[int]) -> tuple[UniformHypergraph, Partition]:
     """All transversal edges over consecutive vertex classes of the given sizes.
 
     Class i occupies the ids following class i-1, so vertex 1..n_1 is class 1
     and so on. Returns the hypergraph and its defining partition.
     """
-    sizes, blocks, P = _class_layout(sizes)
-    edges = [tuple(t) for t in itertools.product(*blocks)]
-    return build(len(sizes), sum(sizes), edges), P
+    sizes, P = _class_layout(sizes)
+    return blow_up(single_edge(len(sizes)), sizes), P
 
 
-def blow_up(
-    H: UniformHypergraph, k: int | Sequence[int]
-) -> UniformHypergraph:
+def blow_up(H: UniformHypergraph, k: int | Sequence[int]) -> UniformHypergraph:
     """Replace vertex i by a set of k_i copies and each edge by all its transversals.
 
     ``k`` may be a single positive integer (uniform blow-up) or one positive
     integer per vertex. With uniform k the result has k*n vertices and
     k**r * m edges.
     """
-    if isinstance(k, (int, np.integer)):
-        kvec = (int(k),) * H.n
-    else:
-        kvec = tuple(int(x) for x in k)
-        if len(kvec) != H.n:
-            raise HypergraphError(
-                f"need one multiplicity per vertex: got {len(kvec)} for n={H.n}"
-            )
+    if not np.iterable(k) or isinstance(k, (str, bytes)):
+        k = (k,) * H.n
+    kvec = _ints(tuple(k), "multiplicity")
+    if len(kvec) != H.n:
+        raise HypergraphError(
+            f"need one multiplicity per vertex: got {len(kvec)} for n={H.n}"
+        )
     if any(x < 1 for x in kvec):
         raise HypergraphError(f"multiplicities must be positive, got {list(kvec)}")
-    blocks = _class_blocks(kvec)
-    edges = []
-    for edge in H.edges:
-        edges.extend(tuple(t) for t in itertools.product(*(blocks[v - 1] for v in edge)))
-    return build(H.r, sum(kvec), edges)
+    mult = np.array(kvec, dtype=np.int64)
+    # edge e becomes prod(mult[e]) rows; row t of that block takes, from the
+    # copies of e's j-th vertex, the one given by digit j of t
+    sizes = mult[H.edge_array]
+    count = sizes.prod(axis=1)
+    owner = np.repeat(np.arange(H.m), count)
+    within = np.arange(owner.shape[0]) - np.repeat(np.cumsum(count) - count, count)
+    firsts = (np.cumsum(mult) - mult + 1)[H.edge_array]
+    return build(H.r, int(mult.sum()), _digits(within, sizes[owner], firsts[owner]))
 
 
-def direct_product(
-    H1: UniformHypergraph, H2: UniformHypergraph
-) -> UniformHypergraph:
+def direct_product(H1: UniformHypergraph, H2: UniformHypergraph) -> UniformHypergraph:
     """Direct product on vertex pairs, flattened row-major: (i, j) -> (i-1)*n2 + j.
 
     An r-set of pairs is an edge exactly when both coordinate projections are
@@ -104,15 +111,13 @@ def direct_product(
     """
     if H1.r != H2.r:
         raise HypergraphError(f"rank mismatch: {H1.r} vs {H2.r}")
-    n2 = H2.n
-    edges = set()
-    for e1 in H1.edges:
-        for e2 in H2.edges:
-            for aligned in itertools.permutations(e2):
-                edges.add(
-                    tuple(sorted((i - 1) * n2 + j for i, j in zip(e1, aligned)))
-                )
-    return build(H1.r, H1.n * n2, sorted(edges))
+    r = H1.r
+    perms = np.array(list(itertools.permutations(range(r))))
+    # (m1, m2, r!, r): edge e1 paired with every alignment of every edge e2;
+    # distinct triples give distinct edges, since each pair of projections
+    # and the alignment can be read back from the edge
+    pairs = H1.edge_array[:, None, None, :] * H2.n + H2.edge_array[:, perms][None] + 1
+    return build(r, H1.n * H2.n, pairs.reshape(-1, r))
 
 
 def _sample_distinct(rng: np.random.Generator, draw, want: int) -> set:
@@ -124,15 +129,14 @@ def _sample_distinct(rng: np.random.Generator, draw, want: int) -> set:
     return chosen
 
 
-def random_uniform(
-    n: int, m: int, r: int, seed
-) -> UniformHypergraph:
+def random_uniform(n: int, m: int, r: int, seed) -> UniformHypergraph:
     """m distinct edges drawn uniformly without replacement from all r-subsets.
 
     Uses rejection sampling of sorted r-subsets; when m exceeds half the
     total count it samples the complement instead so the expected number of
     draws stays bounded.
     """
+    n, m, r = _ints((n, m, r), "parameter")
     if r < 2 or n < r:
         raise HypergraphError(f"invalid parameters n={n}, r={r}")
     total = math.comb(n, r)
@@ -147,17 +151,16 @@ def random_uniform(
         chosen = _sample_distinct(rng, draw, m)
     else:
         excluded = _sample_distinct(rng, draw, total - m)
-        chosen = {
+        chosen = [
             e for e in itertools.combinations(range(1, n + 1), r) if e not in excluded
-        }
-    return build(r, n, sorted(chosen))
+        ]
+    return build(r, n, chosen)
 
 
-def random_r_partite(
-    sizes: Sequence[int], m: int, seed
-) -> tuple[UniformHypergraph, Partition]:
+def random_r_partite(sizes: Sequence[int], m: int, seed) -> tuple[UniformHypergraph, Partition]:
     """m distinct transversal edges drawn uniformly over the given class sizes."""
-    sizes, blocks, P = _class_layout(sizes)
+    sizes, P = _class_layout(sizes)
+    (m,) = _ints((m,), "parameter")
     total = math.prod(sizes)
     if not 0 <= m <= total:
         raise HypergraphError(f"m={m} outside [0, {total}]")
@@ -167,16 +170,10 @@ def random_r_partite(
         return int(g.integers(0, total))
 
     if m <= total // 2:
-        codes = _sample_distinct(rng, draw, m)
+        codes = np.fromiter(_sample_distinct(rng, draw, m), dtype=np.int64, count=m)
     else:
         excluded = _sample_distinct(rng, draw, total - m)
-        codes = set(range(total)) - excluded
-
-    edges = []
-    for code in sorted(codes):
-        edge = []
-        for s, block in zip(sizes, blocks):
-            edge.append(block[code % s])
-            code //= s
-        edges.append(tuple(edge))
-    return build(len(sizes), sum(sizes), edges), P
+        codes = np.setdiff1d(np.arange(total, dtype=np.int64), list(excluded))
+    bases = np.array(sizes, dtype=np.int64)
+    firsts = np.cumsum(bases) - bases + 1
+    return build(len(sizes), sum(sizes), _digits(codes, bases, firsts)), P

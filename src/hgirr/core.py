@@ -58,9 +58,8 @@ class UniformHypergraph:
 
     The edges are stored once, as ``edge_array``: a read-only (m, r) int64
     array of 0-based ids whose rows are strictly increasing and sorted
-    lexicographically. ``edges`` (1-based vertex tuples) and ``edge_set``
-    are views made from it on first use. Equality and hashing are those of
-    (r, n, edge_array).
+    lexicographically. ``edges`` (1-based vertex tuples) is a view made from
+    it on first use. Equality and hashing are those of (r, n, edge_array).
     """
 
     def __init__(self, r: int, n: int, edge_array: np.ndarray) -> None:
@@ -81,10 +80,6 @@ class UniformHypergraph:
     def edges(self) -> tuple[Edge, ...]:
         """Edges as 1-based vertex tuples in canonical order."""
         return _edge_tuples(self.edge_array)
-
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
 
     @cached_property
     def degree_array(self) -> np.ndarray:
@@ -460,7 +455,8 @@ def union_edges(
     n = max(H1.n, H2.n)
     both = np.concatenate((H1.edge_array, H2.edge_array))
     both = both[_row_order(both + 1, n)]
-    distinct = (np.diff(both, axis=0, prepend=-1) != 0).any(axis=1)  # ids are >= 0
+    distinct = np.ones(both.shape[0], dtype=bool)
+    distinct[1:] = (both[1:] != both[:-1]).any(axis=1)
     return UniformHypergraph(H1.r, n, both[distinct])
 
 
@@ -468,9 +464,7 @@ def symmetric_difference_size(
     H1: UniformHypergraph, H2: UniformHypergraph
 ) -> int:
     """Number of edges present in exactly one of the two hypergraphs."""
-    if H1.r != H2.r:
-        raise HypergraphError(f"rank mismatch: {H1.r} vs {H2.r}")
-    return len(H1.edge_set ^ H2.edge_set)
+    return 2 * union_edges(H1, H2).m - H1.m - H2.m
 
 
 def relabel(H: UniformHypergraph, new_ids: Sequence[int]) -> UniformHypergraph:

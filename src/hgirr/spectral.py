@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UniformHypergraph, components
+from .core import UniformHypergraph, _as_id, components
 
 __all__ = [
     "SpectralOptions",
@@ -73,6 +73,10 @@ class SpectralOptions:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if not self.tolerance < 1:
             raise ValueError(f"tolerance must be below 1, got {self.tolerance}")
+        if _as_id(self.max_iterations) is None:
+            raise ValueError(
+                f"max_iterations must be an integer, got {self.max_iterations!r}"
+            )
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

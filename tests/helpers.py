@@ -20,7 +20,14 @@ steps. Wherever the solver never takes a Newton step, it must match bit for
 bit.
 
 ``loose_path`` and ``star_with_tail`` build the slowly converging instances
-the Newton-Noda phase exists for.
+the Newton-Noda phase exists for; ``path_with_pendants`` builds one that
+neither phase converges on within a small budget.
+
+``reference_blow_up``, ``reference_direct_product``,
+``reference_complete_r_partite``, ``reference_random_r_partite`` and
+``reference_symmetric_difference_size`` are the earlier tuple-set
+implementations of the constructions and of the edge-set difference. The
+edge-array versions must return the same hypergraphs and partitions.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from collections import Counter, deque
 
 import numpy as np
 
-from hgirr import EdgeTrace, UniformHypergraph, build
+from hgirr import EdgeTrace, HypergraphError, Partition, UniformHypergraph, build
+from hgirr.constructions import _sample_distinct
 
 
 def coupled_tol(*results, base: float = 1e-9) -> float:
@@ -225,3 +233,106 @@ def reference_components(H):
         sub = UniformHypergraph(H.r, len(verts), sub_array)
         out.append((tuple(verts), sub))
     return out
+
+
+def path_with_pendants(seed: int = 1) -> UniformHypergraph:
+    """The graph (r=2) made of the path 1-2-...-301 plus 100 pendant edges
+    [a, new vertex] at random places a. Its Perron vector is localized at
+    one cluster of pendants, and the gap to the second eigenvalue is 4.7e-4,
+    so the shifted power iteration needs about a million iterations."""
+    rng = np.random.default_rng(seed)
+    edges = [[i, i + 1] for i in range(1, 301)]
+    n = 301
+    for _ in range(100):
+        n += 1
+        edges.append([int(rng.integers(1, 302)), n])
+    return build(2, n, edges)
+
+
+def _reference_class_blocks(sizes):
+    blocks = []
+    offset = 0
+    for s in sizes:
+        blocks.append(range(offset + 1, offset + s + 1))
+        offset += s
+    return blocks
+
+
+def _reference_class_layout(sizes):
+    sizes = tuple(int(s) for s in sizes)
+    if len(sizes) < 2:
+        raise HypergraphError(f"need at least 2 classes, got {len(sizes)}")
+    if any(s < 1 for s in sizes):
+        raise HypergraphError(f"every class must be nonempty, got sizes {list(sizes)}")
+    class_of = tuple(c for c, s in enumerate(sizes, 1) for _ in range(s))
+    return sizes, _reference_class_blocks(sizes), Partition(class_of, len(sizes))
+
+
+def reference_complete_r_partite(sizes):
+    sizes, blocks, P = _reference_class_layout(sizes)
+    edges = [tuple(t) for t in itertools.product(*blocks)]
+    return build(len(sizes), sum(sizes), edges), P
+
+
+def reference_blow_up(H, k):
+    if isinstance(k, (int, np.integer)):
+        kvec = (int(k),) * H.n
+    else:
+        kvec = tuple(int(x) for x in k)
+        if len(kvec) != H.n:
+            raise HypergraphError(
+                f"need one multiplicity per vertex: got {len(kvec)} for n={H.n}"
+            )
+    if any(x < 1 for x in kvec):
+        raise HypergraphError(f"multiplicities must be positive, got {list(kvec)}")
+    blocks = _reference_class_blocks(kvec)
+    edges = []
+    for edge in H.edges:
+        edges.extend(tuple(t) for t in itertools.product(*(blocks[v - 1] for v in edge)))
+    return build(H.r, sum(kvec), edges)
+
+
+def reference_direct_product(H1, H2):
+    if H1.r != H2.r:
+        raise HypergraphError(f"rank mismatch: {H1.r} vs {H2.r}")
+    n2 = H2.n
+    edges = set()
+    for e1 in H1.edges:
+        for e2 in H2.edges:
+            for aligned in itertools.permutations(e2):
+                edges.add(
+                    tuple(sorted((i - 1) * n2 + j for i, j in zip(e1, aligned)))
+                )
+    return build(H1.r, H1.n * n2, sorted(edges))
+
+
+def reference_random_r_partite(sizes, m, seed):
+    sizes, blocks, P = _reference_class_layout(sizes)
+    total = math.prod(sizes)
+    if not 0 <= m <= total:
+        raise HypergraphError(f"m={m} outside [0, {total}]")
+    rng = np.random.default_rng(seed)
+
+    def draw(g: np.random.Generator):
+        return int(g.integers(0, total))
+
+    if m <= total // 2:
+        codes = _sample_distinct(rng, draw, m)
+    else:
+        excluded = _sample_distinct(rng, draw, total - m)
+        codes = set(range(total)) - excluded
+
+    edges = []
+    for code in sorted(codes):
+        edge = []
+        for s, block in zip(sizes, blocks):
+            edge.append(block[code % s])
+            code //= s
+        edges.append(tuple(edge))
+    return build(len(sizes), sum(sizes), edges), P
+
+
+def reference_symmetric_difference_size(H1, H2):
+    if H1.r != H2.r:
+        raise HypergraphError(f"rank mismatch: {H1.r} vs {H2.r}")
+    return len(frozenset(H1.edges) ^ frozenset(H2.edges))

@@ -15,7 +15,7 @@ import pytest
 import hgirr.cli
 import hgirr.core
 import hgirr.irregularity
-from helpers import loose_path
+from helpers import loose_path, path_with_pendants
 from hgirr import (
     build,
     complete_r_partite,
@@ -127,6 +127,13 @@ def test_analyze_converges_on_a_long_loose_path(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True
     assert all(b["holds"] for b in payload["bounds"])
+
+
+def test_analyze_exits_3_when_the_solve_does_not_converge(tmp_path, capsys):
+    path = tmp_path / "pendants.hgr"
+    path.write_text(write_hgr(path_with_pendants()))
+    assert main(["analyze", str(path), "--max-iterations", "2000", "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["converged"] is False
 
 
 def test_verify_small_run(capsys):

@@ -1,8 +1,17 @@
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 
+from helpers import (
+    reference_blow_up,
+    reference_complete_r_partite,
+    reference_direct_product,
+    reference_random_r_partite,
+    reference_symmetric_difference_size,
+)
 from hgirr import (
     HypergraphError,
     blow_up,
@@ -13,6 +22,7 @@ from hgirr import (
     random_r_partite,
     random_uniform,
     single_edge,
+    symmetric_difference_size,
     validate_partition,
 )
 
@@ -176,3 +186,91 @@ def test_random_r_partite_deterministic():
 def test_random_r_partite_rejects_infeasible():
     with pytest.raises(HypergraphError):
         random_r_partite([2, 2, 2], 9, seed=0)
+
+
+def _small_instance(rng, r, max_n, max_m):
+    n = int(rng.integers(r, max_n + 1))
+    m = int(rng.integers(0, min(max_m, math.comb(n, r)) + 1))
+    return random_uniform(n, m, r, rng)
+
+
+def _same(got, expected):
+    # hypergraphs compare by (r, n, edge_array); partitions by their fields
+    assert got == expected
+    assert got.edge_array.tobytes() == expected.edge_array.tobytes()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_constructions_match_the_tuple_oracle(r):
+    rng = np.random.default_rng(100 + r)
+    for _ in range(110):
+        H = _small_instance(rng, r, 7, 6)
+        if rng.random() < 0.5:
+            k = int(rng.integers(1, 4))
+        else:
+            k = rng.integers(1, 4, size=H.n).tolist()
+        _same(blow_up(H, k), reference_blow_up(H, k))
+
+        H2 = _small_instance(rng, r, 6, 4)
+        _same(direct_product(H, H2), reference_direct_product(H, H2))
+
+        other = _small_instance(rng, r, 8, 8)
+        assert symmetric_difference_size(H, other) == reference_symmetric_difference_size(
+            H, other
+        )
+        assert symmetric_difference_size(H, H) == 0
+
+        sizes = rng.integers(1, 4, size=r).tolist()
+        got, got_p = complete_r_partite(sizes)
+        want, want_p = reference_complete_r_partite(sizes)
+        _same(got, want)
+        assert got_p == want_p
+
+        total = math.prod(sizes)
+        m = int(rng.integers(0, total + 1))
+        seed = int(rng.integers(0, 2**32))
+        got, got_p = random_r_partite(sizes, m, seed)
+        want, want_p = reference_random_r_partite(sizes, m, seed)
+        _same(got, want)
+        assert got_p == want_p
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda H: blow_up(H, [1.7, 2, 2, 2, 2]), "multiplicity 1.7 is not an integer"),
+        (lambda H: blow_up(H, 2.0), "multiplicity 2.0 is not an integer"),
+        (lambda H: blow_up(H, "22222"), "multiplicity '22222' is not an integer"),
+        (lambda H: blow_up(H, [2, 2, "2", 2, 2]), "multiplicity '2' is not an integer"),
+        (lambda H: complete_r_partite((2.9, 3)), "class size 2.9 is not an integer"),
+        (lambda H: random_r_partite((2.5, 3, 3), 4, 1), "class size 2.5 is not an integer"),
+        (lambda H: random_r_partite((2, 2, 2), 2.5, 1), "parameter 2.5 is not an integer"),
+        (lambda H: random_uniform(6, 2.5, 3, 1), "parameter 2.5 is not an integer"),
+        (lambda H: random_uniform(6.0, 2, 3, 1), "parameter 6.0 is not an integer"),
+    ],
+)
+def test_constructions_refuse_non_integer_sizes(two_path, call, message):
+    with pytest.raises(HypergraphError, match=re.escape(message)):
+        call(two_path)
+
+
+def test_constructions_accept_numpy_integer_sizes(two_path):
+    assert blow_up(two_path, np.int64(2)) == blow_up(two_path, 2)
+    assert blow_up(two_path, np.full(5, 2)) == blow_up(two_path, 2)
+    assert complete_r_partite(np.array([2, 3])) == complete_r_partite([2, 3])
+
+
+def test_constructions_leave_the_tuple_view_unmade():
+    # every construction works on edge arrays: none materializes H.edges
+    H = random_uniform(9, 12, 3, seed=2)
+    other = random_uniform(7, 10, 3, seed=3)
+    made = [
+        blow_up(H, 2),
+        blow_up(H, list(range(1, 10))),
+        direct_product(H, other),
+        complete_r_partite([2, 3, 1])[0],
+        random_r_partite([2, 3, 1], 4, seed=5)[0],
+    ]
+    assert symmetric_difference_size(H, other) > 0
+    for G in [H, other, *made]:
+        assert "edges" not in G.__dict__

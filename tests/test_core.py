@@ -229,7 +229,7 @@ def test_relabel_roundtrip(two_path):
 def test_edge_trace_apply_validates(two_path):
     trace = EdgeTrace((((1, 4, 5), (2, 4, 5)),))
     moved = trace.apply(two_path)
-    assert moved.edge_set == frozenset({(1, 2, 3), (2, 4, 5)})
+    assert set(moved.edges) == {(1, 2, 3), (2, 4, 5)}
     with pytest.raises(HypergraphError, match="missing edge"):
         EdgeTrace((((2, 4, 5), (3, 4, 5)),)).apply(two_path)
     with pytest.raises(HypergraphError, match="existing edge"):

@@ -10,6 +10,7 @@ from helpers import (
     coupled_tol,
     dense_rho,
     loose_path,
+    path_with_pendants,
     reference_apply_adjacency_edges,
     reference_solve_component,
     star_with_tail,
@@ -182,6 +183,9 @@ def test_spectral_radius_nonconvergence_reports_bracket(two_path):
         ({"max_iterations": 0}, "max_iterations must be >= 1, got 0"),
         ({"tolerance": float("inf")}, "tolerance must be below 1, got inf"),
         ({"tolerance": 1.0}, "tolerance must be below 1, got 1.0"),
+        ({"max_iterations": 500.0}, "max_iterations must be an integer, got 500.0"),
+        ({"max_iterations": 1e5}, "max_iterations must be an integer, got 100000.0"),
+        ({"max_iterations": "100"}, "max_iterations must be an integer, got '100'"),
     ],
 )
 def test_spectral_options_rejects_bad_values(kwargs, message):
@@ -307,7 +311,7 @@ def test_edge_monotonicity_invariant():
         missing = [
             e
             for e in itertools.combinations(range(1, H.n + 1), H.r)
-            if e not in H.edge_set
+            if e not in set(H.edges)
         ]
         if not missing:
             continue
@@ -539,3 +543,18 @@ def test_newton_steps_count_against_max_iterations():
     assert res.iterations == budget
     lo, hi = res.bracket
     assert lo <= (2.0 * math.cos(math.pi / 252)) ** (2.0 / 3.0) <= hi
+
+
+def test_certificate_holds_when_the_solve_does_not_converge():
+    # Neither phase converges within the budget here, but the bracket of
+    # the last iterate still encloses the largest adjacency eigenvalue.
+    H = path_with_pendants()
+    res = spectral_radius(H, SpectralOptions(max_iterations=2000))
+    assert not res.converged
+    A = np.zeros((H.n, H.n))
+    rows, cols = H.edge_array.T
+    A[rows, cols] = A[cols, rows] = 1.0
+    lam = float(np.linalg.eigvalsh(A)[-1])
+    assert lam == pytest.approx(2.427178664967756, rel=1e-12)
+    lo, hi = res.bracket
+    assert lo <= lam <= hi
