@@ -277,16 +277,17 @@ def _edge_tuples(edge_array: np.ndarray) -> tuple[Edge, ...]:
 
 
 def _row_order(rows: np.ndarray, n: int) -> np.ndarray:
-    """Stable lexicographic order of the rows of a (k, r) array of ids in
-    1..n: one sort of a mixed-radix key when n**r fits int64, which takes
-    about a third of the time of ``np.lexsort`` (31 ms against 90 ms for
-    n=2e4, m=2e5, r=3 on a 2-vCPU VM); ``np.lexsort`` only when it does not."""
+    """Stable lexicographic order of the rows of a (k, r) array of 0-based
+    ids in 0..n-1: one sort of a mixed-radix key when n**r fits int64,
+    which takes about a third of the time of ``np.lexsort`` (31 ms against
+    90 ms for n=2e4, m=2e5, r=3 on a 2-vCPU VM); ``np.lexsort`` only when
+    it does not."""
     r = rows.shape[1]
     if n**r > _INT64.max:
         return np.lexsort(rows.T[::-1])
-    key = rows[:, 0] - 1
+    key = rows[:, 0]
     for j in range(1, r):
-        key = key * n + (rows[:, j] - 1)
+        key = key * n + rows[:, j]
     return np.argsort(key, kind="stable")
 
 
@@ -314,9 +315,11 @@ def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergra
     failing |= (rows_sorted[:, 0] < 1) | (rows_sorted[:, -1] > n)
     first = int(np.argmax(failing)) if failing.any() else k
     # Every edge before the first failing one is valid, so a duplicate
-    # among them is the earliest error.
-    order = _row_order(rows_sorted[:first], n)
-    canonical = rows_sorted[order]
+    # among them is the earliest error; its ids lie in 1..n, so shifting
+    # them to 0-based cannot overflow.
+    valid = rows_sorted[:first] - 1
+    order = _row_order(valid, n)
+    canonical = valid[order]
     # the order is stable, so within a run of equal rows the input order
     # holds and every row but the run's first is a later occurrence
     repeat = (canonical[1:] == canonical[:-1]).all(axis=1)
@@ -332,7 +335,7 @@ def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergra
         # an id that is no integer, or beyond int64 and so out of range for
         # any n the degrees fit in
         raise HypergraphError(_edge_error(k + 1, stop, r, n))
-    return UniformHypergraph(r, n, canonical - 1)
+    return UniformHypergraph(r, n, canonical)
 
 
 def degrees(H: UniformHypergraph) -> np.ndarray:
@@ -454,7 +457,7 @@ def union_edges(
     # both edge arrays are canonical, so their sorted distinct rows are too
     n = max(H1.n, H2.n)
     both = np.concatenate((H1.edge_array, H2.edge_array))
-    both = both[_row_order(both + 1, n)]
+    both = both[_row_order(both, n)]
     distinct = np.ones(both.shape[0], dtype=bool)
     distinct[1:] = (both[1:] != both[:-1]).any(axis=1)
     return UniformHypergraph(H1.r, n, both[distinct])

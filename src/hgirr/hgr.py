@@ -14,6 +14,8 @@ line.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .core import (
@@ -28,20 +30,22 @@ from .core import (
 __all__ = ["HgrFormatError", "parse_hgr", "parse_partition_text", "write_hgr"]
 
 
-# Edge lines parsed per chunk: bounds the token lists alive at a time.
-_CHUNK = 1 << 14
-
-
 class HgrFormatError(HypergraphError):
     """Malformed hgr document; messages carry 1-based line numbers."""
 
 
-def _content_lines(text: str):
+def _tokens(line: str) -> list[str]:
+    """The tokens of a line, or none for a blank or comment line."""
+    tokens = line.split()
+    return tokens if tokens and tokens[0][0] != "#" else []
+
+
+def _content_lines(lines: list[str]):
     """Yield (line number, line, tokens) for every line that is neither
     blank nor a comment."""
-    for lineno, line in enumerate(text.splitlines(), 1):
-        tokens = line.split()
-        if tokens and tokens[0][0] != "#":
+    for lineno, line in enumerate(lines, 1):
+        tokens = _tokens(line)
+        if tokens:
             yield lineno, line, tokens
 
 
@@ -55,49 +59,71 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
     return values
 
 
-def _edge_line_numbers(text: str) -> list[int]:
-    """Line numbers of the edge lines: the content lines after the header."""
-    return [lineno for lineno, _, _ in _content_lines(text)][1:]
+def _header(tokens: list[str], lineno: int) -> tuple[int, int, int]:
+    if len(tokens) != 4 or tokens[0] != "hgr":
+        raise HgrFormatError(f"line {lineno}: expected header 'hgr <r> <n> <m>'")
+    r, n, m = _ints(tokens[1:], lineno)
+    _check_sizes(r, n, HgrFormatError)
+    return r, n, m
 
 
-def _edge_rows(text: str, edge_lines: list[str], r: int, stop: int) -> np.ndarray:
-    """The integers of the first ``stop`` edge lines, each holding r tokens,
-    as a (stop, r) int64 array parsed chunk by chunk. A chunk that does not
-    parse is scanned line by line for the first token that is no integer.
-    If every token is one but some exceed int64, the rows come back as an
-    object array of Python ints."""
-    rows = np.empty((stop, r), dtype=np.int64)
-    linenos = None  # found on the first chunk that fails, for every later one
-    for start in range(0, stop, _CHUNK):
-        end = min(start + _CHUNK, stop)
-        tokens = " ".join(edge_lines[start:end]).split()
-        try:
-            rows[start:end] = np.fromiter(
-                map(int, tokens), dtype=np.int64, count=len(tokens)
-            ).reshape(-1, r)
-        except (ValueError, OverflowError):
-            if linenos is None:
-                linenos = _edge_line_numbers(text)
-            for i in range(start, end):
-                _ints(edge_lines[i].split(), linenos[i])
-            rows = rows.astype(object)
-            rows[start:end] = np.array([int(tok) for tok in tokens], dtype=object).reshape(-1, r)
-    return rows
+def _loadtxt_rows(lines: list[str], r: int, m: int) -> np.ndarray | None:
+    """The edge lines as an (m, r) int64 array read by numpy's C tokenizer,
+    or None when it refuses them or reads another shape. Blank lines are
+    skipped as in the scan; a comment line, a word or an id that int64 does
+    not hold makes it refuse. Warnings are raised, so that a numpy that only
+    warns when it reads '1.0' as an int refuses it too. Only ASCII lines are
+    handed over: numpy 2.4 reads some other characters as digits ('\u01fe'
+    as 462), where ``int`` refuses them or reads other values."""
+    if not all(map(str.isascii, lines)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return rows if rows.shape == (m, r) else None
 
 
-def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
-    """Parse an hgr document into a hypergraph and its optional partition."""
+def _read_loadtxt(lines: list[str]) -> tuple | None:
+    """The parts of a well-formed document, found without splitting every
+    line: the header is the first content line, an optional partition line
+    the last, and every line between them goes to ``_loadtxt_rows``. None
+    whenever that refuses; an edgeless document never reaches it. A bad
+    header raises the scan's error, as the scan reads the same line first."""
+    first = next(_content_lines(lines), None)
+    if first is None:
+        return None
+    header, _, tokens = first
+    r, n, m = _header(tokens, header)
+    end = len(lines)
+    while not (tokens := _tokens(lines[end - 1])):
+        end -= 1
+    partition_line = None
+    if end > header and tokens[0] == "partition":
+        partition_line = (end, tokens[1:])
+        end -= 1
+    if m == 0 or end - header < m:
+        return None
+    rows = _loadtxt_rows(lines[header:end], r, m)
+    return None if rows is None else (r, n, rows, partition_line)
+
+
+def _read_scan(lines: list[str]) -> tuple:
+    """The parts of a document, line by line: the reference reader, and the
+    only one that raises. Its edge lines go to ``_loadtxt_rows`` too; when
+    that refuses them, every token is read with ``int``, which raises the
+    first error or keeps what int64 cannot hold (ids beyond it, '1_0',
+    non-ASCII digits) in an object array."""
     header = None
-    edge_lines: list[str] = []
+    edge_lines: list[tuple[int, str]] = []
     partition_line = None
     bad_count = None
-    for lineno, line, tokens in _content_lines(text):
+    for lineno, line, tokens in _content_lines(lines):
         if header is None:
             header = lineno
-            if len(tokens) != 4 or tokens[0] != "hgr":
-                raise HgrFormatError(f"line {lineno}: expected header 'hgr <r> <n> <m>'")
-            r, n, m = _ints(tokens[1:], lineno)
-            _check_sizes(r, n, HgrFormatError)
+            r, n, m = _header(tokens, lineno)
             continue
         if tokens[0] == "partition":
             if partition_line is not None:
@@ -108,7 +134,7 @@ def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
             raise HgrFormatError(f"line {lineno}: content after partition line")
         if bad_count is None and len(tokens) != r:
             bad_count = (len(edge_lines), len(tokens))
-        edge_lines.append(line)
+        edge_lines.append((lineno, line))
     if header is None:
         raise HgrFormatError("empty document, expected header 'hgr <r> <n> <m>'")
 
@@ -116,14 +142,20 @@ def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
         raise HgrFormatError(
             f"edge count mismatch: header declares m={m}, found {len(edge_lines)} edge lines"
         )
-    stop = m if bad_count is None else bad_count[0]
-    rows = _edge_rows(text, edge_lines, r, stop) if stop else []
+    rows = None
+    if bad_count is None and m:
+        rows = _loadtxt_rows([line for _, line in edge_lines], r, m)
+    if rows is None:
+        stop = m if bad_count is None else bad_count[0]
+        values = [_ints(line.split(), lineno) for lineno, line in edge_lines[:stop]]
+        rows = np.array(values, dtype=object).reshape(-1, r)
     if bad_count is not None:
-        raise HgrFormatError(
-            f"line {_edge_line_numbers(text)[stop]}: edge has {bad_count[1]} vertices, expected {r}"
-        )
-    del edge_lines  # free the lines before build allocates its arrays
+        lineno = edge_lines[bad_count[0]][0]
+        raise HgrFormatError(f"line {lineno}: edge has {bad_count[1]} vertices, expected {r}")
+    return r, n, rows, partition_line
 
+
+def _assemble(r: int, n: int, rows, partition_line) -> tuple[UniformHypergraph, Partition | None]:
     try:
         H = build(r, n, rows)
     except HypergraphError as exc:
@@ -146,6 +178,18 @@ def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
     return H, partition
 
 
+def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
+    """Parse an hgr document into a hypergraph and its optional partition.
+
+    A well-formed document's edge lines are read in one call to numpy's
+    ``loadtxt``; anything it refuses is read again by the line-by-line scan,
+    which gives every error message."""
+    lines = text.splitlines()
+    parts = _read_loadtxt(lines) or _read_scan(lines)
+    del lines  # free the lines before build allocates its arrays
+    return _assemble(*parts)
+
+
 def write_hgr(H: UniformHypergraph, partition: Partition | None = None) -> str:
     """Serialize to the canonical hgr form (deterministic bytes).
 
@@ -165,7 +209,7 @@ def parse_partition_text(text: str, n: int, r: int) -> Partition:
     """Parse a standalone partition file: n class ids, optionally preceded by
     the word 'partition'; comments and blank lines are ignored."""
     tokens: list[tuple[str, int]] = []
-    for lineno, _, line_tokens in _content_lines(text):
+    for lineno, _, line_tokens in _content_lines(text.splitlines()):
         tokens.extend((tok, lineno) for tok in line_tokens)
     if tokens and tokens[0][0] == "partition":
         tokens = tokens[1:]

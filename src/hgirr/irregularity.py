@@ -45,7 +45,7 @@ from .core import (
     is_regular,
     union_edges,
 )
-from .spectral import SpectralOptions, SpectralResult, spectral_radius
+from .spectral import SpectralOptions, SpectralResult, _gamma, spectral_radius
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -119,7 +119,9 @@ def average_degree(H: UniformHypergraph) -> float:
 
 def epsilon(H: UniformHypergraph, result: SpectralResult) -> float:
     """Spectral radius minus average degree, from ``spectral_radius(H)``'s
-    result; nonnegative, zero iff regular."""
+    result. The true value is nonnegative and zero iff H is regular; the
+    computed rho is the midpoint of a bracket, so on a regular input this
+    can come out slightly negative (K_11^(3) gives about -1e-12)."""
     return float(result.rho) - average_degree(H)
 
 
@@ -299,13 +301,19 @@ def bound_suite(
         cert_powered = (
             spectral.certified_error * r * max(1.0, rho) ** (r - 1) + float_noise
         )
-        tol_powered = _certified_tolerance(cert_powered)
+        # Each mean is a sequential sum of m terms, so its relative error
+        # grows as gamma_m: on the log scale for gm, where each term is at
+        # most log(max product), and directly for hm's positive reciprocals.
+        gamma_m = _gamma(m + 4)
+        log_max = math.log(int(edge_products.max()))
+        tol_gm = _certified_tolerance(cert_powered + gamma_m * scale * (1.0 + log_max))
+        tol_hm = _certified_tolerance(cert_powered + gamma_m * scale)
         # sequential sums over Python floats, as the bits of gm and hm
         # depend on the summation order
         gm = math.exp(sum(map(math.log, edge_products.tolist())) / m)
-        checks.append(_check("gm_lower", gm, rho**r, tol_powered, **if_constant))
+        checks.append(_check("gm_lower", gm, rho**r, tol_gm, **if_constant))
         hm = m / sum((1.0 / edge_products).tolist())
-        checks.append(_check("hm_lower", hm, rho**r, tol_powered, **if_constant))
+        checks.append(_check("hm_lower", hm, rho**r, tol_hm, **if_constant))
 
     alpha = r / (r - 1)
     power_mean = float(np.mean(deg.astype(np.float64) ** alpha)) ** ((r - 1) / r)

@@ -25,6 +25,7 @@ ratio bracket, which stays the only certificate.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,15 @@ _HALVINGS = 10
 # certificate, which is the ratio bracket of whatever iterate is accepted.
 _CG_TOL = 1e-8
 _CG_STEPS_PER_VERTEX = 4
+# Unit roundoff of float64.
+_U = float(np.finfo(np.float64).eps) / 2
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings
+    of positive terms, each a sum, product or quotient (Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, Lemma 3.1)."""
+    return k * _U / (1.0 - k * _U)
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,8 @@ class SpectralOptions:
     max_iterations: int = 100_000
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tolerance, numbers.Real):
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if not self.tolerance < 1:
@@ -319,9 +331,11 @@ def _solve_component(
                 edges, x, sigma, r, tol, budget - iterations
             )
             iterations += steps
-    # The ratio evaluation itself rounds, so the enclosure must be padded by
-    # a machine-epsilon margin before the bracket can be called certified.
-    noise = 32.0 * np.finfo(np.float64).eps * max(1.0, hi)
+    # The ratio evaluation itself rounds, so the enclosure must be padded
+    # before the bracket can be called certified. Each ratio is a sequential
+    # bincount sum of d_i products of r - 1 positive factors, plus the shift
+    # term, divided once: fewer than max degree + 2r + 4 roundings.
+    noise = _gamma(int(sigma) + 2 * r + 4) * max(1.0, hi)
     bracket = (lo - sigma - noise, hi - sigma + noise)
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
 

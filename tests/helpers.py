@@ -171,7 +171,10 @@ def reference_solve_component(edges, n, r, opts):
         if hi - lo <= opts.tolerance * max(1.0, hi):
             converged = True
             break
-    noise = 32.0 * np.finfo(np.float64).eps * max(1.0, hi)
+    # Higham's gamma_k with u = eps / 2 and k = max degree + 2r + 4
+    u = float(np.finfo(np.float64).eps) / 2
+    k = int(sigma) + 2 * r + 4
+    noise = k * u / (1.0 - k * u) * max(1.0, hi)
     bracket = (lo - sigma - noise, hi - sigma + noise)
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
 

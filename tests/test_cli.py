@@ -426,6 +426,14 @@ def test_console_entry_point(tmp_path):
     assert payload["m"] == 2
 
 
+def test_package_runs_as_a_module():
+    result = subprocess.run(
+        [sys.executable, "-m", "hgirr", "--help"], capture_output=True, text=True
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: hgirr")
+
+
 def _analyze_json_sha256(tmp_path, text):
     path = tmp_path / "golden.hgr"
     path.write_text(text)

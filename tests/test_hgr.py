@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+
+from hgirr import hgr
 
 from hgirr import (
     HgrFormatError,
@@ -171,6 +174,13 @@ HGR_ERRORS = [
     # the header's rank and size are checked before any edge line
     ("hgr -1 5 1\n1\n", "rank must be at least 2, got r=-1"),
     ("hgr 0 5 1\n1 2 3\n", "rank must be at least 2, got r=0"),
+    # numpy's reader refuses these; int() refuses the first two and reads
+    # the Arabic-Indic digit as 1
+    ("hgr 3 5 2\n1 2 3\n3 4 1.0\n", "line 3: expected integer, got '1.0'"),
+    ("hgr 3 5 2\n1e0 2 3\n3 4 5\n", "line 2: expected integer, got '1e0'"),
+    ("hgr 3 5 2\n1 2 3\n3 2 \u0661\n", "duplicate edge [1, 2, 3] (edge #2)"),
+    # numpy 2.4 reads this one as 462
+    ("hgr 3 5 2\n1 2 3\n3 4 \u01fe\n", "line 3: expected integer, got '\u01fe'"),
 ]
 
 
@@ -197,3 +207,106 @@ def test_parse_spans_several_chunks():
     with pytest.raises(HgrFormatError) as info:
         parse_hgr(f"hgr 3 50 {H.m}\n# edges\n" + "\n".join(lines) + "\n")
     assert str(info.value) == f"line {H.m + 1}: expected integer, got 'y'"
+
+
+# Pieces of generated documents: separators, line ends and filler lines the
+# scan treats as blank or as comments, and the forms an id may take.
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", "\u3000"]
+_LINE_ENDS = ["\n", "\r\n", "\r"]
+_FILLERS = ["", "   ", "\t", "\xa0", "# comment", "#", "  # indented", "#1 2 3"]
+
+
+def _token(v, rng, odd):
+    """v as a token: plain, or with probability ``odd`` in a form int()
+    reads as v, one it refuses, or an id beyond int64 ('\u01fe' is read as
+    462 by numpy 2.4)."""
+    if rng.random() >= odd:
+        return str(v)
+    return rng.choice([
+        f"+{v}", f"0{v}", f"00{v}", f"{v // 10}_{v % 10}" if v >= 10 else f"+0{v}",
+        "".join(chr(0x660 + int(c)) for c in str(v)),
+        f"{v}.0", f"{v}e0", str(v + 2**64), "\u01fe", "x",
+    ])
+
+
+def _document(rng):
+    """A generated 3-uniform document on 12 vertices, classes v % 3, whose
+    edges are transversals; some are valid, some break one rule."""
+    m = rng.choice([0, 1, 1, 2, 5, 9, 9])
+    odd = rng.choice([0.0, 0.0, 0.02, 0.1])
+    transversals = list(itertools.product(range(1, 13, 3), range(2, 13, 3), range(3, 13, 3)))
+    edges = [list(e) for e in rng.sample(transversals, m)]
+    for e in edges:
+        if rng.random() < 0.3:
+            rng.shuffle(e)
+    fault = rng.choice([None] * 12 + ["drop", "repeat", "range", "width"])
+    if fault == "drop" and edges:
+        edges.pop()
+    elif fault == "repeat" and len(edges) > 1:
+        edges[-1] = edges[0][::-1]
+    elif fault == "range" and edges:
+        edges[-1][0] = 13
+    elif fault == "width" and edges:
+        edges[0].append(1)
+
+    def line(words):
+        out = rng.choice(["", "", " ", "\t"])
+        for i, w in enumerate(words):
+            if i:
+                out += " " if rng.random() < 0.9 else rng.choice(_SEPARATORS)
+            out += w
+        return out + ("" if rng.random() < 0.9 else rng.choice([" ", "\t", "\xa0"]))
+
+    lines = [line(["hgr", "3", "12", str(m)])]
+    lines += [line([_token(v, rng, odd) for v in e]) for e in edges]
+    classes = [line(["partition"] + [_token((v - 1) % 3 + 1, rng, odd) for v in range(1, 13)])]
+    placement = rng.choice(["none"] * 3 + ["last"] * 3 + ["middle", "twice", "suffixed"])
+    if placement == "last":
+        lines += classes
+    elif placement == "middle":
+        lines.insert(max(1, len(lines) - 1), classes[0])
+    elif placement == "twice":
+        lines += classes * 2
+    elif placement == "suffixed":
+        lines.append(classes[0].replace("partition", "partitionX", 1))
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(_FILLERS))
+    ends = rng.choice(_LINE_ENDS)
+    return "".join(ln + (ends if rng.random() < 0.9 else rng.choice(_LINE_ENDS)) for ln in lines)
+
+
+def _outcome(read, text):
+    """(H, partition) from one of the readers, the error string, or None
+    when the reader refuses the document."""
+    try:
+        parts = read(text.splitlines())
+        return None if parts is None else hgr._assemble(*parts)
+    except HgrFormatError as exc:
+        return str(exc)
+
+
+def test_loadtxt_path_agrees_with_the_reference_scan(monkeypatch):
+    rng = random.Random(11)
+    # numpy 2.4 reads some non-ASCII characters as digits, where int()
+    # refuses them or reads other values: one in or as a token
+    odd_characters = [
+        f"hgr 3 5 1\n1 2 {c}\n" for c in map(chr, range(0x80, 0x800))
+    ] + [f"hgr 3 5 1\n1 2 3{c}\n" for c in map(chr, range(0x80, 0x800))]
+    texts = odd_characters + [_document(rng) for _ in range(1500)]
+    # the reference is the scan reading every token with int()
+    with monkeypatch.context() as patch:
+        patch.setattr(hgr, "_loadtxt_rows", lambda lines, r, m: None)
+        references = [_outcome(hgr._read_scan, text) for text in texts]
+    accepted = 0
+    for text, reference in zip(texts, references):
+        fast = _outcome(hgr._read_loadtxt, text)
+        # the loadtxt path accepts only what the scan accepts, with the
+        # same result, and raises nothing but the scan's header errors
+        assert fast is None or fast == reference, repr(text)
+        accepted += isinstance(fast, tuple)
+        try:
+            parsed = parse_hgr(text)
+        except HgrFormatError as exc:
+            parsed = str(exc)
+        assert parsed == reference, repr(text)
+    assert accepted > 100

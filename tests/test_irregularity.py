@@ -197,19 +197,25 @@ def test_suite_tolerances_are_the_certified_values():
     rho, r = res.rho, H.r
     rho_scale = 10.0 * (res.certified_error + 1e-9)
     # gm_lower and hm_lower compare rho**r: the certified error times the
-    # derivative r * rho**(r-1), plus the rounding of the exp/log means
+    # derivative r * rho**(r-1), plus the rounding of the exp/log means,
+    # plus gamma_m of the m-term sums (on the log scale for gm)
     scale = max(1.0, rho) ** r
     noise = 64.0 * np.finfo(np.float64).eps * scale * (1.0 + math.log(scale))
-    powered = 10.0 * (res.certified_error * r * max(1.0, rho) ** (r - 1) + noise + 1e-9)
+    cert = res.certified_error * r * max(1.0, rho) ** (r - 1) + noise
+    ku = (H.m + 4) * np.finfo(np.float64).eps / 2
+    gamma_m = ku / (1.0 - ku)
+    log_max = math.log(int(_edge_degree_products(H).max()))
+    gm_tol = 10.0 * (cert + gamma_m * scale * (1.0 + log_max) + 1e-9)
+    hm_tol = 10.0 * (cert + gamma_m * scale + 1e-9)
     hat = spectral_radius(regularize_partitewise(H, P)[0])
     expected = {name: rho_scale for name in (
         "cooper_dutle", "row_sum_sandwich", "size_upper", "edge_gm_upper",
         "power_mean_lower", "theorem2_upper", "theorem2_lower", "theorem1", "claim1",
     )}
-    expected.update(gm_lower=powered, hm_lower=powered, claim2=10.0 * (hat.certified_error + 1e-9))
+    expected.update(gm_lower=gm_tol, hm_lower=hm_tol, claim2=10.0 * (hat.certified_error + 1e-9))
     checks = bound_suite(H, res, P)
     assert {c.name: c.tolerance for c in checks if not c.skipped} == expected
-    assert rho_scale > 1e-8 and powered > rho_scale
+    assert rho_scale > 1e-8 and gm_tol > hm_tol > rho_scale
     assert all(c.holds for c in checks)
 
     H2 = random_uniform(15, 60, 3, seed=9)
@@ -383,3 +389,23 @@ def test_edge_degree_products_in_int64_match_python_integers():
     assert products.dtype == np.int64
     deg = H.degree_array.tolist()
     assert products.tolist() == [math.prod(deg[v - 1] for v in e) for e in H.edges]
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["K_44^(3)", "K_27^(4)", "K(27,27,27)"],
+)
+def test_equality_cases_of_high_degree_are_certified(label):
+    # regular inputs with m up to 2e4, where each ratio sums hundreds to
+    # thousands of terms: rho is the degree d, and a pad that ignores the
+    # degree let gm_lower fail and the bracket miss d
+    if label == "K(27,27,27)":
+        H, P = complete_r_partite([27, 27, 27])
+    else:
+        n, r = {"K_44^(3)": (44, 3), "K_27^(4)": (27, 4)}[label]
+        H, P = build(r, n, itertools.combinations(range(1, n + 1), r)), None
+    d = int(H.degree_array[0])
+    res = spectral_radius(H)
+    assert res.bracket[0] <= d <= res.bracket[1]
+    checks = bound_suite(H, res, P)
+    assert [c.name for c in checks if not c.skipped and not c.holds] == []

@@ -186,6 +186,8 @@ def test_spectral_radius_nonconvergence_reports_bracket(two_path):
         ({"max_iterations": 500.0}, "max_iterations must be an integer, got 500.0"),
         ({"max_iterations": 1e5}, "max_iterations must be an integer, got 100000.0"),
         ({"max_iterations": "100"}, "max_iterations must be an integer, got '100'"),
+        ({"tolerance": "0.1"}, "tolerance must be a real number, got '0.1'"),
+        ({"tolerance": None}, "tolerance must be a real number, got None"),
     ],
 )
 def test_spectral_options_rejects_bad_values(kwargs, message):
