@@ -391,19 +391,30 @@ def test_edge_degree_products_in_int64_match_python_integers():
     assert products.tolist() == [math.prod(deg[v - 1] for v in e) for e in H.edges]
 
 
+def _copies_of_complete(n, r, copies=1):
+    """Disjoint copies of the complete r-uniform hypergraph on n vertices."""
+    one = np.array(list(itertools.combinations(range(1, n + 1), r)))
+    return build(r, n * copies, np.concatenate([one + n * c for c in range(copies)]))
+
+
 @pytest.mark.parametrize(
-    "label",
-    ["K_44^(3)", "K_27^(4)", "K(27,27,27)"],
+    "make",
+    [
+        lambda: (_copies_of_complete(44, 3), None),
+        lambda: (_copies_of_complete(27, 4), None),
+        lambda: complete_r_partite([27, 27, 27]),
+        lambda: (_copies_of_complete(8, 4, copies=200), None),
+        lambda: (_copies_of_complete(10, 4, copies=1600), None),
+    ],
+    ids=["K_44^(3)", "K_27^(4)", "K(27,27,27)", "200 K_8^(4)", "1600 K_10^(4)"],
 )
-def test_equality_cases_of_high_degree_are_certified(label):
-    # regular inputs with m up to 2e4, where each ratio sums hundreds to
-    # thousands of terms: rho is the degree d, and a pad that ignores the
-    # degree let gm_lower fail and the bracket miss d
-    if label == "K(27,27,27)":
-        H, P = complete_r_partite([27, 27, 27])
-    else:
-        n, r = {"K_44^(3)": (44, 3), "K_27^(4)": (27, 4)}[label]
-        H, P = build(r, n, itertools.combinations(range(1, n + 1), r)), None
+def test_equality_cases_of_high_degree_are_certified(make):
+    # Regular inputs where each ratio sums hundreds to thousands of terms:
+    # rho is the degree d, and a pad that ignores the degree let gm_lower
+    # fail and the bracket miss d. The disjoint copies of a complete
+    # hypergraph have many edges but a low degree, so only a term growing
+    # with m covers the rounding of gm_lower's and hm_lower's m-term sums.
+    H, P = make()
     d = int(H.degree_array[0])
     res = spectral_radius(H)
     assert res.bracket[0] <= d <= res.bracket[1]
