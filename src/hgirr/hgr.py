@@ -113,8 +113,7 @@ def _read_loadtxt(lines: list[str]) -> tuple | None:
 
 def _read_scan(lines: list[str]) -> tuple:
     """The parts of a document, line by line: the reference reader, and the
-    only one that raises. Its edge lines go to ``_loadtxt_rows`` too; when
-    that refuses them, every token is read with ``int``, which raises the
+    only one that raises. Every token is read with ``int``, which raises the
     first error or reads what numpy refuses ('1_0', non-ASCII digits); ids
     beyond int64 travel as Python ints in an object array."""
     header = None
@@ -143,22 +142,18 @@ def _read_scan(lines: list[str]) -> tuple:
         raise HgrFormatError(
             f"edge count mismatch: header declares m={m}, found {len(edge_lines)} edge lines"
         )
-    rows = None
-    if bad_count is None and m:
-        rows = _loadtxt_rows([line for _, line in edge_lines], r, m)
-    if rows is None:
-        stop = m if bad_count is None else bad_count[0]
-        tokens = itertools.chain.from_iterable(line.split() for _, line in edge_lines[:stop])
-        try:
-            rows = np.fromiter(map(int, tokens), dtype=np.int64, count=stop * r)
-        except (ValueError, OverflowError):
-            # raises the first token that is no integer, else keeps the ids
-            # beyond int64 as Python ints
-            rows = np.array(
-                [_ints(line.split(), lineno) for lineno, line in edge_lines[:stop]],
-                dtype=object,
-            )
-        rows = rows.reshape(-1, r)
+    stop = m if bad_count is None else bad_count[0]
+    tokens = itertools.chain.from_iterable(line.split() for _, line in edge_lines[:stop])
+    try:
+        rows = np.fromiter(map(int, tokens), dtype=np.int64, count=stop * r)
+    except (ValueError, OverflowError):
+        # raises the first token that is no integer, else keeps the ids
+        # beyond int64 as Python ints
+        rows = np.array(
+            [_ints(line.split(), lineno) for lineno, line in edge_lines[:stop]],
+            dtype=object,
+        )
+    rows = rows.reshape(-1, r)
     if bad_count is not None:
         lineno = edge_lines[bad_count[0]][0]
         raise HgrFormatError(f"line {lineno}: edge has {bad_count[1]} vertices, expected {r}")
