@@ -23,6 +23,7 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .constructions import (
 )
 from .core import (
     HypergraphError,
+    Partition,
     UniformHypergraph,
     symmetric_difference_size,
     union_edges,
@@ -52,7 +54,11 @@ from .irregularity import (
     s_r_measure,
     weyl_check,
 )
-from .spectral import SpectralOptions, spectral_radius
+from .spectral import SpectralOptions, _spectral_radii, spectral_radius
+
+# Instances that verify generates and solves together: enough for one power
+# iteration to serve many components, few enough to hold little memory.
+_VERIFY_BLOCK = 100
 
 _EXTRA_ORDER = (
     "blow_up_law",
@@ -173,35 +179,53 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- verify
 
-def _run_instance(
+def _make_instance(
     index: int,
     args: argparse.Namespace,
     r_choices: tuple[int, ...],
     n_range: tuple[int, int],
     sizes: tuple[int, ...] | None,
-    opts: SpectralOptions,
-) -> tuple[list[BoundCheck], list[tuple[str, bool]]]:
+) -> tuple[UniformHypergraph, Partition | None, np.random.Generator]:
+    """Instance ``index`` of a verify run, its partition, and the generator
+    it was drawn from, which the extra checks draw from next."""
     rng = np.random.default_rng(args.seed + index)
-    partition = None
     if sizes is not None:
         cap = math.prod(sizes)
         m = args.m if args.m is not None else int(rng.integers(0, cap + 1))
         H, partition = random_r_partite(sizes, m, rng)
-    else:
-        r = int(r_choices[int(rng.integers(0, len(r_choices)))])
-        lo = max(r, n_range[0])
-        hi = max(lo, n_range[1])
-        n = int(rng.integers(lo, hi + 1))
-        cap = math.comb(n, r)
-        m = args.m if args.m is not None else int(rng.integers(0, cap + 1))
-        H = random_uniform(n, m, r, rng)
+        return H, partition, rng
+    r = int(r_choices[int(rng.integers(0, len(r_choices)))])
+    lo = max(r, n_range[0])
+    hi = max(lo, n_range[1])
+    n = int(rng.integers(lo, hi + 1))
+    cap = math.comb(n, r)
+    m = args.m if args.m is not None else int(rng.integers(0, cap + 1))
+    return random_uniform(n, m, r, rng), None, rng
 
-    result = spectral_radius(H, opts)
-    checks = bound_suite(H, result, partition, opts)
-    extras: list[tuple[str, bool]] = []
-    if index % 10 == 0:
-        extras = _run_extra_checks(H, partition, result, rng, opts, index)
-    return checks, extras
+
+def _checked_instances(
+    args: argparse.Namespace,
+    r_choices: tuple[int, ...],
+    n_range: tuple[int, int],
+    sizes: tuple[int, ...] | None,
+    opts: SpectralOptions,
+) -> Iterator[tuple[list[BoundCheck], list[tuple[str, bool]]]]:
+    """The bound checks and extra checks of every instance, in order.
+
+    Instances are made _VERIFY_BLOCK at a time and each block is solved in
+    one call. A solve draws nothing, so every generator is where the extras
+    expect it, and each block is dropped before the next is made."""
+    for first in range(0, args.count, _VERIFY_BLOCK):
+        indices = range(first, min(first + _VERIFY_BLOCK, args.count))
+        block = [_make_instance(i, args, r_choices, n_range, sizes) for i in indices]
+        results = _spectral_radii([H for H, _, _ in block], opts)
+        for index, (H, partition, rng), result in zip(indices, block, results):
+            checks = bound_suite(H, result, partition, opts)
+            extras: list[tuple[str, bool]] = []
+            if index % 10 == 0:
+                extras = _run_extra_checks(H, partition, result, rng, opts, index)
+            yield checks, extras
+        del block, results
 
 
 def _run_extra_checks(H, partition, result, rng, opts, index) -> list[tuple[str, bool]]:
@@ -295,8 +319,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     counts: Counter[tuple[str, str]] = Counter()  # (name, "pass" | "fail" | "skip")
     min_slack: dict[str, float] = {}
     failures = 0
-    for i in range(args.count):
-        checks, extras = _run_instance(i, args, r_choices, n_range, sizes, opts)
+    for i, (checks, extras) in enumerate(
+        _checked_instances(args, r_choices, n_range, sizes, opts)
+    ):
         if i == 0:  # bound_suite emits every bound, skipped ones included
             bound_names = [check.name for check in checks]
         for check in checks:

@@ -20,6 +20,10 @@ Numer. Math. 137, 2017), each a conjugate-gradient solve with a matrix-free
 product. If a Newton step finds no acceptable candidate, the power iteration
 takes over again for the rest of the budget. Both phases stop on the same
 ratio bracket, which stays the only certificate.
+
+Components do not interact, so the power iterations of all components of one
+rank, across all the hypergraphs of one _spectral_radii call, run together in
+one block-diagonal layout that gives each component the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -297,15 +301,10 @@ def _solve_component(
     """Certified spectral radius of one connected component.
 
     Runs the shifted power iteration y = A x + sigma * x^[r-1] (sigma the
-    component's maximum degree) for up to _NEWTON_AFTER iterations. A
-    component that has not converged by then continues with safeguarded
-    Newton-Noda steps from the current iterate; if a step finds no acceptable
-    candidate, the rest of the budget goes back to the power iteration from
-    the last accepted iterate, and Newton is not tried again. Either way the
-    certificate is the min/max ratio bracket of the iterate and the stop is
-    the bracket being relatively narrower than the tolerance. Returns (rho,
-    perron vector, iterations, bracket, converged); the bracket is already
-    shifted back, and iterations counts power iterations plus Newton steps.
+    component's maximum degree) for up to _NEWTON_AFTER iterations, then
+    hands the iterate to _finish_component. Returns (rho, perron vector,
+    iterations, bracket, converged); the bracket is already shifted back,
+    and iterations counts power iterations plus Newton steps.
     """
     if edges.shape[0] == 0:
         return 0.0, np.ones(n, dtype=np.float64), 0, (0.0, 0.0), True
@@ -313,14 +312,38 @@ def _solve_component(
     # np.bincount copies a read-only index array on every call (numpy asks
     # for a writeable one), so the iteration runs on one writable copy
     edges = edges.copy()
-    deg = np.bincount(edges.ravel(), minlength=n)
-    sigma = float(deg.max())
-    tol, budget = opts.tolerance, opts.max_iterations
-
+    sigma = float(np.bincount(edges.ravel(), minlength=n).max())
     x = np.full(n, n ** (-1.0 / r))
-    x, lo, hi, iterations, converged = _power_steps(
-        edges, x, sigma, r, tol, min(_NEWTON_AFTER, budget)
+    state = _power_steps(
+        edges, x, sigma, r, opts.tolerance, min(_NEWTON_AFTER, opts.max_iterations)
     )
+    return _finish_component(edges, sigma, r, opts, *state)
+
+
+def _finish_component(
+    edges: np.ndarray,
+    sigma: float,
+    r: int,
+    opts: SpectralOptions,
+    x: np.ndarray,
+    lo: float,
+    hi: float,
+    iterations: int,
+    converged: bool,
+) -> tuple[float, np.ndarray, int, tuple[float, float], bool]:
+    """Finish a component from the state of its first power phase and pad
+    its bracket: the result tuple of _solve_component.
+
+    ``edges`` is the component's writable 0-based edge array and (x, lo, hi,
+    iterations, converged) what _power_steps returned. A component that has
+    not converged continues with safeguarded Newton-Noda steps from x; if a
+    step finds no acceptable candidate, the rest of the budget goes back to
+    the power iteration from the last accepted iterate, and Newton is not
+    tried again. Either way the certificate is the min/max ratio bracket of
+    the iterate and the stop is the bracket being relatively narrower than
+    the tolerance.
+    """
+    tol, budget = opts.tolerance, opts.max_iterations
     if not converged and iterations < budget:
         x, lo, hi, steps, converged = _newton_steps(
             edges, x, sigma, r, tol, budget - iterations
@@ -340,6 +363,133 @@ def _solve_component(
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
 
 
+def _solve_group(
+    subs: list[UniformHypergraph], opts: SpectralOptions
+) -> list[tuple[float, np.ndarray, int, tuple[float, float], bool]]:
+    """_solve_component of each of several connected components of one rank,
+    all with edges, bit for bit, with their first power phases run at once.
+
+    The components lie end to end in one block-diagonal layout, sorted by
+    vertex count. Each step is _power_steps' step on the whole layout:
+    every elementwise operation rounds as it does per component, bincount
+    adds each vertex's terms in its component's edge order, the ratio bounds
+    come from the exact minimum.reduceat and maximum.reduceat, and the
+    r-norms are row sums of each run of equally sized components, a
+    (count, size) array whose row sums equal the sums of the rows, with the
+    root taken per row as a Python float. A component is saved and dropped
+    at the step it converges; one still open after min(_NEWTON_AFTER,
+    max_iterations) steps goes on alone in _finish_component.
+    """
+    r = subs[0].r
+    root, inv_r = 1.0 / (r - 1), 1.0 / r
+    tol = opts.tolerance
+    budget = min(_NEWTON_AFTER, opts.max_iterations)
+    order = sorted(range(len(subs)), key=lambda c: subs[c].n)
+    ids = np.array(order)
+    vlen = np.array([subs[c].n for c in order])
+    elen = np.array([subs[c].m for c in order])
+    sigma = np.array([subs[c].degree_array.max() for c in order], dtype=np.float64)
+    local = np.concatenate([subs[c].edge_array for c in order])
+    x = np.repeat([n ** (-1.0 / r) for n in vlen.tolist()], vlen)
+    states: list = [None] * len(subs)
+    moved = True
+    for step in range(1, budget + 1):
+        if moved:
+            vstart = np.cumsum(vlen) - vlen
+            edges = local + np.repeat(vstart, elen)[:, None]
+            sigma_v = np.repeat(sigma, vlen)
+            cuts = [0, *(np.flatnonzero(np.diff(vlen)) + 1).tolist(), len(vlen)]
+            runs = [(int(vstart[a]), b - a, int(vlen[a])) for a, b in zip(cuts, cuts[1:])]
+            moved = False
+        xp = x ** (r - 1)
+        y = _apply_adjacency_edges(edges, x) + sigma_v * xp
+        ratios = y / xp
+        lo = np.minimum.reduceat(ratios, vstart)
+        hi = np.maximum.reduceat(ratios, vstart)
+        x = y**root
+        xr = x**r
+        sums = np.concatenate(
+            [xr[v0 : v0 + k * size].reshape(k, size).sum(axis=1) for v0, k, size in runs]
+        )
+        x /= np.repeat([total**inv_r for total in sums.tolist()], vlen)
+        done = hi - lo <= tol * np.maximum(1.0, hi)
+        leaving = done if step < budget else np.ones_like(done)
+        for j in np.flatnonzero(leaving).tolist():
+            v0 = int(vstart[j])
+            state = (x[v0 : v0 + vlen[j]].copy(), float(lo[j]), float(hi[j]), step, bool(done[j]))
+            states[ids[j]] = (float(sigma[j]), state)
+        if leaving.all():
+            break
+        if leaving.any():
+            keep = ~leaving
+            local = local[np.repeat(keep, elen)]
+            x = x[np.repeat(keep, vlen)]
+            ids, vlen, elen, sigma = ids[keep], vlen[keep], elen[keep], sigma[keep]
+            moved = True
+    return [
+        _finish_component(sub.edge_array.copy(), sigma_c, r, opts, *state)
+        for sub, (sigma_c, state) in zip(subs, states)
+    ]
+
+
+def _spectral_radii(
+    hypergraphs: list[UniformHypergraph], opts: SpectralOptions | None = None
+) -> list[SpectralResult]:
+    """spectral_radius of each hypergraph, with the components of equal
+    rank of all of them solved together by _solve_group.
+
+    A rank with one component with edges runs _solve_component alone.
+    Components draw nothing at random and do not interact, so every result
+    equals that of a separate call bit for bit.
+    """
+    if opts is None:
+        opts = SpectralOptions()
+    parts = [components(H) for H in hypergraphs]
+    by_rank: dict[int, list[tuple[int, int]]] = {}
+    solved: dict[tuple[int, int], tuple] = {}
+    for h, comps in enumerate(parts):
+        for c, (_, sub) in enumerate(comps):
+            if sub.m:
+                by_rank.setdefault(sub.r, []).append((h, c))
+            else:
+                solved[h, c] = _solve_component(sub.edge_array, sub.n, sub.r, opts)
+    for keys in by_rank.values():
+        subs = [parts[h][c][1] for h, c in keys]
+        if len(subs) == 1:
+            sub = subs[0]
+            solved[keys[0]] = _solve_component(sub.edge_array, sub.n, sub.r, opts)
+        else:
+            solved.update(zip(keys, _solve_group(subs, opts)))
+    return [
+        _assemble(H, comps, [solved[h, c] for c in range(len(comps))])
+        for h, (H, comps) in enumerate(zip(hypergraphs, parts))
+    ]
+
+
+def _assemble(
+    H: UniformHypergraph,
+    comps: list[tuple[tuple[int, ...], UniformHypergraph]],
+    solutions: list[tuple[float, np.ndarray, int, tuple[float, float], bool]],
+) -> SpectralResult:
+    """The SpectralResult of H from the solutions of its components."""
+    perron = np.zeros(H.n, dtype=np.float64)
+    best: tuple[float, UniformHypergraph, np.ndarray] | None = None
+    for (verts, sub), (rho_c, x_c, _, _, _) in zip(comps, solutions):
+        perron[np.asarray(verts, dtype=np.int64) - 1] = x_c
+        if best is None or rho_c > best[0]:
+            best = (rho_c, sub, x_c)
+    brackets = [s[3] for s in solutions]
+    return SpectralResult(
+        rho=best[0],
+        perron_vector=perron,
+        iterations=sum(s[2] for s in solutions),
+        residual=residual(best[1], best[0], best[2]),
+        converged=all(s[4] for s in solutions),
+        component_rhos=tuple(s[0] for s in solutions),
+        bracket=(max(b[0] for b in brackets), max(b[1] for b in brackets)),
+    )
+
+
 def spectral_radius(
     H: UniformHypergraph, opts: SpectralOptions | None = None
 ) -> SpectralResult:
@@ -349,37 +499,4 @@ def spectral_radius(
     edgeless components contribute 0 without iterating. On non-convergence
     the best bracket is reported with ``converged=False`` instead of raising.
     """
-    if opts is None:
-        opts = SpectralOptions()
-
-    perron = np.zeros(H.n, dtype=np.float64)
-    comp_rhos: list[float] = []
-    brackets: list[tuple[float, float]] = []
-    total_iters = 0
-    all_converged = True
-    best: tuple[float, UniformHypergraph, np.ndarray] | None = None
-
-    for verts, sub in components(H):
-        rho_c, x_c, iters, bracket, ok = _solve_component(
-            sub.edge_array, sub.n, sub.r, opts
-        )
-        comp_rhos.append(rho_c)
-        brackets.append(bracket)
-        total_iters += iters
-        all_converged = all_converged and ok
-        perron[np.asarray(verts, dtype=np.int64) - 1] = x_c
-        if best is None or rho_c > best[0]:
-            best = (rho_c, sub, x_c)
-
-    rho = max(comp_rhos)
-    bracket = (max(b[0] for b in brackets), max(b[1] for b in brackets))
-    res = residual(best[1], rho, best[2])
-    return SpectralResult(
-        rho=rho,
-        perron_vector=perron,
-        iterations=total_iters,
-        residual=res,
-        converged=all_converged,
-        component_rhos=tuple(comp_rhos),
-        bracket=bracket,
-    )
+    return _spectral_radii([H], opts)[0]

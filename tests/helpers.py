@@ -19,6 +19,11 @@ the earlier implementations of ``hgirr.spectral._apply_adjacency_edges`` and
 steps. Wherever the solver never takes a Newton step, it must match bit for
 bit.
 
+``reference_spectral_radius`` is ``hgirr.spectral_radius`` as it was before
+components of one rank were solved together: one ``_solve_component`` call
+per component, in component order. The batched solve must match every field
+of its result bit for bit.
+
 ``loose_path`` and ``star_with_tail`` build the slowly converging instances
 the Newton-Noda phase exists for; ``path_with_pendants`` builds one that
 neither phase converges on within a small budget.
@@ -38,8 +43,11 @@ from collections import Counter, deque
 
 import numpy as np
 
+import hgirr.spectral
 from hgirr import EdgeTrace, HypergraphError, Partition, UniformHypergraph, build
 from hgirr.constructions import _sample_distinct
+from hgirr.core import components
+from hgirr.spectral import SpectralOptions, SpectralResult, residual
 
 
 def coupled_tol(*results, base: float = 1e-9) -> float:
@@ -177,6 +185,44 @@ def reference_solve_component(edges, n, r, opts):
     noise = k * u / (1.0 - k * u) * max(1.0, hi)
     bracket = (lo - sigma - noise, hi - sigma + noise)
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
+
+
+def reference_spectral_radius(H, opts=None):
+    """Spectral radius solved one component at a time."""
+    if opts is None:
+        opts = SpectralOptions()
+
+    perron = np.zeros(H.n, dtype=np.float64)
+    comp_rhos: list[float] = []
+    brackets: list[tuple[float, float]] = []
+    total_iters = 0
+    all_converged = True
+    best = None
+
+    for verts, sub in components(H):
+        rho_c, x_c, iters, bracket, ok = hgirr.spectral._solve_component(
+            sub.edge_array, sub.n, sub.r, opts
+        )
+        comp_rhos.append(rho_c)
+        brackets.append(bracket)
+        total_iters += iters
+        all_converged = all_converged and ok
+        perron[np.asarray(verts, dtype=np.int64) - 1] = x_c
+        if best is None or rho_c > best[0]:
+            best = (rho_c, sub, x_c)
+
+    rho = max(comp_rhos)
+    bracket = (max(b[0] for b in brackets), max(b[1] for b in brackets))
+    res = residual(best[1], rho, best[2])
+    return SpectralResult(
+        rho=rho,
+        perron_vector=perron,
+        iterations=total_iters,
+        residual=res,
+        converged=all_converged,
+        component_rhos=tuple(comp_rhos),
+        bracket=bracket,
+    )
 
 
 def loose_path(r: int, k: int) -> UniformHypergraph:

@@ -10,11 +10,13 @@ from hgirr import (
     Partition,
     analyze,
     average_degree,
+    blow_up,
     bound_suite,
     build,
     complete_r_partite,
     epsilon,
     is_connected,
+    is_regular,
     random_r_partite,
     random_uniform,
     regularize_partitewise,
@@ -420,3 +422,63 @@ def test_equality_cases_of_high_degree_are_certified(make):
     assert res.bracket[0] <= d <= res.bracket[1]
     checks = bound_suite(H, res, P)
     assert [c.name for c in checks if not c.skipped and not c.holds] == []
+
+
+def _blown_partite(sizes, k):
+    """The blow-up by k of the complete r-partite hypergraph with the given
+    class sizes, and its partition: the copies of a vertex share its class."""
+    H, P = complete_r_partite(sizes)
+    class_of = tuple(c for c in P.class_of for _ in range(k))
+    return blow_up(H, k), Partition(class_of, P.num_classes)
+
+
+def _copies(H, P, copies):
+    """Disjoint copies of H side by side, with its partition when given."""
+    edges = np.concatenate([H.edge_array + 1 + H.n * c for c in range(copies)])
+    Q = None if P is None else Partition(P.class_of * copies, P.num_classes)
+    return build(H.r, H.n * copies, edges), Q
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (blow_up(_copies_of_complete(7, 2), 4), None),
+        lambda: (blow_up(_copies_of_complete(6, 3), 3), None),
+        lambda: (blow_up(_copies_of_complete(9, 4), 3), None),
+        lambda: _blown_partite([3, 3, 3], 2),
+        lambda: _blown_partite([9, 9, 9], 3),
+        lambda: _blown_partite([3, 3, 3, 3], 3),
+        lambda: _copies(blow_up(_copies_of_complete(5, 2), 2), None, 500),
+        lambda: _copies(blow_up(_copies_of_complete(9, 4), 3), None, 20),
+        lambda: _copies(*_blown_partite([4, 4, 4], 2), 400),
+        lambda: _copies(*_blown_partite([2, 2, 2, 2], 2), 60),
+    ],
+    ids=[
+        "K_7 x4",
+        "K_6^(3) x3",
+        "K_9^(4) x3",
+        "K(3,3,3) x2",
+        "K(9,9,9) x3",
+        "K(3,3,3,3) x3",
+        "500 K_5 x2",
+        "20 K_9^(4) x3",
+        "400 K(4,4,4) x2",
+        "60 K(2,2,2,2) x2",
+    ],
+)
+def test_regular_blow_ups_and_their_copies_are_certified(make):
+    # A uniform blow-up of a regular hypergraph is regular, with rho equal
+    # to its degree d; disjoint copies keep d and are solved together. With
+    # a pad that ignores the degree, the bracket of K_9^(4) x3 (d = 1512)
+    # misses d.
+    H, P = make()
+    assert is_regular(H)
+    d = int(H.degree_array[0])
+    res = spectral_radius(H)
+    assert res.converged
+    assert res.bracket[0] <= d <= res.bracket[1]
+    report = analyze(H, P)
+    assert report.converged
+    assert [c.name for c in report.bound_checks if not c.skipped and not c.holds] == []
+    if P is not None:
+        assert not any(c.skipped for c in report.bound_checks if c.name == "claim2")

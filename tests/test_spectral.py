@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -13,6 +14,7 @@ from helpers import (
     path_with_pendants,
     reference_apply_adjacency_edges,
     reference_solve_component,
+    reference_spectral_radius,
     star_with_tail,
 )
 from hgirr import (
@@ -39,6 +41,7 @@ from hgirr.spectral import (
     _apply_adjacency_edges,
     _pair_products,
     _solve_component,
+    _spectral_radii,
 )
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -95,14 +98,14 @@ def test_apply_adjacency_length_mismatch(two_path):
         apply_adjacency(two_path, [1.0, 2.0])
 
 
-def test_rayleigh_uniform_on_regular():
+def test_uniform_vector_quadratic_form_is_the_common_degree():
     H, _ = complete_r_partite([2, 2, 2])
     x = np.full(H.n, H.n ** (-1.0 / H.r))
     # closed form: x^T (A x) = r * m / n equals the common degree
     assert x @ apply_adjacency(H, x) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_rayleigh_degree_vector(two_path):
+def test_degree_vector_quadratic_form_is_the_mean_edge_root(two_path):
     deg = degrees(two_path).astype(float)
     x = (deg / (two_path.r * two_path.m)) ** (1.0 / two_path.r)
     value = x @ apply_adjacency(two_path, x)
@@ -206,18 +209,18 @@ def test_certified_bracket_contains_true_value(two_path):
     assert lo - 1e-12 <= CBRT2 <= hi + 1e-12
 
 
-def test_scaled_row_sums_identity_scaling(two_path):
+def test_ones_vector_row_sums_are_the_degrees(two_path):
     np.testing.assert_allclose(
         apply_adjacency(two_path, np.ones(5)), degrees(two_path).astype(float)
     )
 
 
-def test_scaled_row_sums_degree_scaling(two_path):
+def test_degree_root_scaling_makes_every_row_ratio_rho(two_path):
     p = degrees(two_path).astype(float) ** (1.0 / 3.0)
     np.testing.assert_allclose(apply_adjacency(two_path, p) / p**2, np.full(5, CBRT2))
 
 
-def test_scaled_row_sums_constant_scaling():
+def test_constant_vector_row_ratios_are_the_degrees():
     H, _ = complete_r_partite([1, 2, 2])
     np.testing.assert_allclose(
         apply_adjacency(H, np.full(H.n, 3.7)) / 3.7**2, degrees(H).astype(float)
@@ -560,3 +563,87 @@ def test_certificate_holds_when_the_solve_does_not_converge():
     assert lam == pytest.approx(2.427178664967756, rel=1e-12)
     lo, hi = res.bracket
     assert lo <= lam <= hi
+
+
+# ------------------------------------------- components of one rank at once
+
+def _assert_same_result(got, want):
+    """Every SpectralResult field equal bit for bit."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        elif isinstance(b, float):
+            assert a.hex() == b.hex(), field.name
+        elif isinstance(b, tuple):
+            assert [v.hex() for v in a] == [v.hex() for v in b], field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def _disjoint_union(pieces, isolated=0):
+    """The pieces (all of one rank) side by side on consecutive vertex ids,
+    then ``isolated`` vertices without edges."""
+    offsets = np.cumsum([0] + [H.n for H in pieces])
+    edges = np.concatenate([H.edge_array + 1 + o for H, o in zip(pieces, offsets)])
+    return build(pieces[0].r, int(offsets[-1]) + isolated, edges)
+
+
+def _mixed_union(rng, r, count):
+    """Random pieces of rank r and mixed sizes, several of each size, some
+    disconnected themselves, with a loose path that the power iteration
+    alone does not finish within _NEWTON_AFTER steps."""
+    pieces = [loose_path(r, 40)]
+    for _ in range(count):
+        n = int(rng.integers(r + 1, 11))
+        m = int(rng.integers(1, math.comb(n, r) + 1))
+        pieces.append(random_uniform(n, m, r, rng))
+    order = rng.permutation(len(pieces))
+    return _disjoint_union([pieces[i] for i in order], isolated=3)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_components_solved_together_match_the_loop_bit_for_bit(r):
+    H = _mixed_union(np.random.default_rng(50 + r), r, 60)
+    assert len(components(H)) > 60
+    want = reference_spectral_radius(H)
+    assert want.iterations > _NEWTON_AFTER
+    _assert_same_result(spectral_radius(H), want)
+
+
+@pytest.mark.parametrize("newton_after", [1, 3, 40])
+def test_batch_hands_open_components_to_newton_bit_for_bit(newton_after, monkeypatch):
+    monkeypatch.setattr(hgirr.spectral, "_NEWTON_AFTER", newton_after)
+    for r in (2, 3):
+        H = _mixed_union(np.random.default_rng(70 + r), r, 30)
+        _assert_same_result(spectral_radius(H), reference_spectral_radius(H))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 150, 999])
+def test_batch_under_a_small_budget_matches_the_loop_bit_for_bit(budget):
+    opts = SpectralOptions(max_iterations=budget)
+    H = _mixed_union(np.random.default_rng(90), 3, 40)
+    want = reference_spectral_radius(H, opts)
+    assert not want.converged
+    _assert_same_result(spectral_radius(H, opts), want)
+
+
+def test_batch_with_a_component_beyond_the_sum_buffer_matches_the_loop():
+    # numpy sums at most 8192 elements per inner loop; a row that long must
+    # still sum as the component's own vector does
+    rng = np.random.default_rng(93)
+    big = random_uniform(9000, 40000, 3, rng)
+    assert len(components(big)) == 1
+    small = [random_uniform(6, 8, 3, rng) for _ in range(20)]
+    H = _disjoint_union([big, *small])
+    _assert_same_result(spectral_radius(H), reference_spectral_radius(H))
+
+
+def test_spectral_radii_match_separate_solves_of_mixed_ranks():
+    rng = np.random.default_rng(95)
+    hypergraphs = [_random_instance(rng, max_n=12) for _ in range(120)]
+    hypergraphs.append(build(3, 5, []))
+    got = _spectral_radii(hypergraphs, SpectralOptions())
+    assert len(got) == len(hypergraphs)
+    for H, result in zip(hypergraphs, got):
+        _assert_same_result(result, reference_spectral_radius(H))
