@@ -629,8 +629,8 @@ def test_batch_under_a_small_budget_matches_the_loop_bit_for_bit(budget):
 
 
 def test_batch_with_a_component_beyond_the_sum_buffer_matches_the_loop():
-    # numpy sums at most 8192 elements per inner loop; a row that long must
-    # still sum as the component's own vector does
+    # a row longer than numpy's default buffer (8192 elements) must still
+    # sum as the component's own vector does
     rng = np.random.default_rng(93)
     big = random_uniform(9000, 40000, 3, rng)
     assert len(components(big)) == 1
