@@ -249,7 +249,7 @@ def _run_extra_checks(H, partition, result, rng, opts, index) -> list[tuple[str,
 
     cap = math.comb(H.n, r)
     other = random_uniform(H.n, int(rng.integers(0, cap + 1)), r, rng)
-    out.append(("weyl", weyl_check(H, other, opts).holds))
+    out.append(("weyl", weyl_check(H, result, other, opts).holds))
 
     regular, _trace = regularize(H)
     deg = regular.degree_array

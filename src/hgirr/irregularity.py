@@ -117,11 +117,28 @@ def average_degree(H: UniformHypergraph) -> float:
     return (H.r * H.m) / H.n
 
 
+def _require_certificate(spectral: SpectralResult) -> None:
+    """The checks of ``spectral`` that ``bound_suite`` documents."""
+    if not isinstance(spectral, SpectralResult):
+        raise TypeError(
+            "expected the SpectralResult of spectral_radius(H), "
+            f"got {type(spectral).__name__}"
+        )
+    lower, upper = spectral.bracket
+    if not -math.inf < lower <= upper < math.inf:  # False for a NaN end
+        raise ValueError(
+            f"bracket ({lower:g}, {upper:g}) certifies nothing: "
+            "it must be finite, with lower end <= upper end"
+        )
+
+
 def epsilon(H: UniformHypergraph, result: SpectralResult) -> float:
     """Spectral radius minus average degree, from ``spectral_radius(H)``'s
-    result. The true value is nonnegative and zero iff H is regular; the
-    computed rho is the midpoint of a bracket, so on a regular input this
-    can come out slightly negative (K_11^(3) gives about -1e-12)."""
+    result, which is checked as ``bound_suite`` checks it. The true value is
+    nonnegative and zero iff H is regular; the computed rho is the midpoint
+    of a bracket, so on a regular input this can come out slightly negative
+    (K_11^(3) gives about -1e-12)."""
+    _require_certificate(result)
     return float(result.rho) - average_degree(H)
 
 
@@ -231,17 +248,7 @@ def bound_suite(
     are emitted as skipped when no partition is supplied; ``opts``
     configures the extra solve needed by claim2.
     """
-    if not isinstance(spectral, SpectralResult):
-        raise TypeError(
-            "spectral must be the SpectralResult of spectral_radius(H), "
-            f"got {type(spectral).__name__}"
-        )
-    lower, upper = spectral.bracket
-    if not -math.inf < lower <= upper < math.inf:  # False for a NaN end
-        raise ValueError(
-            f"bracket ({lower:g}, {upper:g}) certifies nothing: "
-            "it must be finite, with lower end <= upper end"
-        )
+    _require_certificate(spectral)
     rho = float(spectral.rho)
     tol = _certified_tolerance(spectral.certified_error)
     if partition is not None:
@@ -359,16 +366,18 @@ def bound_suite(
 
 def weyl_check(
     H1: UniformHypergraph,
+    spectral: SpectralResult,
     H2: UniformHypergraph,
     opts: SpectralOptions | None = None,
 ) -> BoundCheck:
-    """Subadditivity of the spectral radius over the edge-set union."""
+    """Subadditivity of the spectral radius over the edge-set union, given
+    ``spectral_radius(H1)``'s result, checked as ``bound_suite`` checks it."""
+    _require_certificate(spectral)
     union = union_edges(H1, H2)
-    r1 = spectral_radius(H1, opts)
     r2 = spectral_radius(H2, opts)
     ru = spectral_radius(union, opts)
-    certified = r1.certified_error + r2.certified_error + ru.certified_error
-    return _check("weyl", ru.rho, r1.rho + r2.rho, _certified_tolerance(certified))
+    certified = spectral.certified_error + r2.certified_error + ru.certified_error
+    return _check("weyl", ru.rho, spectral.rho + r2.rho, _certified_tolerance(certified))
 
 
 def _find_swap(

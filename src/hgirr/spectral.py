@@ -21,9 +21,10 @@ product. If a Newton step finds no acceptable candidate, the power iteration
 takes over again for the rest of the budget. Both phases stop on the same
 ratio bracket, which stays the only certificate.
 
-Components do not interact, so the power iterations of all components of one
-rank, across all the hypergraphs of one _spectral_radii call, run together in
-one block-diagonal layout that gives each component the bits it gets alone.
+Components do not interact, so while two or more components of one rank,
+across all the hypergraphs of one _spectral_radii call, are open, their power
+iterations run together in one block-diagonal layout that gives each the bits
+it gets alone; every component finishes in the per-component loop.
 """
 
 from __future__ import annotations
@@ -167,12 +168,12 @@ def _norm_r(x: np.ndarray, r: int) -> float:
 
 
 def _shifted_ratios(
-    edges: np.ndarray, x: np.ndarray, sigma: float, r: int
+    edges: np.ndarray, x: np.ndarray, sigma: float | np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """y = A x + sigma * x^[r-1] and the Collatz-Wielandt ratios y_i / x_i^(r-1).
 
-    For positive x the ratios' min and max enclose rho + sigma; both phases of
-    the solve certify through this one function."""
+    For positive x the ratios' min and max enclose rho + sigma; every phase
+    of the solve, batched or not, certifies through this one function."""
     xp = x ** (r - 1)
     y = _apply_adjacency_edges(edges, x) + sigma * xp
     return y, y / xp
@@ -295,31 +296,6 @@ def _newton_steps(
     return x, lo, hi, steps, True
 
 
-def _solve_component(
-    edges: np.ndarray, n: int, r: int, opts: SpectralOptions
-) -> tuple[float, np.ndarray, int, tuple[float, float], bool]:
-    """Certified spectral radius of one connected component.
-
-    Runs the shifted power iteration y = A x + sigma * x^[r-1] (sigma the
-    component's maximum degree) for up to _NEWTON_AFTER iterations, then
-    hands the iterate to _finish_component. Returns (rho, perron vector,
-    iterations, bracket, converged); the bracket is already shifted back,
-    and iterations counts power iterations plus Newton steps.
-    """
-    if edges.shape[0] == 0:
-        return 0.0, np.ones(n, dtype=np.float64), 0, (0.0, 0.0), True
-
-    # np.bincount copies a read-only index array on every call (numpy asks
-    # for a writeable one), so the iteration runs on one writable copy
-    edges = edges.copy()
-    sigma = float(np.bincount(edges.ravel(), minlength=n).max())
-    x = np.full(n, n ** (-1.0 / r))
-    state = _power_steps(
-        edges, x, sigma, r, opts.tolerance, min(_NEWTON_AFTER, opts.max_iterations)
-    )
-    return _finish_component(edges, sigma, r, opts, *state)
-
-
 def _finish_component(
     edges: np.ndarray,
     sigma: float,
@@ -331,19 +307,26 @@ def _finish_component(
     iterations: int,
     converged: bool,
 ) -> tuple[float, np.ndarray, int, tuple[float, float], bool]:
-    """Finish a component from the state of its first power phase and pad
-    its bracket: the result tuple of _solve_component.
+    """Certified spectral radius of one connected component, continued from
+    the state (x, lo, hi, iterations, converged) in which _solve_group hands
+    it over: x after ``iterations`` power iterations, lo and hi the shifted
+    ratio bounds of the last. ``edges`` is the component's writable 0-based
+    edge array and sigma its maximum degree.
 
-    ``edges`` is the component's writable 0-based edge array and (x, lo, hi,
-    iterations, converged) what _power_steps returned. A component that has
-    not converged continues with safeguarded Newton-Noda steps from x; if a
-    step finds no acceptable candidate, the rest of the budget goes back to
-    the power iteration from the last accepted iterate, and Newton is not
-    tried again. Either way the certificate is the min/max ratio bracket of
-    the iterate and the stop is the bracket being relatively narrower than
-    the tolerance.
+    An open component runs power iterations up to min(_NEWTON_AFTER,
+    max_iterations) in all, then safeguarded Newton-Noda steps; if a step
+    finds no acceptable candidate, the power iteration takes the rest of the
+    budget from the last accepted iterate, and Newton is not tried again.
+    Returns (rho, perron vector, iterations, bracket, converged), the bracket
+    shifted back and padded, iterations counting Newton steps too.
     """
     tol, budget = opts.tolerance, opts.max_iterations
+    first = min(_NEWTON_AFTER, budget)
+    if not converged and iterations < first:
+        x, lo, hi, steps, converged = _power_steps(
+            edges, x, sigma, r, tol, first - iterations
+        )
+        iterations += steps
     if not converged and iterations < budget:
         x, lo, hi, steps, converged = _newton_steps(
             edges, x, sigma, r, tol, budget - iterations
@@ -366,8 +349,9 @@ def _finish_component(
 def _solve_group(
     subs: list[UniformHypergraph], opts: SpectralOptions
 ) -> list[tuple[float, np.ndarray, int, tuple[float, float], bool]]:
-    """_solve_component of each of several connected components of one rank,
-    all with edges, bit for bit, with their first power phases run at once.
+    """_finish_component's result for each of one or more connected
+    components of one rank, all with edges, bit for bit as if each were
+    solved alone, stepped together while two or more are open.
 
     The components lie end to end in one block-diagonal layout, sorted by
     vertex count. Each step is _power_steps' step on the whole layout:
@@ -377,8 +361,9 @@ def _solve_group(
     r-norms are row sums of each run of equally sized components, a
     (count, size) array whose row sums equal the sums of the rows, with the
     root taken per row as a Python float. A component is saved and dropped
-    at the step it converges; one still open after min(_NEWTON_AFTER,
-    max_iterations) steps goes on alone in _finish_component.
+    at the step it converges; once fewer than two are open, or after
+    min(_NEWTON_AFTER, max_iterations) steps, the open ones go on alone in
+    _finish_component from their iterates and step count.
     """
     r = subs[0].r
     root, inv_r = 1.0 / (r - 1), 1.0 / r
@@ -389,11 +374,14 @@ def _solve_group(
     vlen = np.array([subs[c].n for c in order])
     elen = np.array([subs[c].m for c in order])
     sigma = np.array([subs[c].degree_array.max() for c in order], dtype=np.float64)
+    lo = hi = np.zeros(len(subs))
     local = np.concatenate([subs[c].edge_array for c in order])
     x = np.repeat([n ** (-1.0 / r) for n in vlen.tolist()], vlen)
     states: list = [None] * len(subs)
+    step = 0
     moved = True
-    for step in range(1, budget + 1):
+    while len(ids) > 1 and step < budget:
+        step += 1
         if moved:
             vstart = np.cumsum(vlen) - vlen
             edges = local + np.repeat(vstart, elen)[:, None]
@@ -401,9 +389,7 @@ def _solve_group(
             cuts = [0, *(np.flatnonzero(np.diff(vlen)) + 1).tolist(), len(vlen)]
             runs = [(int(vstart[a]), b - a, int(vlen[a])) for a, b in zip(cuts, cuts[1:])]
             moved = False
-        xp = x ** (r - 1)
-        y = _apply_adjacency_edges(edges, x) + sigma_v * xp
-        ratios = y / xp
+        y, ratios = _shifted_ratios(edges, x, sigma_v, r)
         lo = np.minimum.reduceat(ratios, vstart)
         hi = np.maximum.reduceat(ratios, vstart)
         x = y**root
@@ -413,19 +399,22 @@ def _solve_group(
         )
         x /= np.repeat([total**inv_r for total in sums.tolist()], vlen)
         done = hi - lo <= tol * np.maximum(1.0, hi)
-        leaving = done if step < budget else np.ones_like(done)
-        for j in np.flatnonzero(leaving).tolist():
-            v0 = int(vstart[j])
-            state = (x[v0 : v0 + vlen[j]].copy(), float(lo[j]), float(hi[j]), step, bool(done[j]))
-            states[ids[j]] = (float(sigma[j]), state)
-        if leaving.all():
-            break
-        if leaving.any():
-            keep = ~leaving
+        if done.any():
+            for j in np.flatnonzero(done).tolist():
+                v0 = int(vstart[j])
+                state = (x[v0 : v0 + vlen[j]].copy(), float(lo[j]), float(hi[j]), step, True)
+                states[ids[j]] = (float(sigma[j]), state)
+            keep = ~done
             local = local[np.repeat(keep, elen)]
             x = x[np.repeat(keep, vlen)]
-            ids, vlen, elen, sigma = ids[keep], vlen[keep], elen[keep], sigma[keep]
+            ids, vlen, elen = ids[keep], vlen[keep], elen[keep]
+            sigma, lo, hi = sigma[keep], lo[keep], hi[keep]
             moved = True
+    pieces = np.split(x, np.cumsum(vlen)[:-1])
+    for c, x_c, sigma_c, lo_c, hi_c in zip(ids, pieces, sigma, lo, hi):
+        states[c] = (float(sigma_c), (x_c, float(lo_c), float(hi_c), step, False))
+    # np.bincount copies a read-only index array on every call (numpy asks
+    # for a writeable one), so each component goes on with a writable copy
     return [
         _finish_component(sub.edge_array.copy(), sigma_c, r, opts, *state)
         for sub, (sigma_c, state) in zip(subs, states)
@@ -438,7 +427,6 @@ def _spectral_radii(
     """spectral_radius of each hypergraph, with the components of equal
     rank of all of them solved together by _solve_group.
 
-    A rank with one component with edges runs _solve_component alone.
     Components draw nothing at random and do not interact, so every result
     equals that of a separate call bit for bit.
     """
@@ -452,14 +440,9 @@ def _spectral_radii(
             if sub.m:
                 by_rank.setdefault(sub.r, []).append((h, c))
             else:
-                solved[h, c] = _solve_component(sub.edge_array, sub.n, sub.r, opts)
+                solved[h, c] = (0.0, np.ones(sub.n), 0, (0.0, 0.0), True)
     for keys in by_rank.values():
-        subs = [parts[h][c][1] for h, c in keys]
-        if len(subs) == 1:
-            sub = subs[0]
-            solved[keys[0]] = _solve_component(sub.edge_array, sub.n, sub.r, opts)
-        else:
-            solved.update(zip(keys, _solve_group(subs, opts)))
+        solved.update(zip(keys, _solve_group([parts[h][c][1] for h, c in keys], opts)))
     return [
         _assemble(H, comps, [solved[h, c] for c in range(len(comps))])
         for h, (H, comps) in enumerate(zip(hypergraphs, parts))

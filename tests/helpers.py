@@ -14,15 +14,15 @@ and ``reference_components`` (breadth-first search over incidence lists) are
 the earlier implementations of ``hgirr.spectral._apply_adjacency_edges`` and
 ``hgirr.components``. Their replacements must match them bit for bit.
 
-``reference_solve_component`` is the shifted power iteration alone, as
-``hgirr.spectral._solve_component`` ran before it could switch to Newton-Noda
-steps. Wherever the solver never takes a Newton step, it must match bit for
-bit.
+``reference_solve_component`` is the shifted power iteration alone, as the
+per-component solve ran before it could switch to Newton-Noda steps. Wherever
+the solver never takes a Newton step, it must match bit for bit.
 
-``reference_spectral_radius`` is ``hgirr.spectral_radius`` as it was before
-components of one rank were solved together: one ``_solve_component`` call
-per component, in component order. The batched solve must match every field
-of its result bit for bit.
+``reference_spectral_radius`` is ``hgirr.spectral_radius`` solved one
+component at a time: one ``_solve_group`` call per component with edges, in
+component order, so that no step is batched; an edgeless component gives
+rho = 0 and a vector of ones without iterating. Solving components together
+must match every field of its result bit for bit.
 
 ``loose_path`` and ``star_with_tail`` build the slowly converging instances
 the Newton-Noda phase exists for; ``path_with_pendants`` builds one that
@@ -200,9 +200,11 @@ def reference_spectral_radius(H, opts=None):
     best = None
 
     for verts, sub in components(H):
-        rho_c, x_c, iters, bracket, ok = hgirr.spectral._solve_component(
-            sub.edge_array, sub.n, sub.r, opts
-        )
+        if sub.m:
+            solution = hgirr.spectral._solve_group([sub], opts)[0]
+        else:
+            solution = (0.0, np.ones(sub.n), 0, (0.0, 0.0), True)
+        rho_c, x_c, iters, bracket, ok = solution
         comp_rhos.append(rho_c)
         brackets.append(bracket)
         total_iters += iters

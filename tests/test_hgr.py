@@ -191,9 +191,9 @@ def test_parse_error_messages_are_pinned(text, message):
     assert str(info.value) == message
 
 
-def test_parse_spans_several_chunks():
-    # more edge lines than one parsing chunk holds, in reverse order and
-    # with uneven whitespace
+def test_parse_scans_many_reversed_lines_and_reports_the_first_bad_token():
+    # 19,600 edge lines in reverse order, with uneven whitespace, after a
+    # comment line that sends the document to the line-by-line scan
     H = build(3, 50, itertools.combinations(range(1, 51), 3))
     lines = [f"  {a}\t{b}  {c} " for a, b, c in reversed(H.edges)]
     parsed, _ = parse_hgr(f"hgr 3 50 {H.m}\n# edges\n" + "\n".join(lines) + "\n")
@@ -202,7 +202,8 @@ def test_parse_spans_several_chunks():
     with pytest.raises(HgrFormatError) as info:
         parse_hgr(f"hgr 3 50 {H.m}\n# edges\n" + "\n".join(lines) + "\n")
     assert str(info.value) == f"line {H.m + 1}: expected integer, got 'y'"
-    # an id beyond int64 in the first chunk, a bad token in the second
+    # the scan reads an id beyond int64 on the first edge line as a Python
+    # int, so the bad token near the end is still the first error
     lines[0] = "1 2 99999999999999999999999"
     with pytest.raises(HgrFormatError) as info:
         parse_hgr(f"hgr 3 50 {H.m}\n# edges\n" + "\n".join(lines) + "\n")

@@ -223,7 +223,7 @@ def test_suite_tolerances_are_the_certified_values():
     H2 = random_uniform(15, 60, 3, seed=9)
     union = union_edges(H, H2)
     certified = sum(spectral_radius(G).certified_error for G in (H, H2, union))
-    assert weyl_check(H, H2).tolerance == 10.0 * (certified + 1e-9)
+    assert weyl_check(H, res, H2).tolerance == 10.0 * (certified + 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -235,6 +235,29 @@ def test_suite_rejects_an_uncertified_bracket(two_path, bracket):
     res = dataclasses.replace(spectral_radius(two_path), bracket=bracket)
     with pytest.raises(ValueError, match="certifies nothing"):
         bound_suite(two_path, res)
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [lambda H, res: epsilon(H, res), lambda H, res: weyl_check(H, res, H)],
+    ids=["epsilon", "weyl_check"],
+)
+@pytest.mark.parametrize(
+    "spectral, error, message",
+    [
+        (CBRT2, TypeError, "SpectralResult"),
+        ((math.nan, math.nan), ValueError, "certifies nothing"),
+        ((1.3, 1.2), ValueError, "certifies nothing"),
+    ],
+    ids=["bare-float", "nan-bracket", "inverted-bracket"],
+)
+def test_result_consumers_refuse_what_bound_suite_refuses(
+    two_path, consumer, spectral, error, message
+):
+    if isinstance(spectral, tuple):
+        spectral = dataclasses.replace(spectral_radius(two_path), bracket=spectral)
+    with pytest.raises(error, match=message):
+        consumer(two_path, spectral)
 
 
 def test_suite_holds_at_derived_tolerance_on_random_instances():
@@ -315,13 +338,13 @@ def test_theorem2_lower_never_tighter_than_epsilon():
 
 def test_weyl_check_edgeless_equality(two_path):
     empty = build(3, 5, [])
-    check = weyl_check(two_path, empty)
+    check = weyl_check(two_path, spectral_radius(two_path), empty)
     assert check.holds
     assert check.slack == pytest.approx(0.0, abs=1e-9)
 
 
 def test_weyl_check_self_union(two_path):
-    check = weyl_check(two_path, two_path)
+    check = weyl_check(two_path, spectral_radius(two_path), two_path)
     assert check.holds
     assert check.rhs == pytest.approx(2 * check.lhs, rel=1e-8)
 
@@ -329,14 +352,14 @@ def test_weyl_check_self_union(two_path):
 def test_weyl_check_disjoint_edges():
     H1 = build(3, 6, [[1, 2, 3]])
     H2 = build(3, 6, [[4, 5, 6]])
-    check = weyl_check(H1, H2)
+    check = weyl_check(H1, spectral_radius(H1), H2)
     assert check.lhs == pytest.approx(1.0, abs=1e-9)
     assert check.rhs == pytest.approx(2.0, abs=1e-9)
 
 
 def test_weyl_check_rank_mismatch(two_path):
     with pytest.raises(HypergraphError, match="rank mismatch"):
-        weyl_check(two_path, single_edge(2))
+        weyl_check(two_path, spectral_radius(two_path), single_edge(2))
 
 
 def test_analyze_report_fields(two_path, two_path_partition):

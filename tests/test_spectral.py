@@ -40,7 +40,7 @@ from hgirr.spectral import (
     _NEWTON_AFTER,
     _apply_adjacency_edges,
     _pair_products,
-    _solve_component,
+    _solve_group,
     _spectral_radii,
 )
 
@@ -473,7 +473,7 @@ def test_solve_matches_the_power_oracle_bit_for_bit_within_the_switch():
         want = reference_solve_component(sub.edge_array, sub.n, sub.r, opts)
         assert want[4] and want[2] <= _NEWTON_AFTER
         slowest = max(slowest, want[2])
-        _assert_same_solve(_solve_component(sub.edge_array, sub.n, sub.r, opts), want)
+        _assert_same_solve(_solve_group([sub], opts)[0], want)
     assert slowest > 500
 
 
@@ -516,7 +516,7 @@ def test_rejected_newton_step_hands_the_budget_back_once(monkeypatch):
     opts = SpectralOptions()
     want = reference_solve_component(H.edge_array, H.n, H.r, opts)
     assert want[4] and want[2] > _NEWTON_AFTER
-    _assert_same_solve(_solve_component(H.edge_array, H.n, H.r, opts), want)
+    _assert_same_solve(_solve_group([H], opts)[0], want)
     assert len(calls) == 1
 
 
@@ -647,3 +647,43 @@ def test_spectral_radii_match_separate_solves_of_mixed_ranks():
     assert len(got) == len(hypergraphs)
     for H, result in zip(hypergraphs, got):
         _assert_same_result(result, reference_spectral_radius(H))
+
+
+@pytest.mark.parametrize("kind", ["mixed union", "connected path"])
+def test_batch_steps_only_while_two_components_are_open(kind, monkeypatch):
+    # Every component finishes in _finish_component after the batch loop, so
+    # the adjacency products before the first _power_steps call are the
+    # batched steps; each runs on a layout of two or more components, and
+    # the last open component continues in _power_steps from the step at
+    # which the batch handed it over.
+    if kind == "mixed union":
+        H = _mixed_union(np.random.default_rng(97), 3, 30)
+    else:
+        H = loose_path(3, 40)
+    products, power_calls = [], []
+    real_apply = hgirr.spectral._apply_adjacency_edges
+    real_power = hgirr.spectral._power_steps
+
+    def recorded_apply(edges, x):
+        if not power_calls:
+            products.append(edges)
+        return real_apply(edges, x)
+
+    def recorded_power(edges, x, sigma, r, tol, budget):
+        power_calls.append((edges.shape[0], x.shape[0], budget))
+        return real_power(edges, x, sigma, r, tol, budget)
+
+    monkeypatch.setattr(hgirr.spectral, "_apply_adjacency_edges", recorded_apply)
+    monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
+    res = spectral_radius(H)
+    assert res.converged and res.iterations > _NEWTON_AFTER
+    layouts = {(e.shape[0], int(e.max())): e for e in products}
+    for edges in layouts.values():
+        assert len(components(build(3, int(edges.max()) + 1, edges + 1))) >= 2
+    path = loose_path(3, 40)
+    steps = len(products)
+    assert power_calls[0] == (path.m, path.n, _NEWTON_AFTER - steps)
+    if kind == "mixed union":
+        assert 0 < steps < _NEWTON_AFTER
+    else:
+        assert steps == 0
