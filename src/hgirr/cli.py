@@ -305,6 +305,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return _fail(f"bad partite sizes {list(sizes)}")
         if args.m is not None and not 0 <= args.m <= math.prod(sizes):
             return _fail(f"m={args.m} infeasible for sizes {list(sizes)}")
+        # the weyl extra's uniform instance, C(n, r) >= product of the sizes
+        widest = [(sum(sizes), len(sizes))]
     else:
         if not r_choices or any(r < 2 for r in r_choices):
             return _fail(f"bad rank list {list(r_choices)}")
@@ -315,6 +317,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 return _fail("--m requires a single --r and a single --n")
             if not 0 <= args.m <= math.comb(n_range[0], r_choices[0]):
                 return _fail(f"m={args.m} infeasible for n={n_range[0]}, r={r_choices[0]}")
+        widest = [(max(r, n_range[1]), r) for r in r_choices]
+    # every edge count and every edge is drawn as an int64 code
+    for n, r in widest:
+        if math.comb(n, r) > np.iinfo(np.int64).max:
+            return _fail(f"C({n}, {r}) possible edges exceed the int64 range of edge codes")
 
     counts: Counter[tuple[str, str]] = Counter()  # (name, "pass" | "fail" | "skip")
     min_slack: dict[str, float] = {}

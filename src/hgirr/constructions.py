@@ -1,7 +1,8 @@
 """Hypergraph families, blow-ups, direct products, and seeded random generators.
 
 Each construction computes its edges as one array and hands it to ``build``,
-which canonicalizes the order; only rejection sampling keeps a set of draws.
+which canonicalizes the order; a random generator draws the codes of all its
+edges in one ``Generator.choice`` call and decodes them as arrays.
 Every generator is a deterministic function of its parameters and seed, so
 fuzz runs are replayable. ``seed`` arguments accept anything
 ``numpy.random.default_rng`` does, including an existing Generator.
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HypergraphError, Partition, UniformHypergraph, _as_id, build
+from .core import _INT64, HypergraphError, Partition, UniformHypergraph, _as_id, build
 
 __all__ = [
     "blow_up",
@@ -120,22 +121,31 @@ def direct_product(H1: UniformHypergraph, H2: UniformHypergraph) -> UniformHyper
     return build(r, H1.n * H2.n, pairs.reshape(-1, r))
 
 
-def _sample_distinct(rng: np.random.Generator, draw, want: int) -> set:
-    """Rejection-sample ``want`` distinct items; caller keeps want at or below
-    half the universe so the expected number of draws stays linear."""
-    chosen: set = set()
-    while len(chosen) < want:
-        chosen.add(draw(rng))
-    return chosen
+def _colex_subsets(codes: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Row k: the r-subset c_1 < ... < c_r of 0..n-1 whose colex rank
+    C(c_1, 1) + ... + C(c_r, r) is codes[k] (Knuth, TAOCP 4A, 7.2.1.3).
+    From i = r down, c_i is the largest a with C(a, i) <= the rank left."""
+    # tables[i - 1][a] = C(a, i) for a < n: C(a, 1) = a, and each next table
+    # holds the shifted cumulative sums of the last. The first sum past int64
+    # wraps negative; from there on entries are int64's maximum, above every
+    # rank, so searchsorted never passes them.
+    tables = [np.arange(n, dtype=np.int64)]
+    for _ in range(1, r):
+        sums = np.cumsum(tables[-1])
+        sums[np.logical_or.accumulate(sums < 0)] = _INT64.max
+        tables.append(np.concatenate(([0], sums[:-1])))
+    out = np.empty((codes.shape[0], r), dtype=np.int64)
+    for i in range(r, 0, -1):
+        table = tables[i - 1]
+        out[:, i - 1] = np.searchsorted(table, codes, side="right") - 1
+        codes = codes - table[out[:, i - 1]]
+    return out
 
 
 def random_uniform(n: int, m: int, r: int, seed) -> UniformHypergraph:
-    """m distinct edges drawn uniformly without replacement from all r-subsets.
-
-    Uses rejection sampling of sorted r-subsets; when m exceeds half the
-    total count it samples the complement instead so the expected number of
-    draws stays bounded.
-    """
+    """m distinct edges drawn uniformly without replacement from all r-subsets,
+    as colex ranks; past int64, which ``choice`` cannot take, one edge at a
+    time, drawing a repeat again (among 2^63 subsets, almost never)."""
     n, m, r = _ints((n, m, r), "parameter")
     if r < 2 or n < r:
         raise HypergraphError(f"invalid parameters n={n}, r={r}")
@@ -143,37 +153,26 @@ def random_uniform(n: int, m: int, r: int, seed) -> UniformHypergraph:
     if not 0 <= m <= total:
         raise HypergraphError(f"m={m} outside [0, C({n},{r})={total}]")
     rng = np.random.default_rng(seed)
-
-    def draw(g: np.random.Generator):
-        return tuple(sorted(g.choice(n, size=r, replace=False) + 1))
-
-    if m <= total // 2:
-        chosen = _sample_distinct(rng, draw, m)
-    else:
-        excluded = _sample_distinct(rng, draw, total - m)
-        chosen = [
-            e for e in itertools.combinations(range(1, n + 1), r) if e not in excluded
-        ]
+    if total <= _INT64.max:
+        codes = rng.choice(total, size=m, replace=False, shuffle=False)
+        return build(r, n, _colex_subsets(codes, n, r) + 1)
+    chosen: set = set()
+    while len(chosen) < m:
+        chosen.add(tuple(sorted(rng.choice(n, size=r, replace=False) + 1)))
     return build(r, n, chosen)
 
 
 def random_r_partite(sizes: Sequence[int], m: int, seed) -> tuple[UniformHypergraph, Partition]:
-    """m distinct transversal edges drawn uniformly over the given class sizes."""
+    """m distinct transversal edges drawn uniformly over the given class sizes,
+    as codes whose mixed-radix digits pick the vertex in each class."""
     sizes, P = _class_layout(sizes)
     (m,) = _ints((m,), "parameter")
     total = math.prod(sizes)
     if not 0 <= m <= total:
         raise HypergraphError(f"m={m} outside [0, {total}]")
-    rng = np.random.default_rng(seed)
-
-    def draw(g: np.random.Generator):
-        return int(g.integers(0, total))
-
-    if m <= total // 2:
-        codes = np.fromiter(_sample_distinct(rng, draw, m), dtype=np.int64, count=m)
-    else:
-        excluded = _sample_distinct(rng, draw, total - m)
-        codes = np.setdiff1d(np.arange(total, dtype=np.int64), list(excluded))
+    if total > _INT64.max:
+        raise HypergraphError(f"{total} transversals exceed the int64 range of edge codes")
+    codes = np.random.default_rng(seed).choice(total, size=m, replace=False, shuffle=False)
     bases = np.array(sizes, dtype=np.int64)
     firsts = np.cumsum(bases) - bases + 1
     return build(len(sizes), sum(sizes), _digits(codes, bases, firsts)), P

@@ -45,7 +45,7 @@ from .core import (
     is_regular,
     union_edges,
 )
-from .spectral import SpectralOptions, SpectralResult, _gamma, spectral_radius
+from .spectral import SpectralOptions, SpectralResult, _gamma, apply_adjacency, spectral_radius
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -117,8 +117,11 @@ def average_degree(H: UniformHypergraph) -> float:
     return (H.r * H.m) / H.n
 
 
-def _require_certificate(spectral: SpectralResult) -> None:
-    """The checks of ``spectral`` that ``bound_suite`` documents."""
+def _require_certificate(H: UniformHypergraph, spectral: SpectralResult) -> None:
+    """The checks of ``spectral`` that ``bound_suite`` documents. For positive
+    x, the ratios (A x)_i / x_i^(r-1) on H span an interval holding rho(H), so
+    a bracket disjoint from the span (over x_i > 0, padded as the solver pads)
+    belongs to another hypergraph."""
     if not isinstance(spectral, SpectralResult):
         raise TypeError(
             "expected the SpectralResult of spectral_radius(H), "
@@ -130,6 +133,16 @@ def _require_certificate(spectral: SpectralResult) -> None:
             f"bracket ({lower:g}, {upper:g}) certifies nothing: "
             "it must be finite, with lower end <= upper end"
         )
+    x = np.asarray(spectral.perron_vector, dtype=np.float64)
+    positive = x > 0  # apply_adjacency refuses an x of the wrong shape
+    ratios = apply_adjacency(H, x)[positive] / x[positive] ** (H.r - 1)
+    low, high = float(ratios.min(initial=math.inf)), float(ratios.max(initial=-math.inf))
+    noise = _gamma(int(H.degree_array.max()) + 2 * H.r + 4) * max(1.0, high)
+    if low - noise > upper or high + noise < lower:
+        raise ValueError(
+            f"bracket ({lower:g}, {upper:g}) misses the ratios [{low:g}, {high:g}] "
+            "of its perron_vector on H: the result is not that of spectral_radius(H)"
+        )
 
 
 def epsilon(H: UniformHypergraph, result: SpectralResult) -> float:
@@ -138,7 +151,7 @@ def epsilon(H: UniformHypergraph, result: SpectralResult) -> float:
     nonnegative and zero iff H is regular; the computed rho is the midpoint
     of a bracket, so on a regular input this can come out slightly negative
     (K_11^(3) gives about -1e-12)."""
-    _require_certificate(result)
+    _require_certificate(H, result)
     return float(result.rho) - average_degree(H)
 
 
@@ -240,7 +253,8 @@ def bound_suite(
     ``spectral`` must be the :class:`SpectralResult` of ``spectral_radius(H)``:
     its bracket certifies rho, and a bare float, which carries no
     certificate, raises TypeError, and a bracket that is not finite or whose
-    lower end exceeds its upper end raises ValueError. The tolerance of each
+    lower end exceeds its upper end, or that misses the ratios of the result's
+    Perron vector on H, raises ValueError. The tolerance of each
     check is ``10 * (certified error + 1e-9)``, with the certified error
     carried to the rho**r scale for ``gm_lower`` and ``hm_lower``. A supplied
     partition is checked against H by the class-preserving rewiring that
@@ -248,7 +262,7 @@ def bound_suite(
     are emitted as skipped when no partition is supplied; ``opts``
     configures the extra solve needed by claim2.
     """
-    _require_certificate(spectral)
+    _require_certificate(H, spectral)
     rho = float(spectral.rho)
     tol = _certified_tolerance(spectral.certified_error)
     if partition is not None:
@@ -372,7 +386,7 @@ def weyl_check(
 ) -> BoundCheck:
     """Subadditivity of the spectral radius over the edge-set union, given
     ``spectral_radius(H1)``'s result, checked as ``bound_suite`` checks it."""
-    _require_certificate(spectral)
+    _require_certificate(H1, spectral)
     union = union_edges(H1, H2)
     r2 = spectral_radius(H2, opts)
     ru = spectral_radius(union, opts)
@@ -501,12 +515,13 @@ def analyze(
     checks = bound_suite(H, result, partition, opts)
     # bound_suite has checked the partition against H
     s_r = _s_r(H, partition) if partition is not None else None
+    avg = average_degree(H)
     return IrregularityReport(
         n=H.n,
         m=H.m,
         r=H.r,
-        avg_degree=average_degree(H),
-        epsilon=epsilon(H, result),
+        avg_degree=avg,
+        epsilon=float(result.rho) - avg,  # epsilon(), checked by bound_suite
         s=s_measure(H),
         v=v_measure(H),
         s_r=s_r,

@@ -29,10 +29,18 @@ the Newton-Noda phase exists for; ``path_with_pendants`` builds one that
 neither phase converges on within a small budget.
 
 ``reference_blow_up``, ``reference_direct_product``,
-``reference_complete_r_partite``, ``reference_random_r_partite`` and
-``reference_symmetric_difference_size`` are the earlier tuple-set
-implementations of the constructions and of the edge-set difference. The
-edge-array versions must return the same hypergraphs and partitions.
+``reference_complete_r_partite`` and ``reference_symmetric_difference_size``
+are the earlier tuple-set implementations of the constructions and of the
+edge-set difference. The edge-array versions must return the same
+hypergraphs and partitions.
+
+``reference_random_uniform`` and ``reference_random_r_partite`` are the
+generators that drew one edge at a time, rejecting repeats and drawing the
+complement of a dense instance. Pinned outputs recorded with them are
+rebuilt with them, so those pins keep their digests. ``tuple_random_uniform``
+and ``tuple_random_r_partite`` draw the same codes as ``hgirr``'s generators,
+with one ``Generator.choice`` call, and decode them as tuples: by indexing
+the list of all r-subsets in colex order, and digit by digit.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ import numpy as np
 
 import hgirr.spectral
 from hgirr import EdgeTrace, HypergraphError, Partition, UniformHypergraph, build
-from hgirr.constructions import _sample_distinct
 from hgirr.core import components
 from hgirr.spectral import SpectralOptions, SpectralResult, residual
 
@@ -357,7 +364,52 @@ def reference_direct_product(H1, H2):
     return build(H1.r, H1.n * n2, sorted(edges))
 
 
+def _sample_distinct(rng, draw, want):
+    """Rejection-sample ``want`` distinct items; callers keep want at or below
+    half the universe so the expected number of draws stays linear."""
+    chosen = set()
+    while len(chosen) < want:
+        chosen.add(draw(rng))
+    return chosen
+
+
+def reference_random_uniform(n, m, r, seed):
+    """m distinct r-subsets, each drawn by its own choice call and rejected if
+    drawn before; above half of C(n, r), the complement is drawn instead."""
+    total = math.comb(n, r)
+    if not 0 <= m <= total:
+        raise HypergraphError(f"m={m} outside [0, C({n},{r})={total}]")
+    rng = np.random.default_rng(seed)
+
+    def draw(g: np.random.Generator):
+        return tuple(sorted(g.choice(n, size=r, replace=False) + 1))
+
+    if m <= total // 2:
+        chosen = _sample_distinct(rng, draw, m)
+    else:
+        excluded = _sample_distinct(rng, draw, total - m)
+        chosen = [
+            e for e in itertools.combinations(range(1, n + 1), r) if e not in excluded
+        ]
+    return build(r, n, chosen)
+
+
+def _reference_transversals(sizes, blocks, codes):
+    """The edge of each code: its mixed-radix digit j, least significant
+    first, picks the vertex of class j."""
+    edges = []
+    for code in sorted(codes):
+        edge = []
+        for s, block in zip(sizes, blocks):
+            edge.append(block[code % s])
+            code //= s
+        edges.append(tuple(edge))
+    return edges
+
+
 def reference_random_r_partite(sizes, m, seed):
+    """m distinct transversal codes, each drawn by its own integers call and
+    rejected if drawn before; above half the total, the complement is drawn."""
     sizes, blocks, P = _reference_class_layout(sizes)
     total = math.prod(sizes)
     if not 0 <= m <= total:
@@ -372,15 +424,27 @@ def reference_random_r_partite(sizes, m, seed):
     else:
         excluded = _sample_distinct(rng, draw, total - m)
         codes = set(range(total)) - excluded
+    return build(len(sizes), sum(sizes), _reference_transversals(sizes, blocks, codes)), P
 
-    edges = []
-    for code in sorted(codes):
-        edge = []
-        for s, block in zip(sizes, blocks):
-            edge.append(block[code % s])
-            code //= s
-        edges.append(tuple(edge))
-    return build(len(sizes), sum(sizes), edges), P
+
+def _one_choice(total, m, seed):
+    """The m distinct codes below total that hgirr's generators draw."""
+    rng = np.random.default_rng(seed)
+    return rng.choice(total, size=m, replace=False, shuffle=False).tolist()
+
+
+def tuple_random_uniform(n, m, r, seed):
+    """The codes of one choice call, each the index of its r-subset in the
+    list of all r-subsets sorted by their largest element, then the next."""
+    colex = sorted(itertools.combinations(range(1, n + 1), r), key=lambda e: e[::-1])
+    return build(r, n, [colex[c] for c in _one_choice(math.comb(n, r), m, seed)])
+
+
+def tuple_random_r_partite(sizes, m, seed):
+    """The codes of one choice call, decoded one digit at a time."""
+    sizes, blocks, P = _reference_class_layout(sizes)
+    codes = _one_choice(math.prod(sizes), m, seed)
+    return build(len(sizes), sum(sizes), _reference_transversals(sizes, blocks, codes)), P
 
 
 def reference_symmetric_difference_size(H1, H2):

@@ -15,7 +15,12 @@ import pytest
 import hgirr.cli
 import hgirr.core
 import hgirr.irregularity
-from helpers import loose_path, path_with_pendants
+from helpers import (
+    loose_path,
+    path_with_pendants,
+    reference_random_r_partite,
+    reference_random_uniform,
+)
 from hgirr import (
     build,
     complete_r_partite,
@@ -190,6 +195,15 @@ def test_verify_parameter_errors(capsys):
     assert main(["verify", "--partite", "0,2,2"]) == 2
     assert main(["verify", "--r", "1", "--n", "5"]) == 2
     assert main(["verify", "--count", "0"]) == 2
+    # more possible edges than int64 codes, for the instances or the weyl
+    # extra's instance on all sum(sizes) vertices; refused before any draw
+    assert main(["verify", "--r", "50", "--n", "100", "--count", "1"]) == 2
+    assert main(["verify", "--r", "3,40", "--n", "4:70", "--count", "1"]) == 2
+    assert main(["verify", "--partite", "300,300,300,300,300,300,300,300", "--count", "1"]) == 2
+    assert main(["verify", "--partite", ",".join(["2"] * 34), "--count", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: C(100, 50) possible edges exceed the int64 range" in err
+    assert "error: C(2400, 8) possible edges exceed" in err
 
 
 @pytest.mark.parametrize(
@@ -391,16 +405,30 @@ def _main_sha256(argv):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def test_verify_bytes_are_pinned():
+_PINNED_VERIFY_RUNS = (
+    ["verify", "--r", "2,3,4", "--n", "4:12", "--count", "300", "--seed", "7"],
+    ["verify", "--partite", "2,3,3", "--count", "100", "--seed", "3"],
+)
+
+
+def test_verify_bytes_are_pinned(monkeypatch):
+    # recorded when each generator came to draw all its edges in one call
+    got = [_main_sha256(argv) for argv in _PINNED_VERIFY_RUNS]
+    assert got == [
+        (0, "5d52a71736aebfe50904eda5e0bd647a0872691d4ef5dc029c91a13ef3ab623f"),
+        (0, "60b1ca932f9ea8f61d1477450e1c538f4013ed5d0bc503b88dba5dafc6fc0b3f"),
+    ]
     # digests recorded when the check-tolerance flag and the
     # " check_tol=1e-08" token of line 1 were removed; the other lines are
-    # those recorded before the verify tally became a single pass
-    assert _main_sha256(["verify", "--r", "2,3,4", "--n", "4:12", "--count", "300", "--seed", "7"]) == (
-        0, "738695238f6586e1b81bcef10cae2802544906c2bbccc5df41cb4d24c3fd72e1"
-    )
-    assert _main_sha256(["verify", "--partite", "2,3,3", "--count", "100", "--seed", "3"]) == (
-        0, "7d889b448bf6ee30c97cda7155d1f28e4b1a579a4f14f6a843d867a1aabd7b07"
-    )
+    # those recorded before the verify tally became a single pass. The
+    # generators of that time draw every instance again.
+    monkeypatch.setattr(hgirr.cli, "random_uniform", reference_random_uniform)
+    monkeypatch.setattr(hgirr.cli, "random_r_partite", reference_random_r_partite)
+    got = [_main_sha256(argv) for argv in _PINNED_VERIFY_RUNS]
+    assert got == [
+        (0, "738695238f6586e1b81bcef10cae2802544906c2bbccc5df41cb4d24c3fd72e1"),
+        (0, "7d889b448bf6ee30c97cda7155d1f28e4b1a579a4f14f6a843d867a1aabd7b07"),
+    ]
 
 
 def test_verify_deterministic_across_processes():
@@ -443,8 +471,8 @@ def _analyze_json_sha256(tmp_path, text):
 def test_analyze_json_bytes_are_pinned(tmp_path):
     # digests recorded with the per-edge Python implementation of parsing,
     # components, the kernel and the edge products
-    uniform = random_uniform(2000, 20000, 3, seed=1)
-    partite, partition = random_r_partite((20, 25, 30), 400, seed=3)
+    uniform = reference_random_uniform(2000, 20000, 3, seed=1)
+    partite, partition = reference_random_r_partite((20, 25, 30), 400, seed=3)
     union = union_edges(
         build(3, 11, [[1, 2, 3], [3, 4, 5], [1, 5, 6]]),
         build(3, 11, [[7, 8, 9], [8, 9, 10]]),

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from helpers import (
     reference_blow_up,
     reference_complete_r_partite,
     reference_direct_product,
-    reference_random_r_partite,
     reference_symmetric_difference_size,
+    tuple_random_r_partite,
+    tuple_random_uniform,
 )
 from hgirr import (
     HypergraphError,
@@ -25,6 +28,7 @@ from hgirr import (
     symmetric_difference_size,
     validate_partition,
 )
+from hgirr.constructions import _colex_subsets
 
 
 def enumerate_transversals(sizes):
@@ -131,8 +135,10 @@ def test_random_uniform_forced_single_edge():
 
 
 def test_random_uniform_saturation():
-    H = random_uniform(5, math.comb(5, 3), 3, seed=0)
-    assert H.edges == tuple(itertools.combinations(range(1, 6), 3))
+    for n, r in [(5, 3), (4, 2), (7, 7)]:
+        H = random_uniform(n, math.comb(n, r), r, seed=0)
+        assert H.edges == tuple(itertools.combinations(range(1, n + 1), r))
+        assert random_uniform(n, 0, r, seed=0) == build(r, n, [])
 
 
 def test_random_uniform_deterministic():
@@ -150,11 +156,65 @@ def test_random_uniform_rejects_infeasible():
         random_uniform(5, -1, 3, seed=0)
 
 
-def test_random_uniform_complement_branch_uniformity():
-    # m just above half the space exercises complement sampling
-    total = math.comb(6, 3)
-    H = random_uniform(6, total - 3, 3, seed=5)
-    assert H.m == total - 3
+@pytest.mark.parametrize(
+    "n, r", [(2, 2), (5, 2), (6, 3), (7, 4), (8, 7), (9, 9), (10, 5), (100, 99)]
+)
+def test_colex_unranking_is_a_bijection_onto_the_r_subsets(n, r):
+    # at (100, 99), C(a, i) exceeds int64 for some a < 100 and i < 99
+    rows = _colex_subsets(np.arange(math.comb(n, r), dtype=np.int64), n, r)
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert sorted(map(tuple, rows.tolist())) == list(itertools.combinations(range(n), r))
+    assert random_uniform(n, math.comb(n, r), r, seed=0).edge_array.tolist() == sorted(
+        rows.tolist()
+    )
+
+
+def test_colex_unranking_reaches_the_top_of_int64():
+    # C(66, 33) is the largest C(n, n/2) below 2^63
+    n, r = 66, 33
+    total = math.comb(n, r)
+    codes = np.array([0, 1, total // 3, total - 2, total - 1], dtype=np.int64)
+    for code, row in zip(codes.tolist(), _colex_subsets(codes, n, r).tolist()):
+        assert row == sorted(set(row)) and 0 <= row[0] and row[-1] < n
+        assert sum(math.comb(c, i) for i, c in enumerate(row, 1)) == code
+
+
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_random_uniform_outcomes_are_uniform(m):
+    # every m-set of the 10 edges of K_5 is equally likely: a chi-square
+    # statistic over all C(10, m) outcomes, bounded far above its mean
+    draws = 4000
+    outcomes = math.comb(10, m)
+    seen = Counter(random_uniform(5, m, 2, seed=s).edges for s in range(draws))
+    assert len(seen) == outcomes
+    expected = draws / outcomes
+    chi2 = sum((seen[key] - expected) ** 2 / expected for key in seen)
+    assert chi2 < outcomes + 6 * math.sqrt(2 * outcomes)
+
+
+def test_random_r_partite_outcomes_are_uniform():
+    draws = 3000
+    seen = Counter(random_r_partite([2, 3], 2, seed=s)[0].edges for s in range(draws))
+    outcomes = math.comb(6, 2)
+    assert len(seen) == outcomes
+    expected = draws / outcomes
+    chi2 = sum((seen[key] - expected) ** 2 / expected for key in seen)
+    assert chi2 < outcomes + 6 * math.sqrt(2 * outcomes)
+
+
+def test_random_uniform_beyond_int64_codes():
+    # C(100, 50) > 2^63 is more than choice can draw from
+    H = random_uniform(100, 5, 50, 1)
+    assert (H.r, H.n, H.m) == (50, 100, 5)
+    assert H == random_uniform(100, 5, 50, 1)
+
+
+def test_random_uniform_draws_two_hundred_thousand_edges_in_time():
+    # about 0.2 s on a 2-vCPU VM; one choice call per edge took 4 s
+    start = time.perf_counter()
+    H = random_uniform(20000, 200000, 3, seed=1)
+    assert time.perf_counter() - start < 2.0
+    assert H.m == 200000
 
 
 def test_random_r_partite_saturation():
@@ -162,6 +222,7 @@ def test_random_r_partite_saturation():
     H, P = random_r_partite([2, 2, 2], 8, seed=3)
     assert H == complete
     assert validate_partition(H, P)
+    assert random_r_partite([2, 2, 2], 0, seed=3)[0] == build(3, 6, [])
 
 
 def test_random_r_partite_single_edge():
@@ -186,6 +247,8 @@ def test_random_r_partite_deterministic():
 def test_random_r_partite_rejects_infeasible():
     with pytest.raises(HypergraphError):
         random_r_partite([2, 2, 2], 9, seed=0)
+    with pytest.raises(HypergraphError, match="exceed the int64 range"):
+        random_r_partite([300] * 8, 1, seed=0)
 
 
 def _small_instance(rng, r, max_n, max_m):
@@ -230,9 +293,13 @@ def test_constructions_match_the_tuple_oracle(r):
         m = int(rng.integers(0, total + 1))
         seed = int(rng.integers(0, 2**32))
         got, got_p = random_r_partite(sizes, m, seed)
-        want, want_p = reference_random_r_partite(sizes, m, seed)
+        want, want_p = tuple_random_r_partite(sizes, m, seed)
         _same(got, want)
         assert got_p == want_p
+
+        n = int(rng.integers(r, 9))
+        m = int(rng.integers(0, math.comb(n, r) + 1))
+        _same(random_uniform(n, m, r, seed), tuple_random_uniform(n, m, r, seed))
 
 
 @pytest.mark.parametrize(

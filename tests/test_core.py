@@ -301,7 +301,7 @@ def test_components_match_bfs_oracle():
     for i in range(200):
         if i % 3 == 0:
             n = int(rng.integers(3, 30))
-            H = random_uniform(n, int(rng.integers(0, n)), 3, rng)
+            H = random_uniform(n, int(rng.integers(0, min(n, math.comb(n, 3) + 1))), 3, rng)
         elif i % 3 == 1:
             H = _blocky(rng)
         else:

@@ -29,7 +29,9 @@ from hgirr import (
     weyl_check,
 )
 
+from helpers import loose_path, path_with_pendants, star_with_tail
 from hgirr.irregularity import _edge_degree_products
+from hgirr.spectral import SpectralOptions
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -258,6 +260,59 @@ def test_result_consumers_refuse_what_bound_suite_refuses(
         spectral = dataclasses.replace(spectral_radius(two_path), bracket=spectral)
     with pytest.raises(error, match=message):
         consumer(two_path, spectral)
+
+
+_CONSUMERS = {
+    "bound_suite": lambda H, res, opts=None: bound_suite(H, res, None, opts),
+    "epsilon": lambda H, res, opts=None: epsilon(H, res),
+    "weyl_check": lambda H, res, opts=None: weyl_check(H, res, H, opts),
+}
+
+
+@pytest.mark.parametrize("consumer", _CONSUMERS.values(), ids=_CONSUMERS.keys())
+def test_result_consumers_refuse_another_hypergraphs_result(two_path, consumer):
+    # same n = 5, but 8 edges and rho about 4.82: accepted, it made four
+    # bounds fail and gave epsilon 3.62 instead of about 0.06
+    other = build(
+        3,
+        5,
+        [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5], [3, 4, 5]],
+    )
+    with pytest.raises(ValueError, match=r"misses the ratios .* on H"):
+        consumer(two_path, spectral_radius(other))
+    six = build(3, 6, [[1, 2, 3], [1, 4, 5]])
+    with pytest.raises(ValueError, match=r"expected a vector of length 5, got shape \(6,\)"):
+        consumer(two_path, spectral_radius(six))
+    zero = dataclasses.replace(spectral_radius(two_path), perron_vector=np.zeros(5))
+    with pytest.raises(ValueError, match=r"misses the ratios \[inf, -inf\]"):
+        consumer(two_path, zero)
+
+
+@pytest.mark.parametrize(
+    "H, opts",
+    [
+        (union_edges(build(3, 12, [[1, 2, 3]]), star_with_tail(4, 1)), None),
+        (build(2, 4, [[1, 2]]), None),
+        (build(4, 6, []), None),
+        (path_with_pendants(1), SpectralOptions(max_iterations=300)),
+        (path_with_pendants(2), SpectralOptions(max_iterations=1500)),
+        (loose_path(3, 120), None),
+        (random_uniform(12, 90, 3, seed=4), SpectralOptions(max_iterations=1)),
+    ],
+    ids=[
+        "disconnected",
+        "isolated-vertices",
+        "edgeless",
+        "unconverged",
+        "rejected-newton",
+        "newton",
+        "one-iteration",
+    ],
+)
+def test_result_consumers_accept_every_genuine_result(H, opts):
+    res = spectral_radius(H, opts)
+    for consumer in _CONSUMERS.values():
+        consumer(H, res, opts)
 
 
 def test_suite_holds_at_derived_tolerance_on_random_instances():
