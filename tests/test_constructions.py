@@ -179,27 +179,25 @@ def test_colex_unranking_reaches_the_top_of_int64():
         assert sum(math.comb(c, i) for i, c in enumerate(row, 1)) == code
 
 
-@pytest.mark.parametrize("m", [1, 2, 9])
-def test_random_uniform_outcomes_are_uniform(m):
-    # every m-set of the 10 edges of K_5 is equally likely: a chi-square
-    # statistic over all C(10, m) outcomes, bounded far above its mean
-    draws = 4000
-    outcomes = math.comb(10, m)
-    seen = Counter(random_uniform(5, m, 2, seed=s).edges for s in range(draws))
+def _assert_uniform(draw, draws, outcomes):
+    """Every outcome of draw(seed) appears, and the chi-square statistic of
+    their counts stays within six standard deviations above its mean."""
+    seen = Counter(draw(seed).edges for seed in range(draws))
     assert len(seen) == outcomes
     expected = draws / outcomes
-    chi2 = sum((seen[key] - expected) ** 2 / expected for key in seen)
+    chi2 = sum((count - expected) ** 2 / expected for count in seen.values())
     assert chi2 < outcomes + 6 * math.sqrt(2 * outcomes)
+
+
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_random_uniform_outcomes_are_uniform(m):
+    # every m-set of the 10 edges of K_5 is equally likely
+    _assert_uniform(lambda seed: random_uniform(5, m, 2, seed), 4000, math.comb(10, m))
 
 
 def test_random_r_partite_outcomes_are_uniform():
-    draws = 3000
-    seen = Counter(random_r_partite([2, 3], 2, seed=s)[0].edges for s in range(draws))
-    outcomes = math.comb(6, 2)
-    assert len(seen) == outcomes
-    expected = draws / outcomes
-    chi2 = sum((seen[key] - expected) ** 2 / expected for key in seen)
-    assert chi2 < outcomes + 6 * math.sqrt(2 * outcomes)
+    # every pair of the 6 transversals of classes {1, 2} | {3, 4, 5}
+    _assert_uniform(lambda seed: random_r_partite([2, 3], 2, seed)[0], 3000, math.comb(6, 2))
 
 
 def test_random_uniform_beyond_int64_codes():

@@ -271,8 +271,7 @@ _CONSUMERS = {
 
 @pytest.mark.parametrize("consumer", _CONSUMERS.values(), ids=_CONSUMERS.keys())
 def test_result_consumers_refuse_another_hypergraphs_result(two_path, consumer):
-    # same n = 5, but 8 edges and rho about 4.82: accepted, it made four
-    # bounds fail and gave epsilon 3.62 instead of about 0.06
+    # the same n = 5, but 8 edges: its bracket lies far above two_path's rho
     other = build(
         3,
         5,
