@@ -19,6 +19,7 @@ byte-deterministic for fixed inputs, flags, and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import Counter
@@ -455,7 +456,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ main
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args keeps no
+    state in it, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="hgirr",
         description="Spectral radius and irregularity measures of r-uniform hypergraphs.",

@@ -216,6 +216,13 @@ def _edge_degree_products(H: UniformHypergraph) -> np.ndarray:
     return deg[H.edge_array].prod(axis=1)
 
 
+def _fold(terms) -> float:
+    """The sum of float terms, added left to right with a rounding after each
+    addition. Python's builtin sum does that up to 3.11 but is compensated
+    from 3.12 on, so it would make the bits depend on the Python version."""
+    return float(np.add.accumulate(np.asarray(terms, dtype=np.float64))[-1])
+
+
 def _certified_tolerance(certified: float) -> float:
     return 10.0 * (certified + 1e-9)
 
@@ -329,11 +336,13 @@ def bound_suite(
         log_max = math.log(int(edge_products.max()))
         tol_gm = _certified_tolerance(cert_powered + gamma_m * scale * (1.0 + log_max))
         tol_hm = _certified_tolerance(cert_powered + gamma_m * scale)
-        # sequential sums over Python floats, as the bits of gm and hm
-        # depend on the summation order
-        gm = math.exp(sum(map(math.log, edge_products.tolist())) / m)
+        # left-to-right folds, as the bits of gm and hm depend on the
+        # summation order; math.log of each exact product, which np.log
+        # can miss by an ulp
+        logs = np.fromiter(map(math.log, edge_products.tolist()), np.float64, m)
+        gm = math.exp(_fold(logs) / m)
         checks.append(_check("gm_lower", gm, rho**r, tol_gm, **if_constant))
-        hm = m / sum((1.0 / edge_products).tolist())
+        hm = m / _fold(1.0 / edge_products)
         checks.append(_check("hm_lower", hm, rho**r, tol_hm, **if_constant))
 
     alpha = r / (r - 1)

@@ -6,6 +6,9 @@ product per incident edge:
 
     (A x)_i = sum over edges e containing i of prod_{j in e, j != i} x_j.
 
+The kernel that applies it is built once per edge array, with its buffers;
+every step of a solve phase on that array reuses them.
+
 The spectral radius is the largest eigenvalue of A in the sense
 A x = lambda x^[r-1], computed here per connected component by a shifted
 power iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 31, 2009). The
@@ -122,29 +125,59 @@ class SpectralResult:
         return 0.5 * (self.bracket[1] - self.bracket[0])
 
 
-def _apply_adjacency_edges(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(A x)_i over a 0-based (m, r) edge array: per-edge prefix/suffix
-    products of the other members' entries, scattered by bincount. No product
-    is divided back out, so x may have zero entries.
+def _kernel(edges: np.ndarray, n: int):
+    """apply(x) = (A x)_i for one 0-based (m, r) edge array on n vertices.
 
-    Column j of the (m, r) buffer gets the prefix x_0 * ... * x_(j-1),
-    multiplied left to right, times the suffix x_(r-1) * ... * x_(j+1),
-    multiplied right to left; the suffix of column 0 is written as is."""
-    n = x.shape[0]
+    The buffers and the list of products are made here once; a call of
+    apply gathers x, multiplies in place, scatters by bincount and returns a
+    fresh array. Column j of the (m, r)
+    product buffer gets the prefix x_0 * ... * x_(j-1), multiplied left to
+    right, times the suffix x_(r-1) * ... * x_(j+1), multiplied right to
+    left; the running suffix is kept in column 0, which ends as the whole
+    suffix. No product is divided back out, so x may have zero entries. For
+    r = 2 each product is the other member's entry alone, so the gather
+    reads the columns swapped straight into the product buffer."""
     m, r = edges.shape
     if m == 0:
-        return np.zeros(n, dtype=np.float64)
-    vals = x[edges]
-    contrib = np.empty((m, r))
-    contrib[:, 1] = vals[:, 0]
-    for j in range(2, r):
-        np.multiply(contrib[:, j - 1], vals[:, j - 1], out=contrib[:, j])
-    suffix = vals[:, r - 1].copy()
+        return lambda x: np.zeros(n, dtype=np.float64)
+    # np.bincount copies a read-only index array on every call (numpy asks
+    # for a writeable one), so the kernel keeps a writable one
+    index = np.ascontiguousarray(edges).ravel()
+    if not index.flags.writeable:
+        index = index.copy()
+    out = np.empty((m, r))
+    weights = out.ravel()
+    if r == 2:
+        source, gathered = edges[:, ::-1].ravel(), out
+    else:
+        source, gathered = index, np.empty((m, r))
+    flat = gathered.ravel()
+    v = [gathered[:, j] for j in range(r)]
+    c = [out[:, j] for j in range(r)]
+    products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
+    suffix = v[r - 1]
     for j in range(r - 2, 0, -1):
-        contrib[:, j] *= suffix
-        suffix *= vals[:, j]
-    contrib[:, 0] = suffix
-    return np.bincount(edges.ravel(), weights=contrib.ravel(), minlength=n)
+        products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
+        suffix = c[0]
+    multiply = np.multiply
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        # mode="clip" gathers straight into the buffer, where the default
+        # mode="raise" makes numpy gather into a temporary first. Clipping
+        # changes nothing only because every edge array that reaches a kernel
+        # belongs to a validated UniformHypergraph (0 <= id < n) and x has
+        # length n.
+        x.take(source, None, flat, "clip")
+        for left, right, into in products:
+            multiply(left, right, into)
+        return np.bincount(index, weights, n)
+
+    return apply
+
+
+def _apply_adjacency_edges(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(A x)_i over a 0-based (m, r) edge array, from a one-off _kernel."""
+    return _kernel(edges, x.shape[0])(x)
 
 
 def apply_adjacency(H: UniformHypergraph, x) -> np.ndarray:
@@ -163,19 +196,26 @@ def residual(H: UniformHypergraph, rho: float, x) -> float:
     return float(gap / max(1.0, rho))
 
 
+# The reductions behind ndarray.min, ndarray.max and np.sum, called without
+# their Python wrappers; each gives the same bits.
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
+
 def _norm_r(x: np.ndarray, r: int) -> float:
-    return float(np.sum(x**r) ** (1.0 / r))
+    return float(_sum(x**r) ** (1.0 / r))
 
 
 def _shifted_ratios(
-    edges: np.ndarray, x: np.ndarray, sigma: float | np.ndarray, r: int
+    apply, x: np.ndarray, sigma: float | np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """y = A x + sigma * x^[r-1] and the Collatz-Wielandt ratios y_i / x_i^(r-1).
+    """y = A x + sigma * x^[r-1] and the Collatz-Wielandt ratios y_i / x_i^(r-1),
+    with A x from the _kernel ``apply``.
 
     For positive x the ratios' min and max enclose rho + sigma; every phase
     of the solve, batched or not, certifies through this one function."""
     xp = x ** (r - 1)
-    y = _apply_adjacency_edges(edges, x) + sigma * xp
+    y = apply(x)
+    y += sigma * xp
     return y, y / xp
 
 
@@ -188,13 +228,14 @@ def _power_steps(
     of y; it stops once the ratios are relatively narrower than ``tol``.
     Returns (x, lo, hi, iterations, converged): lo and hi are the shifted
     ratio bounds of the iterate before the last update."""
+    apply = _kernel(edges, x.shape[0])
     root = 1.0 / (r - 1)
     lo = hi = 0.0
     steps = 0
     for steps in range(1, budget + 1):
-        y, ratios = _shifted_ratios(edges, x, sigma, r)
-        lo = float(ratios.min())
-        hi = float(ratios.max())
+        y, ratios = _shifted_ratios(apply, x, sigma, r)
+        lo = float(_min(ratios))
+        hi = float(_max(ratios))
         x = y**root
         x /= _norm_r(x, r)
         if hi - lo <= tol * max(1.0, hi):
@@ -272,8 +313,9 @@ def _newton_steps(
     early, unconverged, at the last accepted iterate.
     Returns (x, lo, hi, steps, converged) with lo and hi the shifted ratio
     bounds of the returned x itself."""
-    _, ratios = _shifted_ratios(edges, x, sigma, r)
-    lo, hi = float(ratios.min()), float(ratios.max())
+    apply = _kernel(edges, x.shape[0])
+    _, ratios = _shifted_ratios(apply, x, sigma, r)
+    lo, hi = float(_min(ratios)), float(_max(ratios))
     steps = 0
     while hi - lo > tol * max(1.0, hi):
         if steps == budget:
@@ -286,12 +328,12 @@ def _newton_steps(
             if not (cand > 0).all():
                 continue
             cand /= _norm_r(cand, r)
-            _, ratios = _shifted_ratios(edges, cand, sigma, r)
-            if float(ratios.max()) <= hi:
+            _, ratios = _shifted_ratios(apply, cand, sigma, r)
+            if float(_max(ratios)) <= hi:
                 break
         else:
             return x, lo, hi, steps, False
-        x, lo, hi = cand, float(ratios.min()), float(ratios.max())
+        x, lo, hi = cand, float(_min(ratios)), float(_max(ratios))
         steps += 1
     return x, lo, hi, steps, True
 
@@ -310,8 +352,8 @@ def _finish_component(
     """Certified spectral radius of one connected component, continued from
     the state (x, lo, hi, iterations, converged) in which _solve_group hands
     it over: x after ``iterations`` power iterations, lo and hi the shifted
-    ratio bounds of the last. ``edges`` is the component's writable 0-based
-    edge array and sigma its maximum degree.
+    ratio bounds of the last. ``edges`` is the component's 0-based edge
+    array and sigma its maximum degree.
 
     An open component runs power iterations up to min(_NEWTON_AFTER,
     max_iterations) in all, then safeguarded Newton-Noda steps; if a step
@@ -385,11 +427,12 @@ def _solve_group(
         if moved:
             vstart = np.cumsum(vlen) - vlen
             edges = local + np.repeat(vstart, elen)[:, None]
+            apply = _kernel(edges, x.shape[0])
             sigma_v = np.repeat(sigma, vlen)
             cuts = [0, *(np.flatnonzero(np.diff(vlen)) + 1).tolist(), len(vlen)]
             runs = [(int(vstart[a]), b - a, int(vlen[a])) for a, b in zip(cuts, cuts[1:])]
             moved = False
-        y, ratios = _shifted_ratios(edges, x, sigma_v, r)
+        y, ratios = _shifted_ratios(apply, x, sigma_v, r)
         lo = np.minimum.reduceat(ratios, vstart)
         hi = np.maximum.reduceat(ratios, vstart)
         x = y**root
@@ -413,10 +456,8 @@ def _solve_group(
     pieces = np.split(x, np.cumsum(vlen)[:-1])
     for c, x_c, sigma_c, lo_c, hi_c in zip(ids, pieces, sigma, lo, hi):
         states[c] = (float(sigma_c), (x_c, float(lo_c), float(hi_c), step, False))
-    # np.bincount copies a read-only index array on every call (numpy asks
-    # for a writeable one), so each component goes on with a writable copy
     return [
-        _finish_component(sub.edge_array.copy(), sigma_c, r, opts, *state)
+        _finish_component(sub.edge_array, sigma_c, r, opts, *state)
         for sub, (sigma_c, state) in zip(subs, states)
     ]
 

@@ -41,6 +41,10 @@ rebuilt with them, so those pins keep their digests. ``tuple_random_uniform``
 and ``tuple_random_r_partite`` draw the same codes as ``hgirr``'s generators,
 with one ``Generator.choice`` call, and decode them as tuples: by indexing
 the list of all r-subsets in colex order, and digit by digit.
+
+``compensated_sum`` adds floats the way Python 3.12's builtin ``sum`` does
+(Neumaier's compensated summation), so that a test on an older Python can
+check that no pinned figure depends on which ``sum`` it gets.
 """
 
 from __future__ import annotations
@@ -55,6 +59,20 @@ import hgirr.spectral
 from hgirr import EdgeTrace, HypergraphError, Partition, UniformHypergraph, build
 from hgirr.core import components
 from hgirr.spectral import SpectralOptions, SpectralResult, residual
+
+
+def compensated_sum(values, start=0):
+    """sum(values, start) with Neumaier's compensation, as in Python 3.12."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        value = float(value)
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
 
 
 def coupled_tol(*results, base: float = 1e-9) -> float:

@@ -16,6 +16,7 @@ import hgirr.cli
 import hgirr.core
 import hgirr.irregularity
 from helpers import (
+    compensated_sum,
     loose_path,
     path_with_pendants,
     reference_random_r_partite,
@@ -294,6 +295,17 @@ def test_readme_synopsis_lists_every_flag():
                 )
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    path = tmp_path / "star.hgr"
+    path.write_text(STAR)
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 3
+    # the flag of the call before must not stick to the shared parser
+    assert main(["analyze", str(path)]) == 0
+    assert not capsys.readouterr().out.startswith("{")
+
+
 def test_regularize_command(tmp_path, capsys):
     src = tmp_path / "star.hgr"
     src.write_text(STAR)
@@ -486,6 +498,14 @@ def test_analyze_json_bytes_are_pinned(tmp_path):
     assert _analyze_json_sha256(tmp_path, write_hgr(union)) == (
         0, "45bfef53ac50342ab46a1b06bc543e104adfcb4ccc1011b9f298b8384f7bdebf"
     )
+
+
+def test_analyze_bytes_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    # Python 3.12 made the builtin sum of floats compensated; the gm_lower and
+    # hm_lower means must come out the same on every supported Python
+    assert compensated_sum([0.1] * 10 + [1e16, 1.0, -1e16]) == 2.0
+    monkeypatch.setattr(hgirr.irregularity, "sum", compensated_sum, raising=False)
+    test_analyze_json_bytes_are_pinned(tmp_path)
 
 
 def test_analyze_checks_an_inline_partition_twice(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hgirr.irregularity
 from hgirr import (
     HypergraphError,
     Partition,
@@ -29,7 +30,7 @@ from hgirr import (
     weyl_check,
 )
 
-from helpers import loose_path, path_with_pendants, star_with_tail
+from helpers import compensated_sum, loose_path, path_with_pendants, star_with_tail
 from hgirr.irregularity import _edge_degree_products
 from hgirr.spectral import SpectralOptions
 
@@ -459,6 +460,12 @@ def test_edge_degree_products_fall_back_to_exact_integers():
         for name, (lhs, rhs) in values.items():
             check = by_name(checks, name)
             assert (check.lhs, check.rhs) == (lhs, rhs), (label, name)
+
+
+def test_exact_integer_means_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # the Python 3.12 sum, compensated, must leave the pinned means as they are
+    monkeypatch.setattr(hgirr.irregularity, "sum", compensated_sum, raising=False)
+    test_edge_degree_products_fall_back_to_exact_integers()
 
 
 def test_edge_degree_products_in_int64_match_python_integers():

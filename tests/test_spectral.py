@@ -39,6 +39,7 @@ from hgirr import (
 from hgirr.spectral import (
     _NEWTON_AFTER,
     _apply_adjacency_edges,
+    _kernel,
     _pair_products,
     _solve_group,
     _spectral_radii,
@@ -413,6 +414,28 @@ def test_kernel_bit_identical_to_cumprod_oracle(r):
         assert np.array_equal(got, reference_apply_adjacency_edges(edges, x))
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_kernel_reused_across_calls_matches_the_oracle(r):
+    # one kernel, many vectors: every result is its own array, so later calls
+    # through the same buffers must leave the earlier results as they were
+    rng = np.random.default_rng(430 + r)
+    n = 40
+    canonical = random_uniform(n, 150, r, rng).edge_array
+    scrambled = rng.integers(0, n, size=(90, r))
+    for edges in (canonical, scrambled):
+        apply = _kernel(edges, n)
+        results = []
+        for _ in range(4):
+            x = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            x[rng.random(n) < 0.2] = 0.0
+            got = apply(x)
+            want = reference_apply_adjacency_edges(edges, x)
+            assert np.array_equal(got, want)
+            results.append((got, want.copy()))
+        for got, want in results:
+            assert np.array_equal(got, want)
+
+
 def test_kernel_without_edges_matches_oracle():
     x = np.linspace(0.0, 1.0, 7)
     for r in (2, 5):
@@ -661,19 +684,24 @@ def test_batch_steps_only_while_two_components_are_open(kind, monkeypatch):
     else:
         H = loose_path(3, 40)
     products, power_calls = [], []
-    real_apply = hgirr.spectral._apply_adjacency_edges
+    real_kernel = hgirr.spectral._kernel
     real_power = hgirr.spectral._power_steps
 
-    def recorded_apply(edges, x):
-        if not power_calls:
-            products.append(edges)
-        return real_apply(edges, x)
+    def recorded_kernel(edges, n):
+        apply = real_kernel(edges, n)
+
+        def recorded_apply(x):
+            if not power_calls:
+                products.append(edges)
+            return apply(x)
+
+        return recorded_apply
 
     def recorded_power(edges, x, sigma, r, tol, budget):
         power_calls.append((edges.shape[0], x.shape[0], budget))
         return real_power(edges, x, sigma, r, tol, budget)
 
-    monkeypatch.setattr(hgirr.spectral, "_apply_adjacency_edges", recorded_apply)
+    monkeypatch.setattr(hgirr.spectral, "_kernel", recorded_kernel)
     monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
     res = spectral_radius(H)
     assert res.converged and res.iterations > _NEWTON_AFTER
