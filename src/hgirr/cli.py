@@ -60,6 +60,9 @@ from .spectral import SpectralOptions, _spectral_radii, spectral_radius
 # Instances that verify generates and solves together: enough for one power
 # iteration to serve many components, few enough to hold little memory.
 _VERIFY_BLOCK = 100
+# The most possible edges, C(n, r), that verify accepts: a random m, and the
+# Weyl spot check's, can reach C(n, r) edges in one instance.
+_VERIFY_MAX_EDGES = 10**6
 
 _EXTRA_ORDER = (
     "blow_up_law",
@@ -321,8 +324,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         widest = [(max(r, n_range[1]), r) for r in r_choices]
     # every edge count and every edge is drawn as an int64 code
     for n, r in widest:
-        if math.comb(n, r) > np.iinfo(np.int64).max:
+        possible = math.comb(n, r)
+        if possible > np.iinfo(np.int64).max:
             return _fail(f"C({n}, {r}) possible edges exceed the int64 range of edge codes")
+        if possible > _VERIFY_MAX_EDGES:
+            return _fail(
+                f"C({n}, {r}) = {possible} possible edges exceed verify's cap of "
+                f"{_VERIFY_MAX_EDGES}"
+            )
 
     counts: Counter[tuple[str, str]] = Counter()  # (name, "pass" | "fail" | "skip")
     min_slack: dict[str, float] = {}

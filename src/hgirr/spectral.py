@@ -11,10 +11,13 @@ every step of a solve phase on that array reuses them.
 
 The spectral radius is the largest eigenvalue of A in the sense
 A x = lambda x^[r-1], computed here per connected component by a shifted
-power iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 31, 2009). The
-shift keeps the iteration strictly positive and makes the min/max ratio
-bracket converge on connected components; the bracket provides a rigorous
-stopping criterion and a certified error bound.
+power iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 31, 2009) on
+A + sigma I, with sigma = D * _SHIFT for the component's maximum degree D.
+The shift keeps the iteration strictly positive and makes it converge on a
+connected component (see SpectralOptions). The min/max ratio bracket of
+A + sigma I, shifted back by sigma, is the stopping criterion and the
+certified error bound; its tolerance is relative to rho + sigma. The
+rounding pad of the bracket is keyed on D, not on sigma.
 
 The power iteration contracts at about 1 - O(1/k^2) per step on a loose path
 with k edges, so a component that has not converged after _NEWTON_AFTER
@@ -60,6 +63,11 @@ _HALVINGS = 10
 # certificate, which is the ratio bracket of whatever iterate is accepted.
 _CG_TOL = 1e-8
 _CG_STEPS_PER_VERTEX = 4
+# The power iteration shifts each component by this fraction of its maximum
+# degree D (see SpectralOptions). A quarter halves the iterations of random
+# instances against the whole of D; an eighth saves a little more on them but
+# doubles those of non-regular bipartite graphs.
+_SHIFT = 0.25
 # Unit roundoff of float64.
 _U = float(np.finfo(np.float64).eps) / 2
 
@@ -78,9 +86,23 @@ class SpectralOptions:
     ``tolerance``, in (0, 1), bounds the relative width of the eigenvalue
     bracket at convergence (a bracket as wide as rho itself certifies
     nothing); ``max_iterations`` caps, per component, the power iterations
-    plus the Newton steps taken together. The diagonal shift is not a
-    setting: it is always the component's maximum degree, which guarantees
-    convergence on connected components.
+    plus the Newton steps taken together. The bracket is that of A + sigma I,
+    so the width it bounds is relative to rho + sigma.
+
+    The diagonal shift is not a setting: sigma is a fixed fraction, _SHIFT,
+    of the component's maximum degree. Any sigma > 0 makes the power
+    iteration converge on a connected component. The adjacency tensor of a
+    uniform hypergraph is weakly irreducible exactly when the hypergraph is
+    connected (Pearson and Zhang, Graphs Combin. 30, 2014). Adding sigma > 0
+    on the diagonal adds a positive diagonal to its irreducible
+    representative matrix, which makes that matrix primitive, so A + sigma I
+    is weakly primitive; and for a weakly primitive nonnegative tensor the
+    normalized power iteration converges to the positive eigenvector
+    (Friedland, Gaubert and Han, Linear Algebra Appl. 438, 2013, where both
+    notions are defined). That says nothing about the rate: a large sigma
+    pulls every eigenvalue ratio toward 1, and a small one slows connected
+    odd-bipartite inputs, bipartite graphs among them, which have the
+    eigenvalue -rho (Shao, Shan and Wu, Linear Multilinear Algebra 63, 2015).
     """
 
     tolerance: float = 1e-10
@@ -340,7 +362,7 @@ def _newton_steps(
 
 def _finish_component(
     edges: np.ndarray,
-    sigma: float,
+    degree: float,
     r: int,
     opts: SpectralOptions,
     x: np.ndarray,
@@ -353,7 +375,8 @@ def _finish_component(
     the state (x, lo, hi, iterations, converged) in which _solve_group hands
     it over: x after ``iterations`` power iterations, lo and hi the shifted
     ratio bounds of the last. ``edges`` is the component's 0-based edge
-    array and sigma its maximum degree.
+    array and ``degree`` its maximum degree D, which it is shifted by
+    sigma = D * _SHIFT.
 
     An open component runs power iterations up to min(_NEWTON_AFTER,
     max_iterations) in all, then safeguarded Newton-Noda steps; if a step
@@ -363,6 +386,7 @@ def _finish_component(
     shifted back and padded, iterations counting Newton steps too.
     """
     tol, budget = opts.tolerance, opts.max_iterations
+    sigma = degree * _SHIFT
     first = min(_NEWTON_AFTER, budget)
     if not converged and iterations < first:
         x, lo, hi, steps, converged = _power_steps(
@@ -383,7 +407,7 @@ def _finish_component(
     # before the bracket can be called certified. Each ratio is a sequential
     # bincount sum of d_i products of r - 1 positive factors, plus the shift
     # term, divided once: fewer than max degree + 2r + 4 roundings.
-    noise = _gamma(int(sigma) + 2 * r + 4) * max(1.0, hi)
+    noise = _gamma(int(degree) + 2 * r + 4) * max(1.0, hi)
     bracket = (lo - sigma - noise, hi - sigma + noise)
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
 
@@ -415,7 +439,7 @@ def _solve_group(
     ids = np.array(order)
     vlen = np.array([subs[c].n for c in order])
     elen = np.array([subs[c].m for c in order])
-    sigma = np.array([subs[c].degree_array.max() for c in order], dtype=np.float64)
+    degree = np.array([subs[c].degree_array.max() for c in order], dtype=np.float64)
     lo = hi = np.zeros(len(subs))
     local = np.concatenate([subs[c].edge_array for c in order])
     x = np.repeat([n ** (-1.0 / r) for n in vlen.tolist()], vlen)
@@ -428,7 +452,7 @@ def _solve_group(
             vstart = np.cumsum(vlen) - vlen
             edges = local + np.repeat(vstart, elen)[:, None]
             apply = _kernel(edges, x.shape[0])
-            sigma_v = np.repeat(sigma, vlen)
+            sigma_v = np.repeat(degree * _SHIFT, vlen)
             cuts = [0, *(np.flatnonzero(np.diff(vlen)) + 1).tolist(), len(vlen)]
             runs = [(int(vstart[a]), b - a, int(vlen[a])) for a, b in zip(cuts, cuts[1:])]
             moved = False
@@ -446,19 +470,19 @@ def _solve_group(
             for j in np.flatnonzero(done).tolist():
                 v0 = int(vstart[j])
                 state = (x[v0 : v0 + vlen[j]].copy(), float(lo[j]), float(hi[j]), step, True)
-                states[ids[j]] = (float(sigma[j]), state)
+                states[ids[j]] = (float(degree[j]), state)
             keep = ~done
             local = local[np.repeat(keep, elen)]
             x = x[np.repeat(keep, vlen)]
             ids, vlen, elen = ids[keep], vlen[keep], elen[keep]
-            sigma, lo, hi = sigma[keep], lo[keep], hi[keep]
+            degree, lo, hi = degree[keep], lo[keep], hi[keep]
             moved = True
     pieces = np.split(x, np.cumsum(vlen)[:-1])
-    for c, x_c, sigma_c, lo_c, hi_c in zip(ids, pieces, sigma, lo, hi):
-        states[c] = (float(sigma_c), (x_c, float(lo_c), float(hi_c), step, False))
+    for c, x_c, d_c, lo_c, hi_c in zip(ids, pieces, degree, lo, hi):
+        states[c] = (float(d_c), (x_c, float(lo_c), float(hi_c), step, False))
     return [
-        _finish_component(sub.edge_array, sigma_c, r, opts, *state)
-        for sub, (sigma_c, state) in zip(subs, states)
+        _finish_component(sub.edge_array, d_c, r, opts, *state)
+        for sub, (d_c, state) in zip(subs, states)
     ]
 
 

@@ -15,8 +15,10 @@ the earlier implementations of ``hgirr.spectral._apply_adjacency_edges`` and
 ``hgirr.components``. Their replacements must match them bit for bit.
 
 ``reference_solve_component`` is the shifted power iteration alone, as the
-per-component solve ran before it could switch to Newton-Noda steps. Wherever
-the solver never takes a Newton step, it must match bit for bit.
+per-component solve ran before it could switch to Newton-Noda steps. It
+shifts by ``hgirr.spectral._SHIFT`` times the maximum degree, as the solver
+does, and pads by the maximum degree. Wherever the solver never takes a
+Newton step, it must match bit for bit.
 
 ``reference_spectral_radius`` is ``hgirr.spectral_radius`` solved one
 component at a time: one ``_solve_group`` call per component with edges, in
@@ -186,7 +188,8 @@ def reference_solve_component(edges, n, r, opts):
 
     edges = edges.copy()
     deg = np.bincount(edges.ravel(), minlength=n)
-    sigma = float(deg.max())
+    degree = float(deg.max())
+    sigma = degree * hgirr.spectral._SHIFT
 
     x = np.full(n, n ** (-1.0 / r))
     root = 1.0 / (r - 1)
@@ -206,7 +209,7 @@ def reference_solve_component(edges, n, r, opts):
             break
     # Higham's gamma_k with u = eps / 2 and k = max degree + 2r + 4
     u = float(np.finfo(np.float64).eps) / 2
-    k = int(sigma) + 2 * r + 4
+    k = int(degree) + 2 * r + 4
     noise = k * u / (1.0 - k * u) * max(1.0, hi)
     bracket = (lo - sigma - noise, hi - sigma + noise)
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged

@@ -15,6 +15,7 @@ import pytest
 import hgirr.cli
 import hgirr.core
 import hgirr.irregularity
+import hgirr.spectral
 from helpers import (
     compensated_sum,
     loose_path,
@@ -205,6 +206,16 @@ def test_verify_parameter_errors(capsys):
     err = capsys.readouterr().err
     assert "error: C(100, 50) possible edges exceed the int64 range" in err
     assert "error: C(2400, 8) possible edges exceed" in err
+    # within int64 but beyond verify's cap, with or without --m, since the
+    # weyl extra draws a random m of its own
+    assert main(["verify", "--r", "10", "--n", "30", "--count", "1"]) == 2
+    assert main(["verify", "--r", "3,10", "--n", "4:30", "--count", "1"]) == 2
+    assert main(["verify", "--r", "3", "--n", "200", "--m", "5", "--count", "1"]) == 2
+    assert main(["verify", "--partite", "10,10,10,10,10,10", "--count", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: C(30, 10) = 30045015 possible edges exceed verify's cap of 1000000" in err
+    assert "error: C(200, 3) = 1313400 possible edges exceed" in err
+    assert "error: C(60, 6) = 50063860 possible edges exceed" in err
 
 
 @pytest.mark.parametrize(
@@ -424,7 +435,15 @@ _PINNED_VERIFY_RUNS = (
 
 
 def test_verify_bytes_are_pinned(monkeypatch):
-    # recorded when each generator came to draw all its edges in one call
+    # recorded when the solver came to shift by a quarter of the maximum degree
+    got = [_main_sha256(argv) for argv in _PINNED_VERIFY_RUNS]
+    assert got == [
+        (0, "992b643e49e33a03338c13537d3211cdf7738c4a31fef155cb99b5e69de523a6"),
+        (0, "4549bb94eb3a4aaec1fe8109ee462924fb7897ca6604a730980aab180000f7ce"),
+    ]
+    # recorded when each generator came to draw all its edges in one call,
+    # with the shift at the whole maximum degree
+    monkeypatch.setattr(hgirr.spectral, "_SHIFT", 1.0)
     got = [_main_sha256(argv) for argv in _PINNED_VERIFY_RUNS]
     assert got == [
         (0, "5d52a71736aebfe50904eda5e0bd647a0872691d4ef5dc029c91a13ef3ab623f"),
@@ -480,24 +499,29 @@ def _analyze_json_sha256(tmp_path, text):
     return _main_sha256(["analyze", str(path), "--json"])
 
 
-def test_analyze_json_bytes_are_pinned(tmp_path):
-    # digests recorded with the per-edge Python implementation of parsing,
-    # components, the kernel and the edge products
+def test_analyze_json_bytes_are_pinned(tmp_path, monkeypatch):
     uniform = reference_random_uniform(2000, 20000, 3, seed=1)
     partite, partition = reference_random_r_partite((20, 25, 30), 400, seed=3)
     union = union_edges(
         build(3, 11, [[1, 2, 3], [3, 4, 5], [1, 5, 6]]),
         build(3, 11, [[7, 8, 9], [8, 9, 10]]),
     )
-    assert _analyze_json_sha256(tmp_path, write_hgr(uniform)) == (
-        0, "5b04a0b165ff02b7763591b57647912d28ee23ad31570d1001a980a036f4c86e"
-    )
-    assert _analyze_json_sha256(tmp_path, write_hgr(partite, partition)) == (
-        0, "2cf2e6221f6820bcf02bada84355fb02b4da4ea5cc0bbbefe32616e9dc868242"
-    )
-    assert _analyze_json_sha256(tmp_path, write_hgr(union)) == (
-        0, "45bfef53ac50342ab46a1b06bc543e104adfcb4ccc1011b9f298b8384f7bdebf"
-    )
+    texts = [write_hgr(uniform), write_hgr(partite, partition), write_hgr(union)]
+    # recorded when the solver came to shift by a quarter of the maximum degree
+    assert [_analyze_json_sha256(tmp_path, text) for text in texts] == [
+        (0, "d3f801ccd9b3fb468c84681f071b0f28e619bc0fd71c30c4d90447c84aef6f86"),
+        (0, "38c0f1d4b826f42891e39c0425272937925556593a3655b20faf35e5731d4a55"),
+        (0, "ed7044f3c60043770a4364187a767938636feb143d23a94a70dcd21deb7c6b23"),
+    ]
+    # recorded with the per-edge Python implementation of parsing,
+    # components, the kernel and the edge products, with the shift at the
+    # whole maximum degree
+    monkeypatch.setattr(hgirr.spectral, "_SHIFT", 1.0)
+    assert [_analyze_json_sha256(tmp_path, text) for text in texts] == [
+        (0, "5b04a0b165ff02b7763591b57647912d28ee23ad31570d1001a980a036f4c86e"),
+        (0, "2cf2e6221f6820bcf02bada84355fb02b4da4ea5cc0bbbefe32616e9dc868242"),
+        (0, "45bfef53ac50342ab46a1b06bc543e104adfcb4ccc1011b9f298b8384f7bdebf"),
+    ]
 
 
 def test_analyze_bytes_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
@@ -505,7 +529,7 @@ def test_analyze_bytes_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
     # hm_lower means must come out the same on every supported Python
     assert compensated_sum([0.1] * 10 + [1e16, 1.0, -1e16]) == 2.0
     monkeypatch.setattr(hgirr.irregularity, "sum", compensated_sum, raising=False)
-    test_analyze_json_bytes_are_pinned(tmp_path)
+    test_analyze_json_bytes_are_pinned(tmp_path, monkeypatch)
 
 
 def test_analyze_checks_an_inline_partition_twice(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hgirr.irregularity
+import hgirr.spectral
 from hgirr import (
     HypergraphError,
     Partition,
@@ -429,43 +430,53 @@ def test_analyze_report_fields(two_path, two_path_partition):
     assert without.s_r is None
 
 
-def test_edge_degree_products_fall_back_to_exact_integers():
-    # complete 8-uniform on 16 vertices: degree 6435 and 6435**8 > 2**63;
-    # the values below were recorded with per-edge Python integer products
+def _check_edge_degree_products(pinned):
     edges = list(itertools.combinations(range(1, 17), 8))
-    pinned = {
-        "full": (
-            edges,
-            {
-                "edge_gm_upper": (6435.000000000384, 6435.0),
-                "gm_lower": (2.9402781049884636e30, 2.9402781050194185e30),
-                "hm_lower": (2.940278105018616e30, 2.9402781050194185e30),
-            },
-        ),
-        "one edge removed": (
-            edges[1:],
-            {
-                "edge_gm_upper": (6434.50002081236, 6435.0),
-                "gm_lower": (2.9384509942075944e30, 2.9384509993159914e30),
-                "hm_lower": (2.938450956442179e30, 2.9384509993159914e30),
-            },
-        ),
-    }
-    for label, (edge_list, values) in pinned.items():
+    for label, edge_list in (("full", edges), ("one edge removed", edges[1:])):
         H = build(8, 16, edge_list)
         products = _edge_degree_products(H)
         assert products.dtype == object, label
         assert int(products.max()) == 6435**8
         checks = bound_suite(H, spectral_radius(H))
-        for name, (lhs, rhs) in values.items():
+        for name, (lhs, rhs) in pinned[label].items():
             check = by_name(checks, name)
             assert (check.lhs, check.rhs) == (lhs, rhs), (label, name)
+
+
+def test_edge_degree_products_fall_back_to_exact_integers(monkeypatch):
+    # complete 8-uniform on 16 vertices: degree 6435 and 6435**8 > 2**63;
+    # the values below were recorded with per-edge Python integer products.
+    # The complete one is regular, so its figures do not depend on the shift.
+    full = {
+        "edge_gm_upper": (6435.000000000384, 6435.0),
+        "gm_lower": (2.9402781049884636e30, 2.9402781050194185e30),
+        "hm_lower": (2.940278105018616e30, 2.9402781050194185e30),
+    }
+    # recorded when the solver came to shift by a quarter of the maximum degree
+    _check_edge_degree_products({
+        "full": full,
+        "one edge removed": {
+            "edge_gm_upper": (6434.500020812284, 6435.0),
+            "gm_lower": (2.9384509942075944e30, 2.938450999315712e30),
+            "hm_lower": (2.938450956442179e30, 2.938450999315712e30),
+        },
+    })
+    # recorded with the shift at the whole maximum degree
+    monkeypatch.setattr(hgirr.spectral, "_SHIFT", 1.0)
+    _check_edge_degree_products({
+        "full": full,
+        "one edge removed": {
+            "edge_gm_upper": (6434.50002081236, 6435.0),
+            "gm_lower": (2.9384509942075944e30, 2.9384509993159914e30),
+            "hm_lower": (2.938450956442179e30, 2.9384509993159914e30),
+        },
+    })
 
 
 def test_exact_integer_means_do_not_depend_on_the_builtin_sum(monkeypatch):
     # the Python 3.12 sum, compensated, must leave the pinned means as they are
     monkeypatch.setattr(hgirr.irregularity, "sum", compensated_sum, raising=False)
-    test_edge_degree_products_fall_back_to_exact_integers()
+    test_edge_degree_products_fall_back_to_exact_integers(monkeypatch)
 
 
 def test_edge_degree_products_in_int64_match_python_integers():

@@ -492,7 +492,7 @@ def test_pair_products_are_the_jacobian_over_r_minus_1(r):
 def test_solve_matches_the_power_oracle_bit_for_bit_within_the_switch():
     opts = SpectralOptions()
     slowest = 0
-    for sub in itertools.islice(_seeded_components(), 200):
+    for sub in itertools.islice(_seeded_components(), 700):
         want = reference_solve_component(sub.edge_array, sub.n, sub.r, opts)
         assert want[4] and want[2] <= _NEWTON_AFTER
         slowest = max(slowest, want[2])
@@ -527,7 +527,7 @@ def test_rejected_newton_step_hands_the_budget_back_once(monkeypatch):
     # The star's hub converges long before its tail, so the upper ratio sits
     # at rho and the Newton system is numerically singular there: the first
     # step is rejected and the power iteration finishes as it always did.
-    H = star_with_tail(20, 150)
+    H = star_with_tail(30, 300)
     calls = []
     real_step = hgirr.spectral._newton_step
 
@@ -586,6 +586,84 @@ def test_certificate_holds_when_the_solve_does_not_converge():
     assert lam == pytest.approx(2.427178664967756, rel=1e-12)
     lo, hi = res.bracket
     assert lo <= lam <= hi
+
+
+# ------------------------------------------- the shift and its pad
+
+def _graph_rho(H) -> float:
+    """Largest adjacency eigenvalue of a graph (r = 2)."""
+    A = np.zeros((H.n, H.n))
+    rows, cols = H.edge_array.T
+    A[rows, cols] = A[cols, rows] = 1.0
+    return float(np.linalg.eigvalsh(A)[-1])
+
+
+def _cube_rho(H) -> float:
+    """Radius of a 3-uniform H whose edges [a, b, c] are the edges [a, c] of
+    a graph G with a new middle vertex b, such as star_with_tail: the cube
+    of G has radius rho(G)^(2/3), as the loose path has."""
+    G = build(2, H.n, H.edge_array[:, [0, 2]] + 1)
+    return _graph_rho(G) ** (2.0 / 3.0)
+
+
+def _odd_bipartite_r4():
+    """A connected, non-regular 4-uniform hypergraph on 4 + 8 vertices whose
+    every edge has exactly one vertex among the first 4: odd-bipartite."""
+    rng = np.random.default_rng(404)
+    draws = [(int(rng.integers(1, 5)), *rng.choice(np.arange(5, 13), 3, replace=False).tolist())
+             for _ in range(60)]
+    H = build(4, 12, {tuple(sorted(edge)) for edge in draws})
+    assert is_connected(H) and len(set(H.degree_array.tolist())) > 1
+    assert all(sum(v <= 4 for v in edge) == 1 for edge in H.edges)
+    return H
+
+
+_SLOW_SHAPES = {
+    # bipartite: the eigenvalue -rho slows a small shift
+    "K(20,30)": (lambda: complete_r_partite((20, 30))[0], _graph_rho, None),
+    "odd-bipartite r=4": (_odd_bipartite_r4, dense_rho, None),
+    # the shift of the whole maximum degree takes 14,921 iterations here
+    "star_with_tail(50,200)": (lambda: star_with_tail(50, 200), _cube_rho, 5_000),
+    "path_with_pendants(2)": (lambda: path_with_pendants(2), _graph_rho, None),
+    "path_with_pendants(3)": (lambda: path_with_pendants(3), _graph_rho, None),
+}
+
+
+@pytest.mark.parametrize("shape", _SLOW_SHAPES)
+def test_slow_shapes_converge_at_the_default_shift(shape):
+    make, reference, budget = _SLOW_SHAPES[shape]
+    H = make()
+    rho = reference(H)
+    opts = SpectralOptions() if budget is None else SpectralOptions(max_iterations=budget)
+    res = spectral_radius(H, opts)
+    assert res.converged
+    lo, hi = res.bracket
+    assert lo - 1e-12 * rho <= rho <= hi + 1e-12 * rho
+
+
+def test_bracket_pad_is_keyed_on_the_maximum_degree(monkeypatch):
+    # The hub of a 200-petal star has degree D = 200 while the shift is a
+    # fraction of it; each hub ratio sums D products, so the pad must count
+    # D roundings whatever the shift.
+    H = star_with_tail(200, 0)
+    degree = int(H.degree_array.max())
+    sigma = degree * hgirr.spectral._SHIFT
+    assert degree == 200 and sigma < degree
+    finals = []
+    real_power = hgirr.spectral._power_steps
+
+    def recorded_power(*args):
+        out = real_power(*args)
+        finals.append(out)
+        return out
+
+    monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
+    res = spectral_radius(H)
+    assert res.converged and len(finals) == 1
+    _, lo, hi, _, _ = finals[0]
+    pad = hgirr.spectral._gamma(degree + 2 * H.r + 4) * max(1.0, hi)
+    assert res.bracket[0] <= lo - sigma - pad
+    assert res.bracket[1] >= hi - sigma + pad
 
 
 # ------------------------------------------- components of one rank at once
