@@ -100,9 +100,10 @@ class SpectralOptions:
     normalized power iteration converges to the positive eigenvector
     (Friedland, Gaubert and Han, Linear Algebra Appl. 438, 2013, where both
     notions are defined). That says nothing about the rate: a large sigma
-    pulls every eigenvalue ratio toward 1, and a small one slows connected
-    odd-bipartite inputs, bipartite graphs among them, which have the
-    eigenvalue -rho (Shao, Shan and Wu, Linear Multilinear Algebra 63, 2015).
+    pulls every eigenvalue ratio toward 1, and a small one slows bipartite
+    graphs. For r = 2 the iteration is the power method on A + sigma I, and
+    a bipartite graph puts its eigenvalue sigma - rho close to rho + sigma in
+    modulus when sigma is small.
     """
 
     tolerance: float = 1e-10
@@ -375,8 +376,7 @@ def _finish_component(
     the state (x, lo, hi, iterations, converged) in which _solve_group hands
     it over: x after ``iterations`` power iterations, lo and hi the shifted
     ratio bounds of the last. ``edges`` is the component's 0-based edge
-    array and ``degree`` its maximum degree D, which it is shifted by
-    sigma = D * _SHIFT.
+    array and ``degree`` its maximum degree D; its shift is sigma = D * _SHIFT.
 
     An open component runs power iterations up to min(_NEWTON_AFTER,
     max_iterations) in all, then safeguarded Newton-Noda steps; if a step

@@ -619,7 +619,7 @@ def _odd_bipartite_r4():
 
 
 _SLOW_SHAPES = {
-    # bipartite: the eigenvalue -rho slows a small shift
+    # bipartite and odd-bipartite: both have the eigenvalue -rho
     "K(20,30)": (lambda: complete_r_partite((20, 30))[0], _graph_rho, None),
     "odd-bipartite r=4": (_odd_bipartite_r4, dense_rho, None),
     # the shift of the whole maximum degree takes 14,921 iterations here
