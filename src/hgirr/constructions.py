@@ -144,22 +144,18 @@ def _colex_subsets(codes: np.ndarray, n: int, r: int) -> np.ndarray:
 
 def random_uniform(n: int, m: int, r: int, seed) -> UniformHypergraph:
     """m distinct edges drawn uniformly without replacement from all r-subsets,
-    as colex ranks; past int64, which ``choice`` cannot take, one edge at a
-    time, drawing a repeat again (among 2^63 subsets, almost never)."""
+    as colex ranks. C(n, r) beyond int64, which ``choice`` cannot take, is
+    refused."""
     n, m, r = _ints((n, m, r), "parameter")
     if r < 2 or n < r:
         raise HypergraphError(f"invalid parameters n={n}, r={r}")
     total = math.comb(n, r)
     if not 0 <= m <= total:
         raise HypergraphError(f"m={m} outside [0, C({n},{r})={total}]")
-    rng = np.random.default_rng(seed)
-    if total <= _INT64.max:
-        codes = rng.choice(total, size=m, replace=False, shuffle=False)
-        return build(r, n, _colex_subsets(codes, n, r) + 1)
-    chosen: set = set()
-    while len(chosen) < m:
-        chosen.add(tuple(sorted(rng.choice(n, size=r, replace=False) + 1)))
-    return build(r, n, chosen)
+    if total > _INT64.max:
+        raise HypergraphError(f"C({n},{r})={total} subsets exceed the int64 range of edge codes")
+    codes = np.random.default_rng(seed).choice(total, size=m, replace=False, shuffle=False)
+    return build(r, n, _colex_subsets(codes, n, r) + 1)
 
 
 def random_r_partite(sizes: Sequence[int], m: int, seed) -> tuple[UniformHypergraph, Partition]:

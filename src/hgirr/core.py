@@ -276,19 +276,36 @@ def _edge_tuples(edge_array: np.ndarray) -> tuple[Edge, ...]:
     return tuple(out)
 
 
+def _fold_columns(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` of a 2-D array, as a.shape[1] - 1 calls of
+    the binary ufunc over its column views, left to right, into one output.
+    Reducing a C-ordered (m, r) array along its rows runs an inner loop of r
+    elements once per row: ``min(axis=1)`` takes 8.4 ms on a (200000, 3)
+    int64 array, two ``np.minimum`` calls over its columns 0.7 ms (2-vCPU
+    VM)."""
+    if a.shape[1] == 1:
+        return a[:, 0].copy()
+    out = ufunc(a[:, 0], a[:, 1])
+    for j in range(2, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
 def _row_order(rows: np.ndarray, n: int) -> np.ndarray:
-    """Stable lexicographic order of the rows of a (k, r) array of 0-based
-    ids in 0..n-1: one sort of a mixed-radix key when n**r fits int64,
-    which takes about a third of the time of ``np.lexsort`` (31 ms against
-    90 ms for n=2e4, m=2e5, r=3 on a 2-vCPU VM); ``np.lexsort`` only when
-    it does not."""
+    """Lexicographic order of the rows of a (k, r) array of 0-based ids in
+    0..n-1, in which equal rows come in no particular order: one default
+    (unstable) sort of a mixed-radix key when n**r fits int64, 5 ms against
+    25 ms for a stable sort and 92 ms for ``np.lexsort`` at n=2e4, m=2e5,
+    r=3 on a 2-vCPU VM; the stable ``np.lexsort`` only when it does not."""
     r = rows.shape[1]
     if n**r > _INT64.max:
         return np.lexsort(rows.T[::-1])
-    key = rows[:, 0]
-    for j in range(1, r):
-        key = key * n + rows[:, j]
-    return np.argsort(key, kind="stable")
+    key = rows[:, 0] * n
+    for j in range(1, r - 1):
+        key += rows[:, j]
+        key *= n
+    key += rows[:, r - 1]
+    return np.argsort(key)
 
 
 def _check_sizes(r: int, n: int, error: type[HypergraphError] = HypergraphError) -> None:
@@ -311,7 +328,7 @@ def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergra
     rows, stop = _input_rows(edge_list, r)
     k = rows.shape[0]
     rows_sorted = np.sort(rows, axis=1)
-    failing = (np.diff(rows_sorted, axis=1) == 0).any(axis=1)
+    failing = _fold_columns(np.logical_or, rows_sorted[:, 1:] == rows_sorted[:, :-1])
     failing |= (rows_sorted[:, 0] < 1) | (rows_sorted[:, -1] > n)
     first = int(np.argmax(failing)) if failing.any() else k
     # Every edge before the first failing one is valid, so a duplicate
@@ -320,10 +337,13 @@ def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergra
     valid = rows_sorted[:first] - 1
     order = _row_order(valid, n)
     canonical = valid[order]
-    # the order is stable, so within a run of equal rows the input order
-    # holds and every row but the run's first is a later occurrence
-    repeat = (canonical[1:] == canonical[:-1]).all(axis=1)
+    repeat = _fold_columns(np.logical_and, canonical[1:] == canonical[:-1])
     if repeat.any():
+        # sorted again stably, so that within a run of equal rows the input
+        # order holds and every row but the run's first is a later occurrence
+        order = np.lexsort(valid.T[::-1])
+        canonical = valid[order]
+        repeat = _fold_columns(np.logical_and, canonical[1:] == canonical[:-1])
         second = int(order[1:][repeat].min())
         key = rows_sorted[second].tolist()
         raise HypergraphError(f"duplicate edge {key} (edge #{second + 1})")
@@ -362,10 +382,10 @@ def _component_labels(H: UniformHypergraph) -> np.ndarray:
     edges = H.edge_array
     if edges.shape[0] == 0:
         return label
+    ends = edges  # label[edges] while every label is its own vertex
     while True:
-        ends = label[edges]
-        low = ends.min(axis=1)
-        if np.array_equal(ends.max(axis=1), low):
+        low = _fold_columns(np.minimum, ends)
+        if np.array_equal(_fold_columns(np.maximum, ends), low):
             return label
         low = np.repeat(low, H.r)
         np.minimum.at(label, ends.ravel(), low)
@@ -375,6 +395,7 @@ def _component_labels(H: UniformHypergraph) -> np.ndarray:
             if np.array_equal(up, label):
                 break
             label = up
+        ends = label[edges]
 
 
 def components(
@@ -435,7 +456,7 @@ def first_partition_violation(H: UniformHypergraph, P: Partition) -> Edge | None
             f"partition has {P.num_classes} classes, expected r={H.r}"
         )
     labels = np.sort(np.asarray(P.class_of, dtype=np.int64)[H.edge_array], axis=1)
-    bad = np.flatnonzero((labels != np.arange(1, H.r + 1)).any(axis=1))
+    bad = np.flatnonzero(_fold_columns(np.logical_or, labels != np.arange(1, H.r + 1)))
     return tuple((H.edge_array[bad[0]] + 1).tolist()) if bad.size else None
 
 
@@ -459,7 +480,7 @@ def union_edges(
     both = np.concatenate((H1.edge_array, H2.edge_array))
     both = both[_row_order(both, n)]
     distinct = np.ones(both.shape[0], dtype=bool)
-    distinct[1:] = (both[1:] != both[:-1]).any(axis=1)
+    distinct[1:] = _fold_columns(np.logical_or, both[1:] != both[:-1])
     return UniformHypergraph(H1.r, n, both[distinct])
 
 

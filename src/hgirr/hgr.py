@@ -73,11 +73,7 @@ def _loadtxt_rows(lines: list[str], r: int, m: int) -> np.ndarray | None:
     or None when it refuses them or reads another shape. Blank lines are
     skipped as in the scan; a comment line, a word or an id that int64 does
     not hold makes it refuse. Warnings are raised, so that a numpy that only
-    warns when it reads '1.0' as an int refuses it too. Only ASCII lines are
-    handed over: numpy 2.4 reads some other characters as digits ('\u01fe'
-    as 462), where ``int`` refuses them or reads other values."""
-    if not all(map(str.isascii, lines)):
-        return None
+    warns when it reads '1.0' as an int refuses it too."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -186,11 +182,13 @@ def _assemble(r: int, n: int, rows, partition_line) -> tuple[UniformHypergraph, 
 def parse_hgr(text: str) -> tuple[UniformHypergraph, Partition | None]:
     """Parse an hgr document into a hypergraph and its optional partition.
 
-    A well-formed document's edge lines are read in one call to numpy's
+    A well-formed ASCII document's edge lines are read in one call to numpy's
     ``loadtxt``; anything it refuses is read again by the line-by-line scan,
-    which gives every error message."""
+    which gives every error message. Any other document goes to the scan
+    alone: numpy 2.4 reads some other characters as digits ('\u01fe' as
+    462), where ``int`` refuses them or reads other values."""
     lines = text.splitlines()
-    parts = _read_loadtxt(lines) or _read_scan(lines)
+    parts = (text.isascii() and _read_loadtxt(lines)) or _read_scan(lines)
     del lines  # free the lines before build allocates its arrays
     return _assemble(*parts)
 

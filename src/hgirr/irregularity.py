@@ -41,6 +41,7 @@ from .core import (
     HypergraphError,
     Partition,
     UniformHypergraph,
+    _fold_columns,
     first_partition_violation,
     is_regular,
     union_edges,
@@ -213,7 +214,7 @@ def _edge_degree_products(H: UniformHypergraph) -> np.ndarray:
     deg = H.degree_array
     if H.m and int(deg.max()) ** H.r >= 2**63:
         deg = deg.astype(object)
-    return deg[H.edge_array].prod(axis=1)
+    return _fold_columns(np.multiply, deg[H.edge_array])
 
 
 def _fold(terms) -> float:

@@ -199,6 +199,23 @@ def test_union_of_empty_and_unequal_operands(two_path):
     )
 
 
+def test_duplicate_in_a_large_input_names_its_second_occurrence():
+    # the key sort is not stable: equal rows may leave it out of input order
+    rng = np.random.default_rng(17)
+    H = random_uniform(300, 60_000, 3, rng)
+    rows = rng.permuted(H.edge_array[rng.permutation(H.m)] + 1, axis=1)
+    edge, rest = rows[0], rows[1:]
+    for at in (7_000, 31_000, 52_000):
+        rest = np.insert(rest, at, rng.permutation(edge), axis=0)
+    message = f"duplicate edge {sorted(edge.tolist())} (edge #31001)"
+    with pytest.raises(HypergraphError, match=re.escape(message)):
+        build(3, 300, rest)
+    assert build(3, 300, rows) == H
+    union = union_edges(build(3, 300, rows[:40_000]), build(3, 300, rows[25_000:]))
+    assert union == H
+    assert set(union.edges) == set(H.edges)
+
+
 def test_union_rank_mismatch(two_path):
     with pytest.raises(HypergraphError, match="rank mismatch"):
         union_edges(two_path, single_edge(2))
@@ -296,16 +313,32 @@ def _disjoint_union(rng):
     return build(r, n, [perm[np.asarray(e) - 1] for e in edges])
 
 
-def test_components_match_bfs_oracle():
-    rng = np.random.default_rng(2024)
+def _large_disjoint_union(rng):
+    """Five random 3-uniform pieces of 2500 edges each and 100 isolated
+    vertices, relabeled at random."""
+    pieces = [random_uniform(500, 2500, 3, rng).edge_array + 500 * i for i in range(5)]
+    perm = rng.permutation(2600) + 1
+    return build(3, 2600, perm[np.concatenate(pieces)])
+
+
+def _oracle_inputs(rng):
     for i in range(200):
         if i % 3 == 0:
             n = int(rng.integers(3, 30))
-            H = random_uniform(n, int(rng.integers(0, min(n, math.comb(n, 3) + 1))), 3, rng)
+            yield random_uniform(n, int(rng.integers(0, min(n, math.comb(n, 3) + 1))), 3, rng)
         elif i % 3 == 1:
-            H = _blocky(rng)
+            yield _blocky(rng)
         else:
-            H = _disjoint_union(rng)
+            yield _disjoint_union(rng)
+    # sparse inputs of every other rank, with many components, and a large
+    # disconnected one, so that the column folds run on long columns
+    for r, n, m in [(2, 3000, 1400), (2, 400, 300), (4, 2000, 450), (5, 2000, 350)]:
+        yield random_uniform(n, m, r, rng)
+    yield _large_disjoint_union(rng)
+
+
+def test_components_match_bfs_oracle():
+    for H in _oracle_inputs(np.random.default_rng(2024)):
         got = components(H)
         assert got == reference_components(H)
         assert is_connected(H) == (len(got) == 1)
