@@ -10,95 +10,16 @@ radius, and check the irregularity measures and inequality suite::
     report = analyze(H)
 """
 
-from .constructions import (
-    blow_up,
-    complete_r_partite,
-    direct_product,
-    random_r_partite,
-    random_uniform,
-    single_edge,
-)
-from .core import (
-    EdgeTrace,
-    HypergraphError,
-    Partition,
-    UniformHypergraph,
-    build,
-    components,
-    degrees,
-    first_partition_violation,
-    is_connected,
-    is_regular,
-    relabel,
-    symmetric_difference_size,
-    union_edges,
-    validate_partition,
-)
-from .hgr import HgrFormatError, parse_hgr, parse_partition_text, write_hgr
-from .irregularity import (
-    BoundCheck,
-    IrregularityReport,
-    analyze,
-    average_degree,
-    bound_suite,
-    epsilon,
-    regularize,
-    regularize_partitewise,
-    s_measure,
-    s_r_measure,
-    v_measure,
-    weyl_check,
-)
-from .spectral import (
-    SpectralOptions,
-    SpectralResult,
-    apply_adjacency,
-    residual,
-    spectral_radius,
-)
+from . import constructions, core, hgr, irregularity, spectral
+from .constructions import *
+from .core import *
+from .hgr import *
+from .irregularity import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCheck",
-    "EdgeTrace",
-    "HgrFormatError",
-    "HypergraphError",
-    "IrregularityReport",
-    "Partition",
-    "SpectralOptions",
-    "SpectralResult",
-    "UniformHypergraph",
-    "analyze",
-    "apply_adjacency",
-    "average_degree",
-    "blow_up",
-    "bound_suite",
-    "build",
-    "complete_r_partite",
-    "components",
-    "degrees",
-    "direct_product",
-    "epsilon",
-    "first_partition_violation",
-    "is_connected",
-    "is_regular",
-    "parse_hgr",
-    "parse_partition_text",
-    "random_r_partite",
-    "random_uniform",
-    "regularize",
-    "regularize_partitewise",
-    "relabel",
-    "residual",
-    "s_measure",
-    "s_r_measure",
-    "single_edge",
-    "spectral_radius",
-    "symmetric_difference_size",
-    "union_edges",
-    "v_measure",
-    "validate_partition",
-    "weyl_check",
-    "write_hgr",
-]
+# Each module declares its public names in its own __all__.
+__all__ = sorted(
+    constructions.__all__ + core.__all__ + hgr.__all__ + irregularity.__all__ + spectral.__all__
+)

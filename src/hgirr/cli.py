@@ -271,8 +271,6 @@ def _run_extra_checks(H, partition, result, rng, opts, index) -> list[tuple[str,
         degp = regp.degree_array
         okp = regp.m == H.m and validate_partition(regp, partition)
         for members in partition.classes:
-            if not members:
-                continue
             class_deg = [int(degp[v - 1]) for v in members]
             okp = okp and max(class_deg) - min(class_deg) <= 1
         okp = okp and symmetric_difference_size(H, regp) <= s_r_measure(H, partition) + 1e-9

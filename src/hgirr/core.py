@@ -25,7 +25,6 @@ _INT64 = np.iinfo(np.int64)
 _CHUNK = 1 << 16
 
 __all__ = [
-    "Edge",
     "EdgeTrace",
     "HypergraphError",
     "Partition",

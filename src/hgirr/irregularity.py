@@ -46,7 +46,14 @@ from .core import (
     is_regular,
     union_edges,
 )
-from .spectral import SpectralOptions, SpectralResult, _gamma, apply_adjacency, spectral_radius
+from .spectral import (
+    SpectralOptions,
+    SpectralResult,
+    _certified_bracket,
+    _gamma,
+    apply_adjacency,
+    spectral_radius,
+)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -121,8 +128,8 @@ def average_degree(H: UniformHypergraph) -> float:
 def _require_certificate(H: UniformHypergraph, spectral: SpectralResult) -> None:
     """The checks of ``spectral`` that ``bound_suite`` documents. For positive
     x, the ratios (A x)_i / x_i^(r-1) on H span an interval holding rho(H), so
-    a bracket disjoint from the span (over x_i > 0, padded as the solver pads)
-    belongs to another hypergraph."""
+    a bracket disjoint from the span (over x_i > 0, padded by the solver's own
+    spectral._certified_bracket, unshifted) belongs to another hypergraph."""
     if not isinstance(spectral, SpectralResult):
         raise TypeError(
             "expected the SpectralResult of spectral_radius(H), "
@@ -138,8 +145,8 @@ def _require_certificate(H: UniformHypergraph, spectral: SpectralResult) -> None
     positive = x > 0  # apply_adjacency refuses an x of the wrong shape
     ratios = apply_adjacency(H, x)[positive] / x[positive] ** (H.r - 1)
     low, high = float(ratios.min(initial=math.inf)), float(ratios.max(initial=-math.inf))
-    noise = _gamma(int(H.degree_array.max()) + 2 * H.r + 4) * max(1.0, high)
-    if low - noise > upper or high + noise < lower:
+    span = _certified_bracket(low, high, 0.0, int(H.degree_array.max()), H.r)
+    if span[0] > upper or span[1] < lower:
         raise ValueError(
             f"bracket ({lower:g}, {upper:g}) misses the ratios [{low:g}, {high:g}] "
             "of its perron_vector on H: the result is not that of spectral_radius(H)"

@@ -6,8 +6,9 @@ product per incident edge:
 
     (A x)_i = sum over edges e containing i of prod_{j in e, j != i} x_j.
 
-The kernel that applies it is built once per edge array, with its buffers;
-every step of a solve phase on that array reuses them.
+The kernel that applies it is built once per edge array, with its buffers:
+once per batched layout, and once per component that the batch leaves open,
+whose power, Newton and fallback phases all reuse it.
 
 The spectral radius is the largest eigenvalue of A in the sense
 A x = lambda x^[r-1], computed here per connected component by a shifted
@@ -198,17 +199,12 @@ def _kernel(edges: np.ndarray, n: int):
     return apply
 
 
-def _apply_adjacency_edges(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(A x)_i over a 0-based (m, r) edge array, from a one-off _kernel."""
-    return _kernel(edges, x.shape[0])(x)
-
-
 def apply_adjacency(H: UniformHypergraph, x) -> np.ndarray:
     """(A x)_i = sum over edges containing i of the product of the other entries."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (H.n,):
         raise ValueError(f"expected a vector of length {H.n}, got shape {x.shape}")
-    return _apply_adjacency_edges(H.edge_array, x)
+    return _kernel(H.edge_array, H.n)(x)
 
 
 def residual(H: UniformHypergraph, rho: float, x) -> float:
@@ -243,15 +239,15 @@ def _shifted_ratios(
 
 
 def _power_steps(
-    edges: np.ndarray, x: np.ndarray, sigma: float, r: int, tol: float, budget: int
+    apply, x: np.ndarray, sigma: float, r: int, tol: float, budget: int
 ) -> tuple[np.ndarray, float, float, int, bool]:
-    """Up to ``budget`` (>= 1) shifted power iterations (Ng-Qi-Zhou) from x.
+    """Up to ``budget`` (>= 1) shifted power iterations (Ng-Qi-Zhou) from x,
+    with A x from the _kernel ``apply``.
 
     Each takes the ratios of x, then moves x to the renormalized (r-1)-th root
     of y; it stops once the ratios are relatively narrower than ``tol``.
     Returns (x, lo, hi, iterations, converged): lo and hi are the shifted
     ratio bounds of the iterate before the last update."""
-    apply = _kernel(edges, x.shape[0])
     root = 1.0 / (r - 1)
     lo = hi = 0.0
     steps = 0
@@ -326,9 +322,10 @@ def _newton_step(
 
 
 def _newton_steps(
-    edges: np.ndarray, x: np.ndarray, sigma: float, r: int, tol: float, budget: int
+    apply, edges: np.ndarray, x: np.ndarray, sigma: float, r: int, tol: float, budget: int
 ) -> tuple[np.ndarray, float, float, int, bool]:
-    """Up to ``budget`` safeguarded Newton-Noda steps from x.
+    """Up to ``budget`` safeguarded Newton-Noda steps from x, with A x from
+    ``apply``, the _kernel of ``edges``.
 
     A step tries x + theta * delta for theta = 1, 1/2, ..., 2^-_HALVINGS and
     takes the first candidate that is positive and whose upper ratio does not
@@ -336,7 +333,6 @@ def _newton_steps(
     early, unconverged, at the last accepted iterate.
     Returns (x, lo, hi, steps, converged) with lo and hi the shifted ratio
     bounds of the returned x itself."""
-    apply = _kernel(edges, x.shape[0])
     _, ratios = _shifted_ratios(apply, x, sigma, r)
     lo, hi = float(_min(ratios)), float(_max(ratios))
     steps = 0
@@ -361,10 +357,23 @@ def _newton_steps(
     return x, lo, hi, steps, True
 
 
+def _certified_bracket(
+    lo: float, hi: float, sigma: float, degree: int, r: int
+) -> tuple[float, float]:
+    """The certified bracket of rho from the min and max, lo and hi, of the
+    ratios (A x)_i / x_i^(r-1) + sigma on a hypergraph of rank r and maximum
+    degree D = ``degree``: shifted back by sigma and padded.
+
+    The ratio evaluation itself rounds, so the enclosure must be padded
+    before the bracket can be called certified. Each ratio is a sequential
+    bincount sum of d_i products of r - 1 positive factors, plus the shift
+    term, divided once: fewer than D + 2r + 4 roundings."""
+    noise = _gamma(degree + 2 * r + 4) * max(1.0, hi)
+    return lo - sigma - noise, hi - sigma + noise
+
+
 def _finish_component(
-    edges: np.ndarray,
-    degree: float,
-    r: int,
+    sub: UniformHypergraph,
     opts: SpectralOptions,
     x: np.ndarray,
     lo: float,
@@ -372,43 +381,44 @@ def _finish_component(
     iterations: int,
     converged: bool,
 ) -> tuple[float, np.ndarray, int, tuple[float, float], bool]:
-    """Certified spectral radius of one connected component, continued from
-    the state (x, lo, hi, iterations, converged) in which _solve_group hands
-    it over: x after ``iterations`` power iterations, lo and hi the shifted
-    ratio bounds of the last. ``edges`` is the component's 0-based edge
-    array and ``degree`` its maximum degree D; its shift is sigma = D * _SHIFT.
+    """Certified spectral radius of the connected component ``sub``,
+    continued from the state (x, lo, hi, iterations, converged) in which
+    _solve_group hands it over: x after ``iterations`` power iterations, lo
+    and hi the shifted ratio bounds of the last. Its shift is sigma = D *
+    _SHIFT for its maximum degree D.
 
     An open component runs power iterations up to min(_NEWTON_AFTER,
     max_iterations) in all, then safeguarded Newton-Noda steps; if a step
     finds no acceptable candidate, the power iteration takes the rest of the
     budget from the last accepted iterate, and Newton is not tried again.
-    Returns (rho, perron vector, iterations, bracket, converged), the bracket
-    shifted back and padded, iterations counting Newton steps too.
+    Every phase shares one kernel, built only if the component is open with
+    budget left. Returns (rho, perron vector, iterations, bracket,
+    converged), the bracket from _certified_bracket, iterations counting
+    Newton steps too.
     """
     tol, budget = opts.tolerance, opts.max_iterations
+    r, degree = sub.r, int(sub.degree_array.max())
     sigma = degree * _SHIFT
-    first = min(_NEWTON_AFTER, budget)
-    if not converged and iterations < first:
-        x, lo, hi, steps, converged = _power_steps(
-            edges, x, sigma, r, tol, first - iterations
-        )
-        iterations += steps
     if not converged and iterations < budget:
-        x, lo, hi, steps, converged = _newton_steps(
-            edges, x, sigma, r, tol, budget - iterations
-        )
-        iterations += steps
-        if not converged and iterations < budget:
+        edges = sub.edge_array
+        apply = _kernel(edges, sub.n)
+        first = min(_NEWTON_AFTER, budget)
+        if iterations < first:
             x, lo, hi, steps, converged = _power_steps(
-                edges, x, sigma, r, tol, budget - iterations
+                apply, x, sigma, r, tol, first - iterations
             )
             iterations += steps
-    # The ratio evaluation itself rounds, so the enclosure must be padded
-    # before the bracket can be called certified. Each ratio is a sequential
-    # bincount sum of d_i products of r - 1 positive factors, plus the shift
-    # term, divided once: fewer than max degree + 2r + 4 roundings.
-    noise = _gamma(int(degree) + 2 * r + 4) * max(1.0, hi)
-    bracket = (lo - sigma - noise, hi - sigma + noise)
+        if not converged and iterations < budget:
+            x, lo, hi, steps, converged = _newton_steps(
+                apply, edges, x, sigma, r, tol, budget - iterations
+            )
+            iterations += steps
+            if not converged and iterations < budget:
+                x, lo, hi, steps, converged = _power_steps(
+                    apply, x, sigma, r, tol, budget - iterations
+                )
+                iterations += steps
+    bracket = _certified_bracket(lo, hi, sigma, degree, r)
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
 
 
@@ -469,8 +479,8 @@ def _solve_group(
         if done.any():
             for j in np.flatnonzero(done).tolist():
                 v0 = int(vstart[j])
-                state = (x[v0 : v0 + vlen[j]].copy(), float(lo[j]), float(hi[j]), step, True)
-                states[ids[j]] = (float(degree[j]), state)
+                x_j = x[v0 : v0 + vlen[j]].copy()
+                states[ids[j]] = (x_j, float(lo[j]), float(hi[j]), step, True)
             keep = ~done
             local = local[np.repeat(keep, elen)]
             x = x[np.repeat(keep, vlen)]
@@ -478,12 +488,9 @@ def _solve_group(
             degree, lo, hi = degree[keep], lo[keep], hi[keep]
             moved = True
     pieces = np.split(x, np.cumsum(vlen)[:-1])
-    for c, x_c, d_c, lo_c, hi_c in zip(ids, pieces, degree, lo, hi):
-        states[c] = (float(d_c), (x_c, float(lo_c), float(hi_c), step, False))
-    return [
-        _finish_component(sub.edge_array, d_c, r, opts, *state)
-        for sub, (d_c, state) in zip(subs, states)
-    ]
+    for c, x_c, lo_c, hi_c in zip(ids, pieces, lo, hi):
+        states[c] = (x_c, float(lo_c), float(hi_c), step, False)
+    return [_finish_component(sub, opts, *state) for sub, state in zip(subs, states)]
 
 
 def _spectral_radii(

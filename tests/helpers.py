@@ -11,7 +11,7 @@ It fixes the tie-break rule that ``hgirr.irregularity._rewire`` must keep.
 
 ``reference_apply_adjacency_edges`` (row-wise cumprod prefix/suffix kernel)
 and ``reference_components`` (breadth-first search over incidence lists) are
-the earlier implementations of ``hgirr.spectral._apply_adjacency_edges`` and
+the earlier implementations of the kernel ``hgirr.spectral._kernel`` and
 ``hgirr.components``. Their replacements must match them bit for bit.
 
 ``reference_solve_component`` is the shifted power iteration alone, as the

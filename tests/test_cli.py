@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -24,6 +25,7 @@ from helpers import (
     reference_random_uniform,
 )
 from hgirr import (
+    BoundCheck,
     build,
     complete_r_partite,
     parse_hgr,
@@ -99,6 +101,38 @@ def test_analyze_with_partition_file(two_path_file, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["s_r"] == 0.0
     assert "theorem1" in [b["name"] for b in payload["bounds"]]
+
+
+def test_analyze_refuses_a_partition_file_that_fails_the_edges(two_path_file, tmp_path, capsys):
+    pfile = tmp_path / "classes.txt"
+    pfile.write_text("partition 1 1 2 2 3\n")
+    assert main(["analyze", two_path_file, "--partition", str(pfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid partition for the given edges\n"
+
+
+def test_analyze_exits_1_when_a_bound_is_violated(two_path_file, monkeypatch, capsys):
+    real_analyze = hgirr.cli.analyze
+
+    def violated(*args):
+        broken = BoundCheck(name="cooper_dutle", lhs=2.0, rhs=1.0, tolerance=0.0)
+        return dataclasses.replace(real_analyze(*args), bound_checks=(broken,))
+
+    monkeypatch.setattr(hgirr.cli, "analyze", violated)
+    assert main(["analyze", two_path_file]) == 1
+    assert "cooper_dutle" in capsys.readouterr().out
+    assert main(["analyze", two_path_file, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["bounds"][0]["holds"] is False
+
+
+def test_analyze_text_reports_s_r_on_a_partite_input(tmp_path, capsys):
+    path = tmp_path / "p.hgr"
+    path.write_text(TWO_PATH.rstrip("\n") + "\npartition 1 2 3 2 3\n")
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "\ns_r        = 0\nbounds:\n" in out
+    assert "theorem1" in out and "skipped: no partition" not in out
 
 
 def test_analyze_inline_partition(tmp_path, capsys):
@@ -216,6 +250,11 @@ def test_verify_parameter_errors(capsys):
     assert "error: C(30, 10) = 30045015 possible edges exceed verify's cap of 1000000" in err
     assert "error: C(200, 3) = 1313400 possible edges exceed" in err
     assert "error: C(60, 6) = 50063860 possible edges exceed" in err
+    assert main(["verify", "--partite", "2,2,2", "--m", "9"]) == 2
+    assert main(["verify", "--n", "6:4"]) == 2
+    err = capsys.readouterr().err
+    assert "error: m=9 infeasible for sizes [2, 2, 2]" in err
+    assert "error: empty vertex range 6:4" in err
 
 
 @pytest.mark.parametrize(
@@ -363,6 +402,17 @@ def test_regularize_partitewise_requires_partition(tmp_path, capsys):
     src.write_text(TWO_PATH)
     out = tmp_path / "o.hgr"
     assert main(["regularize", str(src), "-o", str(out), "--partitewise"]) == 2
+
+
+def test_regularize_parse_error_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.hgr"
+    bad.write_text("hgr 3 5 3\n1 2 3\n1 4 5\n")
+    out = tmp_path / "o.hgr"
+    assert main(["regularize", str(bad), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "edge count mismatch" in captured.err
+    assert not out.exists()
 
 
 def test_regularize_unwritable_output_exit_2(two_path_file, tmp_path, capsys):

@@ -354,6 +354,15 @@ def test_suite_rejects_invalid_partition(two_path):
         bound_suite(two_path, res, Partition((1, 1, 2, 2, 3), 3))
 
 
+def test_suite_skips_the_partition_bounds_on_an_empty_class():
+    # only an edgeless hypergraph has a valid partition with an empty class
+    H = build(3, 4, [])
+    checks = bound_suite(H, spectral_radius(H), Partition((1, 1, 2, 2), 3))
+    reasons = {check.name: check.skipped_reason for check in checks}
+    for name in ("theorem1", "claim1", "claim2"):
+        assert reasons[name] == "empty class"
+
+
 def test_equality_detector_fires_only_within_tolerance():
     rng = np.random.default_rng(31)
     for _ in range(25):

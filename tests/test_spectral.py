@@ -38,7 +38,6 @@ from hgirr import (
 
 from hgirr.spectral import (
     _NEWTON_AFTER,
-    _apply_adjacency_edges,
     _kernel,
     _pair_products,
     _solve_group,
@@ -410,7 +409,7 @@ def test_kernel_bit_identical_to_cumprod_oracle(r):
     for edges in (canonical, scrambled):
         x = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
         x[rng.random(n) < 0.2] = 0.0
-        got = _apply_adjacency_edges(edges, x)
+        got = _kernel(edges, n)(x)
         assert np.array_equal(got, reference_apply_adjacency_edges(edges, x))
 
 
@@ -440,7 +439,7 @@ def test_kernel_without_edges_matches_oracle():
     x = np.linspace(0.0, 1.0, 7)
     for r in (2, 5):
         edges = np.empty((0, r), dtype=np.int64)
-        got = _apply_adjacency_edges(edges, x)
+        got = _kernel(edges, 7)(x)
         assert np.array_equal(got, reference_apply_adjacency_edges(edges, x))
         assert np.array_equal(got, np.zeros(7))
 
@@ -666,6 +665,43 @@ def test_bracket_pad_is_keyed_on_the_maximum_degree(monkeypatch):
     assert res.bracket[1] >= hi - sigma + pad
 
 
+@pytest.mark.parametrize(
+    "make, phases",
+    [
+        (lambda: loose_path(3, 250), ["power", "newton"]),
+        (lambda: star_with_tail(30, 300), ["power", "newton", "power"]),
+    ],
+    ids=["newton", "power fallback"],
+)
+def test_an_open_component_builds_one_kernel_for_every_phase(make, phases, monkeypatch):
+    # one kernel for the component's continuation, which every phase takes,
+    # and one for the residual of the result
+    built, handed = [], []
+    real_kernel = hgirr.spectral._kernel
+    real_power = hgirr.spectral._power_steps
+    real_newton = hgirr.spectral._newton_steps
+
+    def recorded_kernel(edges, n):
+        built.append(real_kernel(edges, n))
+        return built[-1]
+
+    def recorded_power(apply, *args):
+        handed.append(("power", apply))
+        return real_power(apply, *args)
+
+    def recorded_newton(apply, *args):
+        handed.append(("newton", apply))
+        return real_newton(apply, *args)
+
+    monkeypatch.setattr(hgirr.spectral, "_kernel", recorded_kernel)
+    monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
+    monkeypatch.setattr(hgirr.spectral, "_newton_steps", recorded_newton)
+    assert spectral_radius(make()).converged
+    assert len(built) == 2
+    assert [phase for phase, _ in handed] == phases
+    assert all(apply is built[0] for _, apply in handed)
+
+
 # ------------------------------------------- components of one rank at once
 
 def _assert_same_result(got, want):
@@ -775,9 +811,9 @@ def test_batch_steps_only_while_two_components_are_open(kind, monkeypatch):
 
         return recorded_apply
 
-    def recorded_power(edges, x, sigma, r, tol, budget):
-        power_calls.append((edges.shape[0], x.shape[0], budget))
-        return real_power(edges, x, sigma, r, tol, budget)
+    def recorded_power(apply, x, sigma, r, tol, budget):
+        power_calls.append((x.shape[0], budget))
+        return real_power(apply, x, sigma, r, tol, budget)
 
     monkeypatch.setattr(hgirr.spectral, "_kernel", recorded_kernel)
     monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
@@ -788,7 +824,7 @@ def test_batch_steps_only_while_two_components_are_open(kind, monkeypatch):
         assert len(components(build(3, int(edges.max()) + 1, edges + 1))) >= 2
     path = loose_path(3, 40)
     steps = len(products)
-    assert power_calls[0] == (path.m, path.n, _NEWTON_AFTER - steps)
+    assert power_calls[0] == (path.n, _NEWTON_AFTER - steps)
     if kind == "mixed union":
         assert 0 < steps < _NEWTON_AFTER
     else:
