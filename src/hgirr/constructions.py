@@ -16,7 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64, HypergraphError, Partition, UniformHypergraph, _as_id, build
+from .core import (
+    _INT64,
+    HypergraphError,
+    Partition,
+    UniformHypergraph,
+    _as_id,
+    _check_sizes,
+    build,
+)
 
 __all__ = [
     "blow_up",
@@ -30,8 +38,6 @@ __all__ = [
 
 def single_edge(r: int) -> UniformHypergraph:
     """The r-uniform hypergraph on r vertices with the single edge 1..r."""
-    if r < 2:
-        raise HypergraphError(f"rank must be at least 2, got r={r}")
     return build(r, r, [tuple(range(1, r + 1))])
 
 
@@ -147,8 +153,7 @@ def random_uniform(n: int, m: int, r: int, seed) -> UniformHypergraph:
     as colex ranks. C(n, r) beyond int64, which ``choice`` cannot take, is
     refused."""
     n, m, r = _ints((n, m, r), "parameter")
-    if r < 2 or n < r:
-        raise HypergraphError(f"invalid parameters n={n}, r={r}")
+    _check_sizes(r, n)
     total = math.comb(n, r)
     if not 0 <= m <= total:
         raise HypergraphError(f"m={m} outside [0, C({n},{r})={total}]")

@@ -213,58 +213,36 @@ def _as_id(v) -> int | None:
         return None
 
 
-def _edge_error(pos: int, edge: tuple, r: int, n: int) -> str | None:
-    """The message of the first per-edge check that input edge #pos fails,
-    in the order integer ids, cardinality, repeated vertex, range; None if
-    it passes."""
-    for v in edge:
-        if _as_id(v) is None:
-            return f"edge #{pos} {list(edge)}: vertex id {v!r} is not an integer"
-    if len(edge) != r:
-        return f"edge #{pos} {list(edge)} has {len(edge)} vertices, expected {r}"
-    if len(set(edge)) != r:
-        return f"edge #{pos} {list(edge)} has a repeated vertex"
-    for v in edge:
-        if not 1 <= v <= n:
-            return f"edge #{pos} {list(edge)}: vertex id {v} out of range [1, {n}]"
-    return None
-
-
-def _input_rows(
-    edge_list: Iterable[Sequence[int]], r: int
-) -> tuple[np.ndarray, tuple | Exception | None]:
-    """The input edges as a (k, r) int64 array, plus what stopped the
-    conversion: None when every edge fits, else the first edge of another
-    size or holding an id that is no integer or lies beyond int64, or the
-    exception raised converting it. The array then holds the edges before
-    that one."""
-    if not isinstance(edge_list, (np.ndarray, list, tuple)):
-        edge_list = list(edge_list)
-    if len(edge_list) == 0:
-        return np.empty((0, r), dtype=np.int64), None
-    try:
-        rows = np.asarray(edge_list)
-    except ValueError:  # ragged
-        rows = None
-    if rows is not None and rows.dtype.kind == "i" and rows.ndim == 2 and rows.shape[1] == r:
-        return rows.astype(np.int64, copy=False), None
-    # Ragged, of another width, or not of an integer dtype: convert edge by
-    # edge, in order.
+def _scan(edge_list: Iterable[Sequence[int]], r: int, n: int) -> np.ndarray:
+    """The input edges as a (k, r) int64 array of sorted 1-based rows, read
+    one edge at a time in input order: the reference reader of :func:`build`
+    and the only code that raises its edge errors. The first edge that fails
+    a check raises; its checks run in the order integer ids, cardinality,
+    repeated vertex, range, duplicate of an earlier edge. The "not an
+    integer" message shows the edge as given (1.5, 2.0), every other message
+    its ids as Python ints. An edge that is not iterable raises its
+    ``TypeError``."""
     if isinstance(edge_list, np.ndarray):
         edge_list = edge_list.tolist()
-    fitting: list[Edge] = []
-    for raw in edge_list:
-        try:
-            edge = tuple(raw.tolist() if isinstance(raw, np.ndarray) else raw)
-        except TypeError as exc:
-            return np.array(fitting, dtype=np.int64).reshape(-1, r), exc
-        ids = tuple(map(_as_id, edge))
-        if len(ids) != r or not all(
-            v is not None and _INT64.min <= v <= _INT64.max for v in ids
-        ):
-            return np.array(fitting, dtype=np.int64).reshape(-1, r), edge
-        fitting.append(ids)
-    return np.array(fitting, dtype=np.int64).reshape(-1, r), None
+    seen: dict[Edge, None] = {}
+    for pos, raw in enumerate(edge_list, 1):
+        edge = tuple(raw.tolist() if isinstance(raw, np.ndarray) else raw)
+        ids = list(map(_as_id, edge))
+        if None in ids:
+            error = f"{list(edge)}: vertex id {edge[ids.index(None)]!r} is not an integer"
+        elif len(ids) != r:
+            error = f"{ids} has {len(ids)} vertices, expected {r}"
+        elif len(set(ids)) != r:
+            error = f"{ids} has a repeated vertex"
+        elif outside := [v for v in ids if not 1 <= v <= n]:
+            error = f"{ids}: vertex id {outside[0]} out of range [1, {n}]"
+        elif (key := tuple(sorted(ids))) in seen:
+            raise HypergraphError(f"duplicate edge {list(key)} (edge #{pos})")
+        else:
+            seen[key] = None
+            continue
+        raise HypergraphError(f"edge #{pos} {error}")
+    return np.array(list(seen), dtype=np.int64).reshape(-1, r)
 
 
 def _edge_tuples(edge_array: np.ndarray) -> tuple[Edge, ...]:
@@ -322,39 +300,31 @@ def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergra
     out-of-range vertex ids, and duplicate edges. The error names the first
     input edge that fails a check (a duplicate fails at its second
     occurrence); for that edge the checks run in the order listed.
+
+    A (k, r) integer array is checked as a whole and only accepted that way;
+    any other input, and an array the whole-array checks flag, is read edge
+    by edge by ``_scan``, which names the error.
     """
     _check_sizes(r, n)
-    rows, stop = _input_rows(edge_list, r)
-    k = rows.shape[0]
-    rows_sorted = np.sort(rows, axis=1)
-    failing = _fold_columns(np.logical_or, rows_sorted[:, 1:] == rows_sorted[:, :-1])
-    failing |= (rows_sorted[:, 0] < 1) | (rows_sorted[:, -1] > n)
-    first = int(np.argmax(failing)) if failing.any() else k
-    # Every edge before the first failing one is valid, so a duplicate
-    # among them is the earliest error; its ids lie in 1..n, so shifting
-    # them to 0-based cannot overflow.
-    valid = rows_sorted[:first] - 1
-    order = _row_order(valid, n)
-    canonical = valid[order]
-    repeat = _fold_columns(np.logical_and, canonical[1:] == canonical[:-1])
-    if repeat.any():
-        # sorted again stably, so that within a run of equal rows the input
-        # order holds and every row but the run's first is a later occurrence
-        order = np.lexsort(valid.T[::-1])
-        canonical = valid[order]
-        repeat = _fold_columns(np.logical_and, canonical[1:] == canonical[:-1])
-        second = int(order[1:][repeat].min())
-        key = rows_sorted[second].tolist()
-        raise HypergraphError(f"duplicate edge {key} (edge #{second + 1})")
-    if first < k:
-        raise HypergraphError(_edge_error(first + 1, tuple(rows[first].tolist()), r, n))
-    if isinstance(stop, Exception):
-        raise stop
-    if stop is not None:
-        # an id that is no integer, or beyond int64 and so out of range for
-        # any n the degrees fit in
-        raise HypergraphError(_edge_error(k + 1, stop, r, n))
-    return UniformHypergraph(r, n, canonical)
+    if not (
+        isinstance(edge_list, np.ndarray)
+        and edge_list.dtype.kind in "iu"
+        and edge_list.ndim == 2
+        and edge_list.shape[1] == r
+    ):
+        edge_list = _scan(edge_list, r, n)
+    rows = edge_list.astype(np.int64)
+    rows.sort(axis=1)
+    # range checked on the 1-based ids: shifting first would wrap -2**63
+    failing = _fold_columns(np.logical_or, rows[:, 1:] == rows[:, :-1])
+    failing |= (rows[:, 0] < 1) | (rows[:, -1] > n)
+    if not failing.any():
+        rows -= 1
+        canonical = rows[_row_order(rows, n)]
+        if not _fold_columns(np.logical_and, canonical[1:] == canonical[:-1]).any():
+            return UniformHypergraph(r, n, canonical)
+    _scan(edge_list, r, n)
+    raise AssertionError("_scan accepted edges that build's array checks flag")
 
 
 def degrees(H: UniformHypergraph) -> np.ndarray:

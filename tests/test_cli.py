@@ -180,6 +180,27 @@ def test_verify_small_run(capsys):
     assert "instances with failures: 0 / 20" in out
 
 
+def test_verify_exits_1_and_counts_the_failing_instance(monkeypatch, capsys):
+    real_bound_suite = hgirr.cli.bound_suite
+    calls = itertools.count()
+
+    def one_violated(*args):
+        checks = real_bound_suite(*args)
+        if next(calls) == 7:
+            broken = BoundCheck(name="cooper_dutle", lhs=2.0, rhs=1.0, tolerance=0.0)
+            checks = [broken if check.name == "cooper_dutle" else check for check in checks]
+        return checks
+
+    monkeypatch.setattr(hgirr.cli, "bound_suite", one_violated)
+    code = main(["verify", "--r", "3", "--n", "4:7", "--count", "20", "--seed", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-2:] == ["instances with failures: 1 / 20", "FAIL"]
+    row = next(line for line in lines if line.startswith("cooper_dutle")).split()
+    assert row[1:5] == ["20", "19", "1", "0"]  # checked, passed, failed, skipped
+    assert next(calls) == 20
+
+
 def test_verify_partite_run(capsys):
     code = main(
         ["verify", "--partite", "2,2,2", "--count", "15", "--seed", "9"]

@@ -318,6 +318,25 @@ def test_constructions_refuse_non_integer_sizes(two_path, call, message):
         call(two_path)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: random_r_partite((4,), 2, 0), "need at least 2 classes, got 1"),
+        (lambda: complete_r_partite([3]), "need at least 2 classes, got 1"),
+        (lambda: random_uniform(2, 1, 3, 0), "need at least r=3 vertices, got n=2"),
+        (lambda: random_uniform(4, 1, 1, 0), "rank must be at least 2, got r=1"),
+        # single_edge leaves the rank rule to build
+        (lambda: single_edge(1), "rank must be at least 2, got r=1"),
+        (lambda: single_edge(0), "rank must be at least 2, got r=0"),
+        (lambda: single_edge(-2), "rank must be at least 2, got r=-2"),
+    ],
+)
+def test_constructions_refuse_too_few_classes_vertices_or_ranks(call, message):
+    with pytest.raises(HypergraphError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_constructions_accept_numpy_integer_sizes(two_path):
     assert blow_up(two_path, np.int64(2)) == blow_up(two_path, 2)
     assert blow_up(two_path, np.full(5, 2)) == blow_up(two_path, 2)

@@ -165,6 +165,8 @@ def test_partition_rejects_bad_labels():
         Partition((1, 4), 3)
     with pytest.raises(HypergraphError):
         Partition((0, 1), 2)
+    with pytest.raises(HypergraphError, match="need at least one class"):
+        Partition((), 0)
     with pytest.raises(HypergraphError) as info:
         Partition((1.7, 2, 3), 3)
     assert str(info.value) == "vertex 1 assigned to class 1.7, not an integer"
@@ -387,6 +389,19 @@ BUILD_ERRORS = [
     (np.array([[1, 2, 3], [3, 4, 5]], dtype=float), "edge #1 [1.0, 2.0, 3.0]: vertex id 1.0 is not an integer"),
     ([[1, 2, 3], [3, 3, 1], [1.5, 2, 4]], "edge #2 [3, 3, 1] has a repeated vertex"),
     ([[1, 2, 3], [2.0, 3, 4], [3, 2, 1]], "edge #2 [2.0, 3, 4]: vertex id 2.0 is not an integer"),
+    # numpy integer ids print as Python ints
+    ([[np.int64(1), np.int64(2)]], "edge #1 [1, 2] has 2 vertices, expected 3"),
+    # edge #1 fails before the non-iterable edge #2 is reached
+    ([[1, 2, 2], 7], "edge #1 [1, 2, 2] has a repeated vertex"),
+    # range checked before the shift to 0-based ids, which would wrap these
+    (
+        np.array([[-(2**63), 2, 3]]),
+        "edge #1 [-9223372036854775808, 2, 3]: vertex id -9223372036854775808 out of range [1, 5]",
+    ),
+    (
+        np.array([[1, 2, 2**64 - 1]], dtype=np.uint64),
+        "edge #1 [1, 2, 18446744073709551615]: vertex id 18446744073709551615 out of range [1, 5]",
+    ),
 ]
 
 
@@ -395,6 +410,19 @@ def test_build_error_messages_are_pinned(edges, message):
     with pytest.raises(HypergraphError) as info:
         build(3, 5, edges)
     assert str(info.value) == message
+
+
+def test_build_raises_the_type_error_of_an_edge_that_is_not_iterable():
+    with pytest.raises(TypeError):
+        build(3, 5, [[1, 2, 3], 7])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+def test_build_returns_int64_edges_for_any_integer_array(dtype):
+    rows = np.array([[3, 2, 1], [1, 4, 5], [5, 2, 4]])
+    H = build(3, 5, rows.astype(dtype))
+    assert H.edge_array.dtype == np.int64
+    assert H == build(3, 5, rows)
 
 
 @pytest.mark.parametrize("n, r", [(30, 4), (100, 10)])
