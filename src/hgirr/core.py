@@ -268,21 +268,47 @@ def _fold_columns(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_order(rows: np.ndarray, n: int) -> np.ndarray:
-    """Lexicographic order of the rows of a (k, r) array of 0-based ids in
-    0..n-1, in which equal rows come in no particular order: one default
-    (unstable) sort of a mixed-radix key when n**r fits int64, 5 ms against
-    25 ms for a stable sort and 92 ms for ``np.lexsort`` at n=2e4, m=2e5,
-    r=3 on a 2-vCPU VM; the stable ``np.lexsort`` only when it does not."""
+def _increasing_in_range(rows: np.ndarray, n: int) -> bool:
+    """Whether every row of a (k, r) array of 1-based ids is strictly
+    increasing with ids in 1..n, checked column by column."""
+    ok = rows[:, 0] >= 1
+    ok &= rows[:, -1] <= n
+    for j in range(rows.shape[1] - 1):
+        ok &= rows[:, j] < rows[:, j + 1]
+    return bool(ok.all())
+
+
+def _sort_rows(rows: np.ndarray, n: int, distinct: bool) -> np.ndarray | None:
+    """The rows of a (k, r) array of 0-based ids in 0..n-1, each strictly
+    increasing, in lexicographic order as a new C-ordered array. With
+    ``distinct`` each row is kept once; without it, None when two rows are
+    equal. When n**r fits int64 each row is one mixed-radix code, and the
+    sorted codes are decoded back into rows by r - 1 ``np.divmod`` calls;
+    otherwise ``np.lexsort`` orders the rows."""
     r = rows.shape[1]
-    if n**r > _INT64.max:
-        return np.lexsort(rows.T[::-1])
-    key = rows[:, 0] * n
-    for j in range(1, r - 1):
-        key += rows[:, j]
-        key *= n
-    key += rows[:, r - 1]
-    return np.argsort(key)
+    wide = n**r > _INT64.max
+    if wide:
+        keys = np.take(rows, np.lexsort(rows.T[::-1]), axis=0)
+        repeat = _fold_columns(np.logical_and, keys[1:] == keys[:-1])
+    else:
+        keys = rows[:, 0] * n
+        for j in range(1, r - 1):
+            keys += rows[:, j]
+            keys *= n
+        keys += rows[:, r - 1]
+        keys.sort()
+        repeat = keys[1:] == keys[:-1]
+    if repeat.any():
+        if not distinct:
+            return None
+        keys = np.compress(np.concatenate(([True], ~repeat)), keys, axis=0)
+    if wide:
+        return keys
+    out = np.empty((keys.shape[0], r), dtype=np.int64)
+    for j in range(r - 1, 0, -1):
+        np.divmod(keys, n, out=(keys, out[:, j]))
+    out[:, 0] = keys
+    return out
 
 
 def _check_sizes(r: int, n: int, error: type[HypergraphError] = HypergraphError) -> None:
@@ -290,6 +316,9 @@ def _check_sizes(r: int, n: int, error: type[HypergraphError] = HypergraphError)
         raise error(f"rank must be at least 2, got r={r}")
     if n < r:
         raise error(f"need at least r={r} vertices, got n={n}")
+    # vertex ids are int64 array entries
+    if n > _INT64.max:
+        raise error(f"need at most {_INT64.max} vertices, got n={n}")
 
 
 def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergraph:
@@ -303,7 +332,9 @@ def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergra
 
     A (k, r) integer array is checked as a whole and only accepted that way;
     any other input, and an array the whole-array checks flag, is read edge
-    by edge by ``_scan``, which names the error.
+    by edge by ``_scan``, which names the error. Rows are sorted within
+    themselves only when they do not already increase, and the edges are
+    ordered by ``_sort_rows``.
     """
     _check_sizes(r, n)
     if not (
@@ -314,14 +345,13 @@ def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergra
     ):
         edge_list = _scan(edge_list, r, n)
     rows = edge_list.astype(np.int64)
-    rows.sort(axis=1)
     # range checked on the 1-based ids: shifting first would wrap -2**63
-    failing = _fold_columns(np.logical_or, rows[:, 1:] == rows[:, :-1])
-    failing |= (rows[:, 0] < 1) | (rows[:, -1] > n)
-    if not failing.any():
+    if not _increasing_in_range(rows, n):
+        rows.sort(axis=1)
+    if _increasing_in_range(rows, n):
         rows -= 1
-        canonical = rows[_row_order(rows, n)]
-        if not _fold_columns(np.logical_and, canonical[1:] == canonical[:-1]).any():
+        canonical = _sort_rows(rows, n, distinct=False)
+        if canonical is not None:
             return UniformHypergraph(r, n, canonical)
     _scan(edge_list, r, n)
     raise AssertionError("_scan accepted edges that build's array checks flag")
@@ -394,7 +424,7 @@ def components(
     edge_comp = comp[edges[:, 0]]
     edge_order = np.argsort(edge_comp, kind="stable")
     edge_count = np.bincount(edge_comp, minlength=roots.size).tolist()
-    sub_edges = rank[edges[edge_order]]
+    sub_edges = rank[np.take(edges, edge_order, axis=0)]
     members = (vertex_order + 1).tolist()
     out: list[tuple[tuple[int, ...], UniformHypergraph]] = []
     v0 = e0 = 0
@@ -424,9 +454,12 @@ def first_partition_violation(H: UniformHypergraph, P: Partition) -> Edge | None
         raise HypergraphError(
             f"partition has {P.num_classes} classes, expected r={H.r}"
         )
-    labels = np.sort(np.asarray(P.class_of, dtype=np.int64)[H.edge_array], axis=1)
-    bad = np.flatnonzero(_fold_columns(np.logical_or, labels != np.arange(1, H.r + 1)))
-    return tuple((H.edge_array[bad[0]] + 1).tolist()) if bad.size else None
+    # slot e*r + c - 1 counts edge e's vertices in class c; the r classes of
+    # an edge fill its r slots exactly once each, or leave one empty
+    slots = np.take(np.asarray(P.class_of, dtype=np.int64), H.edge_array)
+    slots += np.arange(-1, H.m * H.r - 1, H.r)[:, None]
+    empty = np.flatnonzero(np.bincount(slots.ravel(), minlength=H.m * H.r) == 0)
+    return tuple((H.edge_array[empty[0] // H.r] + 1).tolist()) if empty.size else None
 
 
 def validate_partition(H: UniformHypergraph, P: Partition) -> bool:
@@ -447,10 +480,7 @@ def union_edges(
     # both edge arrays are canonical, so their sorted distinct rows are too
     n = max(H1.n, H2.n)
     both = np.concatenate((H1.edge_array, H2.edge_array))
-    both = both[_row_order(both, n)]
-    distinct = np.ones(both.shape[0], dtype=bool)
-    distinct[1:] = _fold_columns(np.logical_or, both[1:] != both[:-1])
-    return UniformHypergraph(H1.r, n, both[distinct])
+    return UniformHypergraph(H1.r, n, _sort_rows(both, n, distinct=True))
 
 
 def symmetric_difference_size(

@@ -482,7 +482,7 @@ def _solve_group(
                 x_j = x[v0 : v0 + vlen[j]].copy()
                 states[ids[j]] = (x_j, float(lo[j]), float(hi[j]), step, True)
             keep = ~done
-            local = local[np.repeat(keep, elen)]
+            local = np.compress(np.repeat(keep, elen), local, axis=0)
             x = x[np.repeat(keep, vlen)]
             ids, vlen, elen = ids[keep], vlen[keep], elen[keep]
             degree, lo, hi = degree[keep], lo[keep], hi[keep]

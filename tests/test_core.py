@@ -1,11 +1,13 @@
 import math
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import reference_components
+from hgirr import core
 from hgirr import (
     EdgeTrace,
     HypergraphError,
@@ -21,7 +23,12 @@ from hgirr import (
     union_edges,
     validate_partition,
 )
-from hgirr.constructions import complete_r_partite, random_uniform, single_edge
+from hgirr.constructions import (
+    complete_r_partite,
+    random_r_partite,
+    random_uniform,
+    single_edge,
+)
 
 
 def test_build_single_edge():
@@ -438,3 +445,103 @@ def test_build_from_array_and_from_tuples_agree(n, r):
     again = build(r, n, list(H.edges))
     assert again == H and again.edges == H.edges and hash(again) == hash(H)
     assert np.array_equal(again.edge_array, H.edge_array)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(2**64, [[1, 2, 3]]), (2**64, [[1, 2, 2**63]])],
+)
+def test_build_refuses_a_vertex_count_beyond_int64(n, edges):
+    # ids are int64 array entries, so no array could index such a vertex set
+    with pytest.raises(HypergraphError) as info:
+        build(3, n, edges)
+    assert str(info.value) == (
+        "need at most 9223372036854775807 vertices, got n=18446744073709551616"
+    )
+
+
+def _random_rows(rng, r, n):
+    """Up to 40 distinct edges on 1..n as rows of ids in random order
+    between and within rows, or with each row increasing; some cases get a
+    repeated edge, a repeated vertex or an id out of range."""
+    k = int(rng.integers(0, min(40, math.comb(n, r)) + 1))
+    rows = rng.permuted(random_uniform(n, k, r, rng).edge_array[rng.permutation(k)] + 1, axis=1)
+    if k and rng.random() < 0.3:
+        row = rng.permutation(rows[rng.integers(k)])
+        rows = np.insert(rows, rng.integers(k + 1), row, axis=0)
+    if k and rng.random() < 0.2:
+        i, a, b = rng.integers(k), *rng.choice(r, 2, replace=False)
+        rows[i, a] = rows[i, b]
+    if k and rng.random() < 0.2:
+        rows[rng.integers(k), rng.integers(r)] = rng.choice([0, n + 1, -(2**63), 2**62])
+    return np.sort(rows, axis=1) if rng.random() < 0.5 else rows
+
+
+def _build_outcome(r, n, rows):
+    try:
+        H = build(r, n, rows)
+    except HypergraphError as error:
+        return str(error)
+    assert H.edge_array.dtype == np.int64 and H.edge_array.flags.c_contiguous
+    return list(H.edges)
+
+
+def test_build_sorts_codes_as_lexsort_and_the_scan_do(monkeypatch):
+    # an n**r beyond a lowered int64 bound sends build to np.lexsort
+    rng = np.random.default_rng(2020)
+    for _ in range(400):
+        r = int(rng.integers(2, 5))
+        n = int(rng.integers(r, 13))
+        rows = _random_rows(rng, r, n)
+        try:
+            core._scan(rows, r, n)
+        except HypergraphError as error:
+            expected = str(error)
+        else:
+            expected = sorted({tuple(sorted(row)) for row in rows.tolist()})
+        assert _build_outcome(r, n, rows) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_INT64", SimpleNamespace(max=n))
+            assert _build_outcome(r, n, rows) == expected
+
+
+def test_union_edges_is_the_set_union(monkeypatch):
+    rng = np.random.default_rng(2021)
+    for _ in range(200):
+        r = int(rng.integers(2, 5))
+        n1, n2 = (int(v) for v in rng.integers(r, 10, 2))
+        H1 = random_uniform(n1, int(rng.integers(0, math.comb(n1, r) + 1)), r, rng)
+        H2 = random_uniform(n2, int(rng.integers(0, math.comb(n2, r) + 1)), r, rng)
+        expected = sorted(set(H1.edges) | set(H2.edges))
+        for bound in (core._INT64, SimpleNamespace(max=max(n1, n2))):
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_INT64", bound)
+                union = union_edges(H1, H2)
+            assert (union.r, union.n) == (r, max(n1, n2))
+            assert list(union.edges) == expected
+            assert union.edge_array.flags.c_contiguous
+
+
+def _first_violation_by_sorted_labels(H, P):
+    """The check as first written: each edge's class labels, sorted, against
+    1..r."""
+    labels = np.sort(np.asarray(P.class_of)[H.edge_array], axis=1)
+    bad = np.flatnonzero((labels != np.arange(1, H.r + 1)).any(axis=1))
+    return tuple((H.edge_array[bad[0]] + 1).tolist()) if bad.size else None
+
+
+def test_first_partition_violation_matches_the_sorted_label_check():
+    rng = np.random.default_rng(2022)
+    valid = 0
+    for _ in range(300):
+        r = int(rng.integers(2, 6))
+        sizes = [int(v) for v in rng.integers(1, 5, r)]
+        H, P = random_r_partite(sizes, int(rng.integers(0, math.prod(sizes) + 1)), rng)
+        class_of = list(P.class_of)
+        for v in rng.choice(H.n, int(rng.integers(0, 3)), replace=False).tolist():
+            class_of[v] = int(rng.integers(1, r + 1))
+        P = Partition(tuple(class_of), r)
+        found = first_partition_violation(H, P)
+        assert found == _first_violation_by_sorted_labels(H, P)
+        valid += found is None
+    assert 50 < valid < 250

@@ -193,6 +193,11 @@ HGR_ERRORS = [
     ("hgr 3 5 2\n1 2 3\n3 2 \u0661\n", "duplicate edge [1, 2, 3] (edge #2)"),
     # numpy 2.4 reads this one as 462
     ("hgr 3 5 2\n1 2 3\n3 4 \u01fe\n", "line 3: expected integer, got '\u01fe'"),
+    # vertex ids are int64 array entries
+    (
+        "hgr 3 18446744073709551616 1\n1 2 3\n",
+        "need at most 9223372036854775807 vertices, got n=18446744073709551616",
+    ),
 ]
 
 

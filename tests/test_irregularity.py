@@ -32,7 +32,7 @@ from hgirr import (
 )
 
 from helpers import compensated_sum, loose_path, path_with_pendants, star_with_tail
-from hgirr.irregularity import _edge_degree_products
+from hgirr.irregularity import _edge_degree_products, _logs
 from hgirr.spectral import SpectralOptions
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -495,6 +495,30 @@ def test_edge_degree_products_in_int64_match_python_integers():
     assert products.dtype == np.int64
     deg = H.degree_array.tolist()
     assert products.tolist() == [math.prod(deg[v - 1] for v in e) for e in H.edges]
+
+
+def test_gm_lower_has_the_same_bits_on_both_sides_of_the_log_cutoff(monkeypatch):
+    # 5000 edges: one log per distinct product at the default cutoff
+    assert hgirr.irregularity._DISTINCT_LOGS_FROM <= 5000
+    for H in (random_uniform(400, 5000, 3, 3), random_uniform(60, 5000, 4, 3)):
+        result = spectral_radius(H)
+        suites = []
+        for cutoff in (0, H.m + 1):
+            monkeypatch.setattr(hgirr.irregularity, "_DISTINCT_LOGS_FROM", cutoff)
+            suites.append(bound_suite(H, result))
+        assert suites[0] == suites[1]
+        assert not by_name(suites[0], "gm_lower").skipped
+
+
+@pytest.mark.parametrize("r, n, m", [(3, 30, 200), (4, 60, 5000), (10, 15, 300)])
+def test_logs_are_those_of_each_product_on_both_sides_of_the_cutoff(monkeypatch, r, n, m):
+    # at r = 10 the products exceed int64 and are Python integers
+    products = _edge_degree_products(random_uniform(n, m, r, 5))
+    expected = np.array([math.log(p) for p in products.tolist()])
+    for cutoff in (0, m + 1):
+        monkeypatch.setattr(hgirr.irregularity, "_DISTINCT_LOGS_FROM", cutoff)
+        assert _logs(products).tobytes() == expected.tobytes()
+    assert (products.dtype == object) == (r == 10)
 
 
 def _copies_of_complete(n, r, copies=1):
