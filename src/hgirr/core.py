@@ -143,6 +143,13 @@ class Partition:
         return tuple(sizes)
 
     @cached_property
+    def _class_array(self) -> np.ndarray:
+        """class_of as a read-only int64 array, made on first use."""
+        classes = np.array(self.class_of, dtype=np.int64)
+        classes.flags.writeable = False
+        return classes
+
+    @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Vertices of each class, ascending, indexed by class - 1."""
         members: list[list[int]] = [[] for _ in range(self.num_classes)]
@@ -346,9 +353,11 @@ def build(r: int, n: int, edge_list: Iterable[Sequence[int]]) -> UniformHypergra
         edge_list = _scan(edge_list, r, n)
     rows = edge_list.astype(np.int64)
     # range checked on the 1-based ids: shifting first would wrap -2**63
-    if not _increasing_in_range(rows, n):
+    ok = _increasing_in_range(rows, n)
+    if not ok:
         rows.sort(axis=1)
-    if _increasing_in_range(rows, n):
+        ok = _increasing_in_range(rows, n)
+    if ok:
         rows -= 1
         canonical = _sort_rows(rows, n, distinct=False)
         if canonical is not None:
@@ -456,7 +465,7 @@ def first_partition_violation(H: UniformHypergraph, P: Partition) -> Edge | None
         )
     # slot e*r + c - 1 counts edge e's vertices in class c; the r classes of
     # an edge fill its r slots exactly once each, or leave one empty
-    slots = np.take(np.asarray(P.class_of, dtype=np.int64), H.edge_array)
+    slots = np.take(P._class_array, H.edge_array)
     slots += np.arange(-1, H.m * H.r - 1, H.r)[:, None]
     empty = np.flatnonzero(np.bincount(slots.ravel(), minlength=H.m * H.r) == 0)
     return tuple((H.edge_array[empty[0] // H.r] + 1).tolist()) if empty.size else None

@@ -193,7 +193,7 @@ def _s_r(H: UniformHypergraph, P: Partition) -> float:
     """s_r for a partition already checked against H. Each class's sum is an
     exact integer, divided once by the class size."""
     deg = H.degree_array
-    class_of = np.asarray(P.class_of)
+    class_of = P._class_array
     total = 0.0
     for c in range(1, P.num_classes + 1):
         members = deg[class_of == c]

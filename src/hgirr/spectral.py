@@ -8,7 +8,12 @@ product per incident edge:
 
 The kernel that applies it is built once per edge array, with its buffers:
 once per batched layout, and once per component that the batch leaves open,
-whose power, Newton and fallback phases all reuse it.
+whose power, Newton and fallback phases all reuse it. A large kernel of
+rank 3 or more, in a process that may use two or more CPUs, gathers and
+multiplies the first half of its edge rows on one helper thread while the
+calling thread does the second half; the one bincount over all terms then
+runs as before. The products are elementwise and each vertex's terms are
+still added in edge order, so the split moves no bit of any result.
 
 The spectral radius is the largest eigenvalue of A in the sense
 A x = lambda x^[r-1], computed here per connected component by a shifted
@@ -38,11 +43,17 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import os
+import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import UniformHypergraph, _as_id, components
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "SpectralOptions",
@@ -69,6 +80,14 @@ _CG_STEPS_PER_VERTEX = 4
 # instances against the whole of D; an eighth saves a little more on them but
 # doubles those of non-regular bipartite graphs.
 _SHIFT = 0.25
+# A kernel of r >= 3 splits its gather and products between two threads from
+# this many terms (m * r) on; handing half to the helper thread costs 35-90 us
+# per apply. Per apply on a 2-vCPU VM, at average degree 10 r, the split lost
+# at 60k terms (r = 3: 321 -> 340 us), broke even near 90k and won from 131k
+# on (r = 3: 641 -> 596 us, r = 4: 929 -> 679 us; 180k terms at r = 3:
+# 1015 -> 816 us). r = 2 has no products, only its gather would split, and it
+# never won up to 600k terms.
+_SPLIT_TERMS = 1 << 17
 # Unit roundoff of float64.
 _U = float(np.finfo(np.float64).eps) / 2
 
@@ -149,6 +168,42 @@ class SpectralResult:
         return 0.5 * (self.bracket[1] - self.bracket[0])
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The one helper thread of every split kernel, made at the first one, with
+# the id of the process that made it: a forked child inherits the pool but not
+# its thread, so it makes its own. Each fork takes the lock first and both
+# sides release it after, so no child inherits it held by another thread. The
+# fork hooks are the lock's own methods: a hook that held this module would
+# keep every copy of it imported afresh, with its helper thread, alive.
+_helper: tuple[int, ThreadPoolExecutor] | None = None
+_helper_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_helper_lock.acquire,
+        after_in_parent=_helper_lock.release,
+        after_in_child=_helper_lock.release,
+    )
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    global _helper
+    pid = os.getpid()
+    with _helper_lock:
+        if _helper is None or _helper[0] != pid:
+            # imported here: concurrent.futures brings logging with it, about
+            # 10 ms of import that inputs which never split would pay
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = (pid, ThreadPoolExecutor(1, "hgirr-kernel"))
+        return _helper[1]
+
+
 def _kernel(edges: np.ndarray, n: int):
     """apply(x) = (A x)_i for one 0-based (m, r) edge array on n vertices.
 
@@ -160,7 +215,16 @@ def _kernel(edges: np.ndarray, n: int):
     left; the running suffix is kept in column 0, which ends as the whole
     suffix. No product is divided back out, so x may have zero entries. For
     r = 2 each product is the other member's entry alone, so the gather
-    reads the columns swapped straight into the product buffer."""
+    reads the columns swapped straight into the product buffer.
+
+    A kernel of r >= 3 and at least _SPLIT_TERMS terms, in a process that
+    may run on two or more CPUs, splits the gather and the products by edge
+    rows: the helper thread does the first half of the rows while the
+    calling thread does the second, and the calling thread then scatters all
+    terms by the one bincount. numpy's take and multiply release the GIL, so
+    the halves run at once. Both halves are made by one builder, every
+    product is elementwise and the bincount is the same, so a split kernel
+    returns the bits of a serial one."""
     m, r = edges.shape
     if m == 0:
         return lambda x: np.zeros(n, dtype=np.float64)
@@ -176,24 +240,49 @@ def _kernel(edges: np.ndarray, n: int):
     else:
         source, gathered = index, np.empty((m, r))
     flat = gathered.ravel()
-    v = [gathered[:, j] for j in range(r)]
-    c = [out[:, j] for j in range(r)]
-    products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
-    suffix = v[r - 1]
-    for j in range(r - 2, 0, -1):
-        products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
-        suffix = c[0]
     multiply = np.multiply
 
+    def part(a: int, b: int):
+        """Gather and products of edge rows a..b-1, as run(x)."""
+        v = [gathered[a:b, j] for j in range(r)]
+        c = [out[a:b, j] for j in range(r)]
+        products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
+        suffix = v[r - 1]
+        for j in range(r - 2, 0, -1):
+            products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
+            suffix = c[0]
+        rows, into = source[a * r : b * r], flat[a * r : b * r]
+
+        def run(x: np.ndarray) -> None:
+            # mode="clip" gathers straight into the buffer, where the default
+            # mode="raise" makes numpy gather into a temporary first.
+            # Clipping changes nothing only because every edge array that
+            # reaches a kernel belongs to a validated UniformHypergraph
+            # (0 <= id < n) and x has length n.
+            x.take(rows, None, into, "clip")
+            for left, right, result in products:
+                multiply(left, right, result)
+
+        return run
+
+    if r < 3 or m * r < _SPLIT_TERMS or _cpus() < 2:
+        run = part(0, m)
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            run(x)
+            return np.bincount(index, weights, n)
+
+        return apply
+
+    first, second = part(0, m // 2), part(m // 2, m)
+
     def apply(x: np.ndarray) -> np.ndarray:
-        # mode="clip" gathers straight into the buffer, where the default
-        # mode="raise" makes numpy gather into a temporary first. Clipping
-        # changes nothing only because every edge array that reaches a kernel
-        # belongs to a validated UniformHypergraph (0 <= id < n) and x has
-        # length n.
-        x.take(source, None, flat, "clip")
-        for left, right, into in products:
-            multiply(left, right, into)
+        done = _helper_pool().submit(first, x)
+        try:
+            second(x)
+        finally:
+            # the helper writes the shared buffers until its half is done
+            done.result()
         return np.bincount(index, weights, n)
 
     return apply

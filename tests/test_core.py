@@ -167,6 +167,13 @@ def test_partition_class_accessors(two_path_partition):
     assert two_path_partition.classes == ((1,), (2, 4), (3, 5))
 
 
+def test_partition_keeps_one_read_only_class_array(two_path_partition):
+    classes = two_path_partition._class_array
+    assert classes is two_path_partition._class_array
+    assert classes.dtype == np.int64 and not classes.flags.writeable
+    assert classes.tolist() == list(two_path_partition.class_of)
+
+
 def test_partition_rejects_bad_labels():
     with pytest.raises(HypergraphError):
         Partition((1, 4), 3)
@@ -430,6 +437,24 @@ def test_build_returns_int64_edges_for_any_integer_array(dtype):
     H = build(3, 5, rows.astype(dtype))
     assert H.edge_array.dtype == np.int64
     assert H == build(3, 5, rows)
+
+
+@pytest.mark.parametrize(
+    "rows, checks",
+    [([[1, 2, 3], [2, 4, 5]], 1), ([[3, 2, 1], [2, 4, 5]], 2)],
+    ids=["increasing", "sorted within rows"],
+)
+def test_build_checks_rows_again_only_after_sorting_them(rows, checks, monkeypatch):
+    seen = []
+    real = core._increasing_in_range
+
+    def counted(rows, n):
+        seen.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(core, "_increasing_in_range", counted)
+    assert build(3, 5, np.array(rows)).edges == ((1, 2, 3), (2, 4, 5))
+    assert len(seen) == checks
 
 
 @pytest.mark.parametrize("n, r", [(30, 4), (100, 10)])

@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -442,6 +446,171 @@ def test_kernel_without_edges_matches_oracle():
         got = _kernel(edges, 7)(x)
         assert np.array_equal(got, reference_apply_adjacency_edges(edges, x))
         assert np.array_equal(got, np.zeros(7))
+
+
+# ------------------------------------------- kernels split across two threads
+
+@pytest.fixture
+def submissions(monkeypatch):
+    """Every kernel splits (two CPUs assumed, no size threshold); the list
+    collects the first-half runs handed to the helper thread."""
+    sent = []
+    real_pool = hgirr.spectral._helper_pool
+
+    class Counting:
+        def submit(self, fn, *args):
+            sent.append(fn)
+            return real_pool().submit(fn, *args)
+
+    monkeypatch.setattr(hgirr.spectral, "_SPLIT_TERMS", 0)
+    monkeypatch.setattr(hgirr.spectral, "_cpus", lambda: 2)
+    monkeypatch.setattr(hgirr.spectral, "_helper_pool", Counting)
+    return sent
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_split_kernel_bit_identical_to_the_oracle(r, submissions):
+    rng = np.random.default_rng(460 + r)
+    n = 40
+    canonical = random_uniform(n, 151, r, rng).edge_array
+    # any rows, in any order, repeated vertices included; odd m gives halves
+    # of unequal size, and m = 1 an empty first half
+    scrambled = rng.integers(0, n, size=(91, r))
+    applied = 0
+    for edges in (canonical, scrambled, canonical[:1], scrambled[:2]):
+        apply = _kernel(edges, n)
+        for _ in range(3):
+            x = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            x[rng.random(n) < 0.2] = 0.0
+            assert np.array_equal(apply(x), reference_apply_adjacency_edges(edges, x))
+            applied += 1
+    # every apply ran its first half on the helper thread
+    assert len(submissions) == applied
+
+
+def test_kernel_splits_only_from_rank_3_and_the_term_threshold(monkeypatch, submissions):
+    rng = np.random.default_rng(470)
+    x = rng.uniform(0.5, 1.5, 40)
+    for r in (2, 3):
+        _kernel(random_uniform(40, 100, r, rng).edge_array, 40)(x)
+    assert len(submissions) == 1
+    monkeypatch.setattr(hgirr.spectral, "_SPLIT_TERMS", 300)
+    _kernel(random_uniform(40, 99, 3, rng).edge_array, 40)(x)
+    _kernel(random_uniform(40, 100, 3, rng).edge_array, 40)(x)
+    assert len(submissions) == 2
+    monkeypatch.setattr(hgirr.spectral, "_cpus", lambda: 1)
+    _kernel(random_uniform(40, 100, 3, rng).edge_array, 40)(x)
+    assert len(submissions) == 2
+
+
+def test_importing_the_package_starts_no_thread():
+    code = (
+        "import sys, threading, hgirr.cli; "
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["1", "False"]
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("hgirr-kernel")]
+
+
+def test_many_large_kernels_start_at_most_one_thread(monkeypatch):
+    monkeypatch.setattr(hgirr.spectral, "_cpus", lambda: 2)
+    before = threading.active_count()
+    helpers = len(_helper_threads())
+    rng = np.random.default_rng(480)
+    n, m = 5000, 50_000
+    assert 3 * m >= hgirr.spectral._SPLIT_TERMS
+    edges = random_uniform(n, m, 3, rng).edge_array
+    x = rng.uniform(0.5, 1.5, n)
+    want = reference_apply_adjacency_edges(edges, x)
+    same = []
+
+    def apply_many():
+        for _ in range(10):
+            same.append(np.array_equal(_kernel(edges, n)(x), want))
+
+    # more callers than cores, switching often, race to make the helper
+    callers = [threading.Thread(target=apply_many) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        apply_many()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(same) == 40 and all(same)
+    assert len(_helper_threads()) <= helpers + 1
+    assert threading.active_count() <= before + 1
+    assert _helper_threads()
+
+
+def test_a_package_imported_afresh_leaves_no_helper_thread_behind():
+    # perfbench imports the package afresh on every set-up; the helper of a
+    # dropped copy must end with it
+    code = """
+import gc, sys, threading, time
+import numpy as np
+for _ in range(4):
+    for name in [k for k in sys.modules if k.split(".")[0] == "hgirr"]:
+        del sys.modules[name]
+    import hgirr.spectral as spectral
+    spectral._SPLIT_TERMS = 0
+    spectral._cpus = lambda: 2
+    spectral._kernel(np.array([[0, 1, 2], [1, 2, 3]]), 4)(np.ones(4))
+del spectral
+gc.collect()
+deadline = time.monotonic() + 30
+helpers = lambda: [t for t in threading.enumerate() if t.name.startswith("hgirr-kernel")]
+while len(helpers()) > 1 and time.monotonic() < deadline:
+    time.sleep(0.01)
+print(len(helpers()))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["1"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method")
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
+def test_forked_child_runs_a_split_kernel_after_the_parent_started_the_helper(
+    submissions,
+):
+    rng = np.random.default_rng(490)
+    n = 60
+    edges = random_uniform(n, 301, 3, rng).edge_array
+    x = rng.uniform(0.5, 1.5, n)
+    want = reference_apply_adjacency_edges(edges, x)
+    assert np.array_equal(_kernel(edges, n)(x), want)
+    assert len(submissions) == 1 and _helper_threads()
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send((_kernel(edges, n)(x).tobytes(), len(submissions)))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert receive.poll(60), "the forked child's split kernel did not return"
+        got, sent = receive.recv()
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert proc.exitcode == 0
+    assert sent == 2
+    assert got == want.tobytes()
 
 
 # ------------------------------------------- power iteration, then Newton-Noda
