@@ -16,9 +16,13 @@ the earlier implementations of the kernel ``hgirr.spectral._kernel`` and
 
 ``reference_solve_component`` is the shifted power iteration alone, as the
 per-component solve ran before it could switch to Newton-Noda steps. It
-shifts by ``hgirr.spectral._SHIFT`` times the maximum degree, as the solver
-does, and pads by the maximum degree. Wherever the solver never takes a
-Newton step, it must match bit for bit.
+follows the solver's shift rule: it starts at ``hgirr.spectral._SHIFT_START``
+times the maximum degree and, from the step after ``_SLOW_STEPS`` steps in a
+row whose bracket width shrank by less than the factor ``_SLOW``, shifts by
+``_SHIFT`` times it for good. It pads by the maximum degree and shifts the
+bracket back by the sigma of its last step. Wherever the solver never takes
+a Newton step, it must match bit for bit. ``fix_shift`` sets both fractions
+to one value, which gives the fixed shift of the solver before the rule.
 
 ``reference_spectral_radius`` is ``hgirr.spectral_radius`` solved one
 component at a time: one ``_solve_group`` call per component with edges, in
@@ -189,14 +193,18 @@ def reference_solve_component(edges, n, r, opts):
     edges = edges.copy()
     deg = np.bincount(edges.ravel(), minlength=n)
     degree = float(deg.max())
-    sigma = degree * hgirr.spectral._SHIFT
+    spectral = hgirr.spectral
+    fraction, slow, previous = spectral._SHIFT_START, 0, math.inf
 
     x = np.full(n, n ** (-1.0 / r))
     root = 1.0 / (r - 1)
-    lo = hi = 0.0
+    lo = hi = sigma = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
+        if slow == spectral._SLOW_STEPS:
+            fraction = spectral._SHIFT
+        sigma = degree * fraction
         xp = x ** (r - 1)
         y = reference_apply_adjacency_edges(edges, x) + sigma * xp
         ratios = y / xp
@@ -207,12 +215,23 @@ def reference_solve_component(edges, n, r, opts):
         if hi - lo <= opts.tolerance * max(1.0, hi):
             converged = True
             break
+        # a step whose bracket shrank by less than the factor _SLOW is slow;
+        # the shift rises once, for good, after _SLOW_STEPS in a row
+        if fraction != spectral._SHIFT:
+            slow = slow + 1 if hi - lo > spectral._SLOW * previous else 0
+        previous = hi - lo
     # Higham's gamma_k with u = eps / 2 and k = max degree + 2r + 4
     u = float(np.finfo(np.float64).eps) / 2
     k = int(degree) + 2 * r + 4
     noise = k * u / (1.0 - k * u) * max(1.0, hi)
     bracket = (lo - sigma - noise, hi - sigma + noise)
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
+
+
+def fix_shift(monkeypatch, fraction):
+    """Shift every component by ``fraction`` of its maximum degree throughout."""
+    monkeypatch.setattr(hgirr.spectral, "_SHIFT_START", fraction)
+    monkeypatch.setattr(hgirr.spectral, "_SHIFT", fraction)
 
 
 def reference_spectral_radius(H, opts=None):

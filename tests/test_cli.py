@@ -19,6 +19,7 @@ import hgirr.irregularity
 import hgirr.spectral
 from helpers import (
     compensated_sum,
+    fix_shift,
     loose_path,
     path_with_pendants,
     reference_random_r_partite,
@@ -501,15 +502,16 @@ _PINNED_VERIFY_RUNS = (
 
 
 def test_verify_bytes_are_pinned(monkeypatch):
-    # recorded when the solver came to shift by a quarter of the maximum degree
+    # recorded when each component came to start at a twentieth of its
+    # maximum degree and to raise the shift to a quarter when it stalls
     got = [_main_sha256(argv) for argv in _PINNED_VERIFY_RUNS]
     assert got == [
-        (0, "992b643e49e33a03338c13537d3211cdf7738c4a31fef155cb99b5e69de523a6"),
-        (0, "4549bb94eb3a4aaec1fe8109ee462924fb7897ca6604a730980aab180000f7ce"),
+        (0, "7421616432febf6bce2d40015b853971e8882ae5279e71e32b82a647c7bff456"),
+        (0, "bf22c98c280656350a7c7b9e2699891b2717c7742f69fd1f801ae0921da38367"),
     ]
     # recorded when each generator came to draw all its edges in one call,
     # with the shift at the whole maximum degree
-    monkeypatch.setattr(hgirr.spectral, "_SHIFT", 1.0)
+    fix_shift(monkeypatch, 1.0)
     got = [_main_sha256(argv) for argv in _PINNED_VERIFY_RUNS]
     assert got == [
         (0, "5d52a71736aebfe50904eda5e0bd647a0872691d4ef5dc029c91a13ef3ab623f"),
@@ -525,6 +527,16 @@ def test_verify_bytes_are_pinned(monkeypatch):
     assert got == [
         (0, "738695238f6586e1b81bcef10cae2802544906c2bbccc5df41cb4d24c3fd72e1"),
         (0, "7d889b448bf6ee30c97cda7155d1f28e4b1a579a4f14f6a843d867a1aabd7b07"),
+    ]
+
+
+def test_verify_bytes_at_a_fixed_quarter_shift_are_unchanged(monkeypatch):
+    # recorded when the solver came to shift by a quarter of the maximum degree
+    fix_shift(monkeypatch, 0.25)
+    got = [_main_sha256(argv) for argv in _PINNED_VERIFY_RUNS]
+    assert got == [
+        (0, "992b643e49e33a03338c13537d3211cdf7738c4a31fef155cb99b5e69de523a6"),
+        (0, "4549bb94eb3a4aaec1fe8109ee462924fb7897ca6604a730980aab180000f7ce"),
     ]
 
 
@@ -565,28 +577,43 @@ def _analyze_json_sha256(tmp_path, text):
     return _main_sha256(["analyze", str(path), "--json"])
 
 
-def test_analyze_json_bytes_are_pinned(tmp_path, monkeypatch):
+def _pinned_analyze_texts():
     uniform = reference_random_uniform(2000, 20000, 3, seed=1)
     partite, partition = reference_random_r_partite((20, 25, 30), 400, seed=3)
     union = union_edges(
         build(3, 11, [[1, 2, 3], [3, 4, 5], [1, 5, 6]]),
         build(3, 11, [[7, 8, 9], [8, 9, 10]]),
     )
-    texts = [write_hgr(uniform), write_hgr(partite, partition), write_hgr(union)]
-    # recorded when the solver came to shift by a quarter of the maximum degree
+    return [write_hgr(uniform), write_hgr(partite, partition), write_hgr(union)]
+
+
+def test_analyze_json_bytes_are_pinned(tmp_path, monkeypatch):
+    texts = _pinned_analyze_texts()
+    # recorded when each component came to start at a twentieth of its
+    # maximum degree and to raise the shift to a quarter when it stalls
     assert [_analyze_json_sha256(tmp_path, text) for text in texts] == [
-        (0, "d3f801ccd9b3fb468c84681f071b0f28e619bc0fd71c30c4d90447c84aef6f86"),
-        (0, "38c0f1d4b826f42891e39c0425272937925556593a3655b20faf35e5731d4a55"),
-        (0, "ed7044f3c60043770a4364187a767938636feb143d23a94a70dcd21deb7c6b23"),
+        (0, "badfa944ef8c7bb6938fd46601cebfafc166b9d43d9981e49a539405711b99fe"),
+        (0, "93afebfa5a9d321b13978fd05f5df2c5f43781e79b6e04eea85da5ffd693e140"),
+        (0, "5b53216e04bca07eb7bb489d6d8d79d8b899728d2f60b4da210d014c667b7e8e"),
     ]
     # recorded with the per-edge Python implementation of parsing,
     # components, the kernel and the edge products, with the shift at the
     # whole maximum degree
-    monkeypatch.setattr(hgirr.spectral, "_SHIFT", 1.0)
+    fix_shift(monkeypatch, 1.0)
     assert [_analyze_json_sha256(tmp_path, text) for text in texts] == [
         (0, "5b04a0b165ff02b7763591b57647912d28ee23ad31570d1001a980a036f4c86e"),
         (0, "2cf2e6221f6820bcf02bada84355fb02b4da4ea5cc0bbbefe32616e9dc868242"),
         (0, "45bfef53ac50342ab46a1b06bc543e104adfcb4ccc1011b9f298b8384f7bdebf"),
+    ]
+
+
+def test_analyze_json_bytes_at_a_fixed_quarter_shift_are_unchanged(tmp_path, monkeypatch):
+    # recorded when the solver came to shift by a quarter of the maximum degree
+    fix_shift(monkeypatch, 0.25)
+    assert [_analyze_json_sha256(tmp_path, text) for text in _pinned_analyze_texts()] == [
+        (0, "d3f801ccd9b3fb468c84681f071b0f28e619bc0fd71c30c4d90447c84aef6f86"),
+        (0, "38c0f1d4b826f42891e39c0425272937925556593a3655b20faf35e5731d4a55"),
+        (0, "ed7044f3c60043770a4364187a767938636feb143d23a94a70dcd21deb7c6b23"),
     ]
 
 

@@ -31,7 +31,13 @@ from hgirr import (
     weyl_check,
 )
 
-from helpers import compensated_sum, loose_path, path_with_pendants, star_with_tail
+from helpers import (
+    compensated_sum,
+    fix_shift,
+    loose_path,
+    path_with_pendants,
+    star_with_tail,
+)
 from hgirr.irregularity import _edge_degree_products, _logs
 from hgirr.spectral import SpectralOptions
 
@@ -452,32 +458,54 @@ def _check_edge_degree_products(pinned):
             assert (check.lhs, check.rhs) == (lhs, rhs), (label, name)
 
 
+# complete 8-uniform on 16 vertices: degree 6435 and 6435**8 > 2**63; the
+# figures were recorded with per-edge Python integer products. The complete
+# one is regular and converges at its first step, but rho comes back from
+# rho + sigma, so its last bit depends on the shift; it is the same at a
+# quarter and at the whole of the maximum degree.
+_FULL_AT_A_QUARTER = {
+    "edge_gm_upper": (6435.000000000384, 6435.0),
+    "gm_lower": (2.9402781049884636e30, 2.9402781050194185e30),
+    "hm_lower": (2.940278105018616e30, 2.9402781050194185e30),
+}
+
+
 def test_edge_degree_products_fall_back_to_exact_integers(monkeypatch):
-    # complete 8-uniform on 16 vertices: degree 6435 and 6435**8 > 2**63;
-    # the values below were recorded with per-edge Python integer products.
-    # The complete one is regular, so its figures do not depend on the shift.
-    full = {
-        "edge_gm_upper": (6435.000000000384, 6435.0),
-        "gm_lower": (2.9402781049884636e30, 2.9402781050194185e30),
-        "hm_lower": (2.940278105018616e30, 2.9402781050194185e30),
-    }
-    # recorded when the solver came to shift by a quarter of the maximum degree
+    # recorded when each component came to start at a twentieth of its
+    # maximum degree and to raise the shift to a quarter when it stalls
     _check_edge_degree_products({
-        "full": full,
+        "full": {
+            "edge_gm_upper": (6435.000000000383, 6435.0),
+            "gm_lower": (2.9402781049884636e30, 2.940278105019415e30),
+            "hm_lower": (2.940278105018616e30, 2.940278105019415e30),
+        },
         "one edge removed": {
-            "edge_gm_upper": (6434.500020812284, 6435.0),
-            "gm_lower": (2.9384509942075944e30, 2.938450999315712e30),
-            "hm_lower": (2.938450956442179e30, 2.938450999315712e30),
+            "edge_gm_upper": (6434.500020812228, 6435.0),
+            "gm_lower": (2.9384509942075944e30, 2.9384509993155095e30),
+            "hm_lower": (2.938450956442179e30, 2.9384509993155095e30),
         },
     })
     # recorded with the shift at the whole maximum degree
-    monkeypatch.setattr(hgirr.spectral, "_SHIFT", 1.0)
+    fix_shift(monkeypatch, 1.0)
     _check_edge_degree_products({
-        "full": full,
+        "full": _FULL_AT_A_QUARTER,
         "one edge removed": {
             "edge_gm_upper": (6434.50002081236, 6435.0),
             "gm_lower": (2.9384509942075944e30, 2.9384509993159914e30),
             "hm_lower": (2.938450956442179e30, 2.9384509993159914e30),
+        },
+    })
+
+
+def test_edge_degree_products_at_a_fixed_quarter_shift_are_unchanged(monkeypatch):
+    # recorded when the solver came to shift by a quarter of the maximum degree
+    fix_shift(monkeypatch, 0.25)
+    _check_edge_degree_products({
+        "full": _FULL_AT_A_QUARTER,
+        "one edge removed": {
+            "edge_gm_upper": (6434.500020812284, 6435.0),
+            "gm_lower": (2.9384509942075944e30, 2.938450999315712e30),
+            "hm_lower": (2.938450956442179e30, 2.938450999315712e30),
         },
     })
 

@@ -14,6 +14,7 @@ import hgirr.spectral
 from helpers import (
     coupled_tol,
     dense_rho,
+    fix_shift,
     loose_path,
     path_with_pendants,
     reference_apply_adjacency_edges,
@@ -789,6 +790,7 @@ def _odd_bipartite_r4():
 _SLOW_SHAPES = {
     # bipartite and odd-bipartite: both have the eigenvalue -rho
     "K(20,30)": (lambda: complete_r_partite((20, 30))[0], _graph_rho, None),
+    "K(5,40)": (lambda: complete_r_partite((5, 40))[0], _graph_rho, None),
     "odd-bipartite r=4": (_odd_bipartite_r4, dense_rho, None),
     # the shift of the whole maximum degree takes 14,921 iterations here
     "star_with_tail(50,200)": (lambda: star_with_tail(50, 200), _cube_rho, 5_000),
@@ -815,8 +817,7 @@ def test_bracket_pad_is_keyed_on_the_maximum_degree(monkeypatch):
     # D roundings whatever the shift.
     H = star_with_tail(200, 0)
     degree = int(H.degree_array.max())
-    sigma = degree * hgirr.spectral._SHIFT
-    assert degree == 200 and sigma < degree
+    assert degree == 200
     finals = []
     real_power = hgirr.spectral._power_steps
 
@@ -828,10 +829,91 @@ def test_bracket_pad_is_keyed_on_the_maximum_degree(monkeypatch):
     monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
     res = spectral_radius(H)
     assert res.converged and len(finals) == 1
-    _, lo, hi, _, _ = finals[0]
+    _, lo, hi, _, _, (fraction, _, _) = finals[0]
+    sigma = degree * fraction
+    assert sigma < degree
     pad = hgirr.spectral._gamma(degree + 2 * H.r + 4) * max(1.0, hi)
     assert res.bracket[0] <= lo - sigma - pad
     assert res.bracket[1] >= hi - sigma + pad
+
+
+def _recorded_shifts(monkeypatch):
+    """(r, D, sigma) of every bracket _certified_bracket pads from then on."""
+    shifts = []
+    real_bracket = hgirr.spectral._certified_bracket
+
+    def recorded_bracket(lo, hi, sigma, degree, r):
+        shifts.append((r, degree, sigma))
+        return real_bracket(lo, hi, sigma, degree, r)
+
+    monkeypatch.setattr(hgirr.spectral, "_certified_bracket", recorded_bracket)
+    return shifts
+
+
+@pytest.mark.parametrize(
+    "shape, raised", [("K(20,30)", True), ("K(5,40)", True), ("odd-bipartite r=4", False)]
+)
+def test_minus_rho_shapes_lose_at_most_the_window(shape, raised, monkeypatch):
+    # Their spectrum holds -rho. The bipartite graphs slow down at the small
+    # shift until it rises; the first step has no width to compare with, so
+    # it rises at step _SLOW_STEPS + 2 at the earliest. The odd-bipartite
+    # input shrinks fast enough at the small shift, which it keeps.
+    H = _SLOW_SHAPES[shape][0]()
+    shifts = _recorded_shifts(monkeypatch)
+    res = spectral_radius(H)
+    [(_, degree, sigma)] = shifts
+    assert sigma == degree * (hgirr.spectral._SHIFT if raised else hgirr.spectral._SHIFT_START)
+    fix_shift(monkeypatch, hgirr.spectral._SHIFT)
+    quarter = spectral_radius(H)
+    assert res.converged and quarter.converged
+    assert res.iterations <= quarter.iterations + hgirr.spectral._SLOW_STEPS + 1
+
+
+def test_a_budget_that_ends_at_the_raise_certifies_at_the_shift_of_its_last_step():
+    # K(20,30) raises its shift after its fifth step; a budget that ends at
+    # or around that step shifts lo and hi back by the sigma that gave them
+    H = complete_r_partite((20, 30))[0]
+    rho = _graph_rho(H)
+    for budget in range(1, 12):
+        opts = SpectralOptions(max_iterations=budget)
+        got = _solve_group([H], opts)[0]
+        _assert_same_solve(got, reference_solve_component(H.edge_array, H.n, H.r, opts))
+        lo, hi = got[3]
+        assert lo <= rho <= hi
+
+
+@pytest.mark.parametrize("r, n, m", [(3, 2000, 3000), (3, 2000, 20000), (4, 2000, 2000), (4, 5000, 100000)])
+def test_random_inputs_keep_the_small_shift(r, n, m, monkeypatch):
+    H = random_uniform(n, m, r, seed=1)
+    shifts = _recorded_shifts(monkeypatch)
+    res = spectral_radius(H)
+    assert res.converged and shifts
+    assert all(sigma == degree * hgirr.spectral._SHIFT_START for _, degree, sigma in shifts)
+    fix_shift(monkeypatch, hgirr.spectral._SHIFT)
+    assert res.iterations < spectral_radius(H).iterations
+
+
+def test_a_batch_that_raises_some_shifts_matches_the_loop_bit_for_bit(monkeypatch):
+    # K(20,30) raises its shift in the same layout as random graphs that do
+    # not, and random 3-uniform pieces keep theirs, in one _spectral_radii call
+    rng = np.random.default_rng(2022)
+    bipartite = complete_r_partite((20, 30))[0]
+    hypergraphs = [
+        _disjoint_union([bipartite, *(random_uniform(12, 40, 2, rng) for _ in range(6))]),
+        _disjoint_union([random_uniform(30, 200, 3, rng) for _ in range(8)]),
+        bipartite,
+        _disjoint_union([random_uniform(10, 30, 3, rng) for _ in range(5)], isolated=2),
+    ]
+    shifts = _recorded_shifts(monkeypatch)
+    got = _spectral_radii(hypergraphs, SpectralOptions())
+    raised = {rank: [] for rank in (2, 3)}
+    for rank, degree, sigma in shifts:
+        raised[rank].append(sigma == degree * hgirr.spectral._SHIFT)
+    assert raised[2].count(True) == 2 and False in raised[2]
+    assert True not in raised[3]
+    monkeypatch.undo()
+    for H, result in zip(hypergraphs, got):
+        _assert_same_result(result, reference_spectral_radius(H))
 
 
 @pytest.mark.parametrize(
@@ -980,9 +1062,9 @@ def test_batch_steps_only_while_two_components_are_open(kind, monkeypatch):
 
         return recorded_apply
 
-    def recorded_power(apply, x, sigma, r, tol, budget):
+    def recorded_power(apply, x, degree, shift, r, tol, budget):
         power_calls.append((x.shape[0], budget))
-        return real_power(apply, x, sigma, r, tol, budget)
+        return real_power(apply, x, degree, shift, r, tol, budget)
 
     monkeypatch.setattr(hgirr.spectral, "_kernel", recorded_kernel)
     monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
