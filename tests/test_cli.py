@@ -16,7 +16,6 @@ import pytest
 import hgirr.cli
 import hgirr.core
 import hgirr.irregularity
-import hgirr.spectral
 from helpers import (
     compensated_sum,
     fix_shift,

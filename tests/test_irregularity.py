@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import hgirr.irregularity
-import hgirr.spectral
 from hgirr import (
     HypergraphError,
     Partition,
