@@ -2,10 +2,10 @@
 
 Subcommands::
 
-    hgirr analyze FILE [--partition FILE] [--tol 1e-10]
-                       [--max-iterations 100000] [--json]
+    hgirr analyze FILE [--partition FILE] [--tol TOL]
+                       [--max-iterations N] [--json]
     hgirr verify [--r 2,3,4] [--n 2:10] [--m M] [--count K] [--seed S]
-                 [--partite 2,2,2] [--tol 1e-10]
+                 [--partite 2,2,2] [--tol TOL]
     hgirr regularize FILE -o OUT [--partitewise]
     hgirr transform blowup FILE --k 2 [-o OUT]
     hgirr transform product FILE1 FILE2 [-o OUT]
@@ -224,15 +224,17 @@ def _checked_instances(
         block = [_make_instance(i, args, r_choices, n_range, sizes) for i in indices]
         results = _spectral_radii([H for H, _, _ in block], opts)
         for index, (H, partition, rng), result in zip(indices, block, results):
-            checks = bound_suite(H, result, partition, opts)
+            checks = bound_suite(H, result, partition)
             extras: list[tuple[str, bool]] = []
             if index % 10 == 0:
-                extras = _run_extra_checks(H, partition, result, rng, opts, index)
+                extras = _run_extra_checks(H, partition, result, rng, index)
             yield checks, extras
         del block, results
 
 
-def _run_extra_checks(H, partition, result, rng, opts, index) -> list[tuple[str, bool]]:
+def _run_extra_checks(H, partition, result, rng, index) -> list[tuple[str, bool]]:
+    """The spot checks of instance ``index``; every solve runs at
+    ``result.options``."""
     out: list[tuple[str, bool]] = []
     r = H.r
     rho = result.rho
@@ -241,19 +243,19 @@ def _run_extra_checks(H, partition, result, rng, opts, index) -> list[tuple[str,
     if H.m >= 1 and k**r * H.m <= 1500 and k * H.n <= 30:
         blown = blow_up(H, k)
         expected = k ** (r - 1) * rho
-        got = spectral_radius(blown, opts).rho
+        got = spectral_radius(blown, result.options).rho
         out.append(("blow_up_law", abs(got - expected) <= 1e-7 * max(1.0, expected)))
 
     if H.m >= 1 and math.factorial(r) * H.m <= 1500:
         product = direct_product(H, single_edge(r))
         out.append(("product_edge_count", product.m == math.factorial(r) * H.m))
         expected = math.factorial(r - 1) * rho
-        got = spectral_radius(product, opts).rho
+        got = spectral_radius(product, result.options).rho
         out.append(("product_law", abs(got - expected) <= 1e-7 * max(1.0, expected)))
 
     cap = math.comb(H.n, r)
     other = random_uniform(H.n, int(rng.integers(0, cap + 1)), r, rng)
-    out.append(("weyl", weyl_check(H, result, other, opts).holds))
+    out.append(("weyl", weyl_check(H, result, other).holds))
 
     regular, _trace = regularize(H)
     deg = regular.degree_array
@@ -472,12 +474,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral radius and irregularity measures of r-uniform hypergraphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --tol and --max-iterations default to the solver's own defaults
+    defaults = SpectralOptions()
+    tol_help = "relative solver tolerance, in (0, 1)"
 
     p = sub.add_parser("analyze", help="measures and bound checks for one instance")
     p.add_argument("file", help="input .hgr file")
     p.add_argument("--partition", help="partition file overriding any inline partition")
-    p.add_argument("--tol", type=float, default=1e-10, help="relative solver tolerance, in (0, 1)")
-    p.add_argument("--max-iterations", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=defaults.tolerance, help=tol_help)
+    p.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
     p.add_argument("--json", action="store_true", help="emit a single JSON object")
     p.set_defaults(func=_cmd_analyze)
 
@@ -488,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partite", default=None, help="comma class sizes, e.g. 2,2,2")
-    p.add_argument("--tol", type=float, default=1e-10, help="relative solver tolerance, in (0, 1)")
+    p.add_argument("--tol", type=float, default=defaults.tolerance, help=tol_help)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("regularize", help="rewire to a near-regular instance")

@@ -137,6 +137,12 @@ def _require_certificate(H: UniformHypergraph, spectral: SpectralResult) -> None
             "expected the SpectralResult of spectral_radius(H), "
             f"got {type(spectral).__name__}"
         )
+    if not isinstance(spectral.options, SpectralOptions):
+        # the solves made beside the result run at its options
+        raise TypeError(
+            "expected the SpectralOptions the result was solved at, "
+            f"got {type(spectral.options).__name__}"
+        )
     lower, upper = spectral.bracket
     if not -math.inf < lower <= upper < math.inf:  # False for a NaN end
         raise ValueError(
@@ -276,21 +282,21 @@ def bound_suite(
     H: UniformHypergraph,
     spectral: SpectralResult,
     partition: Partition | None = None,
-    opts: SpectralOptions | None = None,
 ) -> list[BoundCheck]:
     """Evaluate every supported inequality for H at a certified spectral radius.
 
     ``spectral`` must be the :class:`SpectralResult` of ``spectral_radius(H)``:
     its bracket certifies rho, and a bare float, which carries no
-    certificate, raises TypeError, and a bracket that is not finite or whose
+    certificate, or a result whose ``options`` are not SpectralOptions,
+    raises TypeError, and a bracket that is not finite or whose
     lower end exceeds its upper end, or that misses the ratios of the result's
     Perron vector on H, raises ValueError. The tolerance of each
     check is ``10 * (certified error + 1e-9)``, with the certified error
     carried to the rho**r scale for ``gm_lower`` and ``hm_lower``. A supplied
     partition is checked against H by the class-preserving rewiring that
     claim2 needs, before any bound is evaluated. Partition-dependent checks
-    are emitted as skipped when no partition is supplied; ``opts``
-    configures the extra solve needed by claim2.
+    are emitted as skipped when no partition is supplied. The extra solve
+    needed by claim2 runs at ``spectral.options``.
     """
     _require_certificate(H, spectral)
     rho = float(spectral.rho)
@@ -311,6 +317,8 @@ def bound_suite(
     # equality cases, as keyword arguments of _check
     if_regular = {"eq": regular, "reason": "regular"}
     if_constant = {"eq": constant_product, "reason": "constant edge degree product"}
+    # r / r!^(1/r), of size_upper without a partition and of theorem2_upper
+    coef = r / math.factorial(r) ** (1.0 / r)
     checks: list[BoundCheck] = []
 
     checks.append(_check("cooper_dutle", davg, rho, tol, **if_regular))
@@ -328,7 +336,6 @@ def bound_suite(
             _check("size_upper", rho, rhs, tol, eq=complete, reason="complete r-partite")
         )
     else:
-        coef = r / math.factorial(r) ** (1.0 / r)
         checks.append(_check("size_upper", rho, coef * m ** ((r - 1) / r), tol))
 
     if m == 0:
@@ -372,9 +379,8 @@ def bound_suite(
     checks.append(_check("power_mean_lower", power_mean, rho, tol, **if_regular))
 
     s = s_measure(H)
-    coef_upper = r / math.factorial(r) ** (1.0 / r)
     checks.append(
-        _check("theorem2_upper", rho - davg, coef_upper * (s / 2.0) ** ((r - 1) / r), tol)
+        _check("theorem2_upper", rho - davg, coef * (s / 2.0) ** ((r - 1) / r), tol)
     )
 
     if m == 0:
@@ -386,14 +392,9 @@ def bound_suite(
         ) ** (1.0 / (r - 1))
         checks.append(_check("theorem2_lower", coef_lower * v, rho - davg, tol))
 
-    if partition is None:
-        checks.append(_skip("theorem1", "no partition"))
-        checks.append(_skip("claim1", "no partition"))
-        checks.append(_skip("claim2", "no partition"))
-    elif any(size == 0 for size in partition.class_sizes):
-        checks.append(_skip("theorem1", "empty class"))
-        checks.append(_skip("claim1", "empty class"))
-        checks.append(_skip("claim2", "empty class"))
+    if partition is None or 0 in partition.class_sizes:
+        reason = "no partition" if partition is None else "empty class"
+        checks += [_skip(name, reason) for name in ("theorem1", "claim1", "claim2")]
     else:
         geo = math.prod(partition.class_sizes) ** (1.0 / r)
         s_r = _s_r(H, partition)
@@ -401,7 +402,7 @@ def bound_suite(
             _check("theorem1", rho - m / geo, (s_r / 2.0) ** ((r - 1) / r), tol)
         )
         checks.append(_check("claim1", (n / r) ** (1.0 / r), geo, tol))
-        hat = spectral_radius(regularized, opts)
+        hat = spectral_radius(regularized, spectral.options)
         tol_hat = _certified_tolerance(hat.certified_error)
         rhs = m / geo + (n / r) ** (1.0 - 1.0 / r)
         checks.append(_check("claim2", hat.rho, rhs, tol_hat))
@@ -413,14 +414,14 @@ def weyl_check(
     H1: UniformHypergraph,
     spectral: SpectralResult,
     H2: UniformHypergraph,
-    opts: SpectralOptions | None = None,
 ) -> BoundCheck:
     """Subadditivity of the spectral radius over the edge-set union, given
-    ``spectral_radius(H1)``'s result, checked as ``bound_suite`` checks it."""
+    ``spectral_radius(H1)``'s result, checked as ``bound_suite`` checks it.
+    H2 and the union are solved at ``spectral.options``."""
     _require_certificate(H1, spectral)
     union = union_edges(H1, H2)
-    r2 = spectral_radius(H2, opts)
-    ru = spectral_radius(union, opts)
+    r2 = spectral_radius(H2, spectral.options)
+    ru = spectral_radius(union, spectral.options)
     certified = spectral.certified_error + r2.certified_error + ru.certified_error
     return _check("weyl", ru.rho, spectral.rho + r2.rho, _certified_tolerance(certified))
 
@@ -543,7 +544,7 @@ def analyze(
 ) -> IrregularityReport:
     """Solve for the spectral radius and assemble the full measure/bound report."""
     result = spectral_radius(H, opts)
-    checks = bound_suite(H, result, partition, opts)
+    checks = bound_suite(H, result, partition)
     # bound_suite has checked the partition against H
     s_r = _s_r(H, partition) if partition is not None else None
     avg = average_degree(H)

@@ -172,6 +172,9 @@ class SpectralResult:
     maxed over components), so ``certified_error`` is a rigorous error bound.
     ``perron_vector`` is positive and unit in the r-norm on each component
     separately; ``residual`` is measured on the component attaining rho.
+    ``options`` are the settings the solve ran at; the solves that
+    ``bound_suite`` (claim2) and ``weyl_check`` make beside it run at them
+    too.
     """
 
     rho: float
@@ -181,6 +184,7 @@ class SpectralResult:
     converged: bool
     component_rhos: tuple[float, ...]
     bracket: tuple[float, float]
+    options: SpectralOptions
 
     @property
     def certified_error(self) -> float:
@@ -285,23 +289,18 @@ def _kernel(edges: np.ndarray, n: int):
         return run
 
     if r < 3 or m * r < _SPLIT_TERMS or _cpus() < 2:
-        run = part(0, m)
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            run(x)
-            return np.bincount(index, weights, n)
-
-        return apply
-
-    first, second = part(0, m // 2), part(m // 2, m)
+        first, second = None, part(0, m)  # serial: no helper half
+    else:
+        first, second = part(0, m // 2), part(m // 2, m)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        done = _helper_pool().submit(first, x)
+        done = None if first is None else _helper_pool().submit(first, x)
         try:
             second(x)
         finally:
             # the helper writes the shared buffers until its half is done
-            done.result()
+            if done is not None:
+                done.result()
         return np.bincount(index, weights, n)
 
     return apply
@@ -658,7 +657,7 @@ def _spectral_radii(
     for keys in by_rank.values():
         solved.update(zip(keys, _solve_group([parts[h][c][1] for h, c in keys], opts)))
     return [
-        _assemble(H, comps, [solved[h, c] for c in range(len(comps))])
+        _assemble(H, comps, [solved[h, c] for c in range(len(comps))], opts)
         for h, (H, comps) in enumerate(zip(hypergraphs, parts))
     ]
 
@@ -667,8 +666,10 @@ def _assemble(
     H: UniformHypergraph,
     comps: list[tuple[tuple[int, ...], UniformHypergraph]],
     solutions: list[tuple[float, np.ndarray, int, tuple[float, float], bool]],
+    opts: SpectralOptions,
 ) -> SpectralResult:
-    """The SpectralResult of H from the solutions of its components."""
+    """The SpectralResult of H from the solutions of its components, solved
+    at ``opts``."""
     perron = np.zeros(H.n, dtype=np.float64)
     best: tuple[float, UniformHypergraph, np.ndarray] | None = None
     for (verts, sub), (rho_c, x_c, _, _, _) in zip(comps, solutions):
@@ -684,6 +685,7 @@ def _assemble(
         converged=all(s[4] for s in solutions),
         component_rhos=tuple(s[0] for s in solutions),
         bracket=(max(b[0] for b in brackets), max(b[1] for b in brackets)),
+        options=opts,
     )
 
 

@@ -271,6 +271,7 @@ def reference_spectral_radius(H, opts=None):
         converged=all_converged,
         component_rhos=tuple(comp_rhos),
         bracket=bracket,
+        options=opts,
     )
 
 

@@ -37,7 +37,7 @@ from helpers import (
     path_with_pendants,
     star_with_tail,
 )
-from hgirr.irregularity import _edge_degree_products, _logs
+from hgirr.irregularity import _certified_tolerance, _edge_degree_products, _logs
 from hgirr.spectral import SpectralOptions
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -235,6 +235,29 @@ def test_suite_tolerances_are_the_certified_values():
     assert weyl_check(H, res, H2).tolerance == 10.0 * (certified + 1e-9)
 
 
+def test_extra_solves_run_at_the_results_options():
+    H, P = random_r_partite((4, 5, 6), 40, seed=8)
+    opts = SpectralOptions(tolerance=1e-3)
+    res = spectral_radius(H, opts)
+    regularized = regularize_partitewise(H, P)[0]
+    hat = spectral_radius(regularized, opts)
+    claim2 = by_name(bound_suite(H, res, P), "claim2")
+    assert claim2.tolerance == _certified_tolerance(hat.certified_error)
+    # the default solve gives another tolerance, so the check tells them apart
+    default = _certified_tolerance(spectral_radius(regularized).certified_error)
+    assert claim2.tolerance != default
+
+    H2 = random_uniform(15, 60, 3, seed=9)
+    union = union_edges(H, H2)
+    certified = sum(spectral_radius(G, opts).certified_error for G in (H, H2, union))
+    weyl = weyl_check(H, res, H2)
+    assert weyl.tolerance == _certified_tolerance(certified)
+    default = res.certified_error + sum(
+        spectral_radius(G).certified_error for G in (H2, union)
+    )
+    assert weyl.tolerance != _certified_tolerance(default)
+
+
 @pytest.mark.parametrize(
     "bracket",
     [(math.nan, math.nan), (1.3, 1.2), (1.2, math.inf), (-math.inf, 1.3)],
@@ -270,10 +293,19 @@ def test_result_consumers_refuse_what_bound_suite_refuses(
 
 
 _CONSUMERS = {
-    "bound_suite": lambda H, res, opts=None: bound_suite(H, res, None, opts),
-    "epsilon": lambda H, res, opts=None: epsilon(H, res),
-    "weyl_check": lambda H, res, opts=None: weyl_check(H, res, H, opts),
+    "bound_suite": bound_suite,
+    "epsilon": epsilon,
+    "weyl_check": lambda H, res: weyl_check(H, res, H),
 }
+
+
+@pytest.mark.parametrize("consumer", _CONSUMERS.values(), ids=_CONSUMERS.keys())
+def test_result_consumers_refuse_a_result_without_options(two_path, consumer):
+    # the solves beside the result run at its options: none must not mean
+    # the defaults
+    res = dataclasses.replace(spectral_radius(two_path), options=None)
+    with pytest.raises(TypeError, match="SpectralOptions the result was solved at"):
+        consumer(two_path, res)
 
 
 @pytest.mark.parametrize("consumer", _CONSUMERS.values(), ids=_CONSUMERS.keys())
@@ -318,7 +350,7 @@ def test_result_consumers_refuse_another_hypergraphs_result(two_path, consumer):
 def test_result_consumers_accept_every_genuine_result(H, opts):
     res = spectral_radius(H, opts)
     for consumer in _CONSUMERS.values():
-        consumer(H, res, opts)
+        consumer(H, res)
 
 
 def test_suite_holds_at_derived_tolerance_on_random_instances():

@@ -956,7 +956,8 @@ def test_an_open_component_builds_one_kernel_for_every_phase(make, phases, monke
 # ------------------------------------------- components of one rank at once
 
 def _assert_same_result(got, want):
-    """Every SpectralResult field equal bit for bit."""
+    """Every SpectralResult field equal bit for bit, the options it was
+    solved at included."""
     for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, np.ndarray):
@@ -1035,6 +1036,14 @@ def test_spectral_radii_match_separate_solves_of_mixed_ranks():
     assert len(got) == len(hypergraphs)
     for H, result in zip(hypergraphs, got):
         _assert_same_result(result, reference_spectral_radius(H))
+
+
+def test_a_result_carries_the_options_it_was_solved_at(two_path):
+    assert spectral_radius(two_path).options == SpectralOptions()
+    opts = SpectralOptions(tolerance=1e-4, max_iterations=50)
+    assert spectral_radius(two_path, opts).options is opts
+    edgeless = build(3, 4, [])
+    assert [res.options for res in _spectral_radii([two_path, edgeless], opts)] == [opts] * 2
 
 
 @pytest.mark.parametrize("kind", ["mixed union", "connected path"])
