@@ -18,15 +18,13 @@ still added in edge order, so the split moves no bit of any result.
 The spectral radius is the largest eigenvalue of A in the sense
 A x = lambda x^[r-1], computed here per connected component by a shifted
 power iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 31, 2009) on
-A + sigma I. Each component starts at sigma = D * _SHIFT_START for its
-maximum degree D, and its sigma rises once, to D * _SHIFT, when the ratio
-bracket stalls: when its width has shrunk by less than a factor _SLOW per
-step for _SLOW_STEPS steps in a row. The shift keeps the iteration strictly
-positive and makes it converge on a connected component (see
-SpectralOptions). The min/max ratio bracket of A + sigma I, shifted back by
-the sigma of the step that gave it, is the stopping criterion and the
-certified error bound; its tolerance is relative to rho + sigma. The
-rounding pad of the bracket is keyed on D, not on sigma.
+A + sigma I, with one sigma per component for the whole solve: a fraction
+of its maximum degree D that its rank fixes, _SHIFT for a graph and
+_SHIFT_START for r >= 3. The shift keeps the iteration strictly positive and
+makes it converge on a connected component (see SpectralOptions). The
+min/max ratio bracket of A + sigma I, shifted back by sigma, is the stopping
+criterion and the certified error bound; its tolerance is relative to
+rho + sigma. The rounding pad of the bracket is keyed on D, not on sigma.
 
 The power iteration contracts at about 1 - O(1/k^2) per step on a loose path
 with k edges, so a component that has not converged after _NEWTON_AFTER
@@ -78,19 +76,14 @@ _HALVINGS = 10
 # certificate, which is the ratio bracket of whatever iterate is accepted.
 _CG_TOL = 1e-8
 _CG_STEPS_PER_VERTEX = 4
-# The power iteration shifts each component by _SHIFT_START times its maximum
-# degree D, and by _SHIFT times D from the step after its ratio bracket has
-# shrunk by less than a factor _SLOW per step for _SLOW_STEPS steps in a row
-# (see SpectralOptions). A twentieth of D takes a third fewer iterations than
-# a quarter on random instances (r = 3, n = 20k, m = 200k: 31 -> 20), but a
-# bipartite graph, whose spectrum holds -rho, slows down at a small shift
-# (K(20, 30): 36 iterations at a quarter, 181 at a twentieth, 40 with the
-# raise). The detector needs no bipartiteness test: any slow mode raises the
-# shift, and the bracket width at one iterate does not depend on the shift.
+# The power iteration shifts a graph by _SHIFT times its maximum degree D and
+# a component of rank r >= 3 by _SHIFT_START times D (see SpectralOptions).
+# A twentieth of D takes a third fewer iterations than a quarter on random
+# instances (r = 3, n = 20k, m = 200k: 31 -> 20), but a bipartite graph
+# slows down at a small shift (K(20, 30): 36 iterations at a quarter, 181 at
+# a twentieth).
 _SHIFT_START = 0.05
 _SHIFT = 0.25
-_SLOW = 0.7
-_SLOW_STEPS = 4
 # A kernel of r >= 3 splits its gather and products between two threads from
 # this many terms (m * r) on; handing half to the helper thread costs 35-90 us
 # per apply. Per apply on a 2-vCPU VM, at average degree 10 r, the split lost
@@ -120,29 +113,31 @@ class SpectralOptions:
     plus the Newton steps taken together. The bracket is that of A + sigma I,
     so the width it bounds is relative to rho + sigma.
 
-    The diagonal shift is not a setting: sigma starts at a fixed fraction,
-    _SHIFT_START, of the component's maximum degree, and rises once to a
-    larger fixed fraction, _SHIFT, when the bracket stops shrinking quickly.
-    Any positive iterate is a legal start, so the iteration simply goes on
-    from its current x at the new sigma. Any sigma > 0 makes the power
-    iteration converge on a connected component. The adjacency tensor of a
-    uniform hypergraph is weakly irreducible exactly when the hypergraph is
-    connected (Pearson and Zhang, Graphs Combin. 30, 2014). Adding sigma > 0
-    on the diagonal adds a positive diagonal to its irreducible
-    representative matrix, which makes that matrix primitive, so A + sigma I
-    is weakly primitive; and for a weakly primitive nonnegative tensor the
-    normalized power iteration converges to the positive eigenvector
-    (Friedland, Gaubert and Han, Linear Algebra Appl. 438, 2013, where both
-    notions are defined). That says nothing about the rate: a large sigma
-    pulls every eigenvalue ratio toward 1, and a small one slows bipartite
-    graphs. For r = 2 the iteration is the power method on A + sigma I, and
-    a bipartite graph puts its eigenvalue sigma - rho close to rho + sigma in
-    modulus when sigma is small. Odd-bipartite hypergraphs of even r have
-    the eigenvalue -rho too (Shao, Shan and Wu, Linear Multilinear Algebra
-    63, 2015), but that need not slow the iteration: the 4-uniform one of
-    the tests converges in fewer steps at a twentieth of D than at a
-    quarter. Hence the small start, which suits most inputs, and the one
-    raise, which a slow input takes after a few slow steps.
+    The diagonal shift is not a setting: sigma is a fixed fraction of the
+    component's maximum degree D, _SHIFT for a graph and the smaller
+    _SHIFT_START for r >= 3, for the whole solve. Any sigma > 0 makes the
+    power iteration converge on a connected component. The adjacency tensor
+    of a uniform hypergraph is weakly irreducible exactly when the
+    hypergraph is connected (Pearson and Zhang, Graphs Combin. 30, 2014).
+    Adding sigma > 0 on the diagonal adds a positive diagonal to its
+    irreducible representative matrix, which makes that matrix primitive, so
+    A + sigma I is weakly primitive; and for a weakly primitive nonnegative
+    tensor the normalized power iteration converges to the positive
+    eigenvector (Friedland, Gaubert and Han, Linear Algebra Appl. 438, 2013,
+    where both notions are defined). That says nothing about the rate: a
+    large sigma pulls every eigenvalue ratio toward 1, and a small one can
+    bring a mode near -1. Near the Perron vector x the step is linear with
+    the matrix L = D_x^-1 (B + sigma D_x) / (rho + sigma), D_x = diag(x^(r-2))
+    and B the symmetric matrix with B x = A x^(r-1) (_pair_products). Each
+    edge e adds (p_e / (r-1)) (u u^T - diag(u^2)) to B on its vertices, with
+    u = 1/x and p_e the product of x over e; u u^T is positive semidefinite
+    and the sum over the edges e at i of p_e / x_i^2 is rho x_i^(r-2), so
+    B >= -(rho / (r-1)) D_x. Every eigenvalue of L is therefore at least
+    (sigma - rho/(r-1)) / (rho + sigma) > -1/(r-1), so for r >= 3 no mode
+    comes near -1 whatever sigma > 0, and the small fraction is safe. For
+    r = 2 the bound is -rho, which every bipartite graph attains: its mode
+    (sigma - rho) / (rho + sigma) nears -1 as sigma shrinks, hence the
+    larger fraction for graphs.
     """
 
     tolerance: float = 1e-10
@@ -346,44 +341,27 @@ def _shifted_ratios(
 
 
 def _power_steps(
-    apply,
-    x: np.ndarray,
-    degree: int,
-    shift: tuple[float, int, float],
-    r: int,
-    tol: float,
-    budget: int,
-) -> tuple[np.ndarray, float, float, int, bool, tuple[float, int, float]]:
+    apply, x: np.ndarray, sigma: float, r: int, tol: float, budget: int
+) -> tuple[np.ndarray, float, float, int, bool]:
     """Up to ``budget`` (>= 1) shifted power iterations (Ng-Qi-Zhou) from x,
-    with A x from the _kernel ``apply``, on a component of maximum degree
-    ``degree``.
+    with A x from the _kernel ``apply``, at the shift ``sigma``.
 
-    ``shift`` is (fraction, slow, width): sigma = degree * fraction, the
-    number of slow steps in a row so far, and the ratio width of the last
-    step (inf before the first). A step is slow when its width exceeds
-    _SLOW times the last; a step after _SLOW_STEPS slow ones in a row runs
-    at the fraction _SHIFT, from then on. Each step takes the ratios of x,
-    then moves x to the renormalized (r-1)-th root of y; it stops once the
-    ratios are relatively narrower than ``tol``. Returns (x, lo, hi,
-    iterations, converged, shift): lo and hi are the shifted ratio bounds of
-    the iterate before the last update, taken at the returned fraction."""
+    Each step takes the ratios of x, then moves x to the renormalized
+    (r-1)-th root of y; it stops once the ratios are relatively narrower
+    than ``tol``. Returns (x, lo, hi, iterations, converged): lo and hi are
+    the shifted ratio bounds of the iterate before the last update."""
     root = 1.0 / (r - 1)
-    fraction, slow, wide = shift
     lo = hi = 0.0
     steps = 0
     for steps in range(1, budget + 1):
-        if slow >= _SLOW_STEPS:
-            fraction = _SHIFT
-        y, ratios = _shifted_ratios(apply, x, degree * fraction, r)
+        y, ratios = _shifted_ratios(apply, x, sigma, r)
         lo = float(_min(ratios))
         hi = float(_max(ratios))
         x = y**root
         x /= _norm_r(x, r)
-        slow = slow + 1 if hi - lo > _SLOW * wide else 0
-        wide = hi - lo
-        if wide <= tol * max(1.0, hi):
-            return x, lo, hi, steps, True, (fraction, slow, wide)
-    return x, lo, hi, steps, False, (fraction, slow, wide)
+        if hi - lo <= tol * max(1.0, hi):
+            return x, lo, hi, steps, True
+    return x, lo, hi, steps, False
 
 
 def _pair_products(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -496,6 +474,13 @@ def _certified_bracket(
     return lo - sigma - noise, hi - sigma + noise
 
 
+def _shift_fraction(r: int) -> float:
+    """sigma / D for a component of rank r: _SHIFT for a graph, whose
+    spectrum may hold -rho, and _SHIFT_START for r >= 3 (see
+    SpectralOptions)."""
+    return _SHIFT if r == 2 else _SHIFT_START
+
+
 def _finish_component(
     sub: UniformHypergraph,
     opts: SpectralOptions,
@@ -504,46 +489,44 @@ def _finish_component(
     hi: float,
     iterations: int,
     converged: bool,
-    shift: tuple[float, int, float],
 ) -> tuple[float, np.ndarray, int, tuple[float, float], bool]:
     """Certified spectral radius of the connected component ``sub``,
-    continued from the state (x, lo, hi, iterations, converged, shift) in
-    which _solve_group hands it over: x after ``iterations`` power
-    iterations, lo and hi the shifted ratio bounds of the last, and the
-    shift state of _power_steps, whose fraction gave lo and hi.
+    continued from the state (x, lo, hi, iterations, converged) in which
+    _solve_group hands it over: x after ``iterations`` power iterations, lo
+    and hi the shifted ratio bounds of the last. Its shift is sigma = D *
+    _shift_fraction(r) for its maximum degree D.
 
     An open component runs power iterations up to min(_NEWTON_AFTER,
-    max_iterations) in all, then safeguarded Newton-Noda steps at the
-    fraction current at that point; if a step finds no acceptable candidate,
-    the power iteration takes the rest of the budget from the last accepted
-    iterate and shift state, and Newton is not tried again. Every phase
-    shares one kernel, built only if the component is open with budget left.
-    Returns (rho, perron vector, iterations, bracket, converged), the
-    bracket from _certified_bracket at the sigma that gave lo and hi,
-    iterations counting Newton steps too.
+    max_iterations) in all, then safeguarded Newton-Noda steps; if a step
+    finds no acceptable candidate, the power iteration takes the rest of the
+    budget from the last accepted iterate, and Newton is not tried again.
+    Every phase shares one kernel, built only if the component is open with
+    budget left. Returns (rho, perron vector, iterations, bracket,
+    converged), the bracket from _certified_bracket, iterations counting
+    Newton steps too.
     """
     tol, budget = opts.tolerance, opts.max_iterations
     r, degree = sub.r, int(sub.degree_array.max())
+    sigma = degree * _shift_fraction(r)
     if not converged and iterations < budget:
         edges = sub.edge_array
         apply = _kernel(edges, sub.n)
         first = min(_NEWTON_AFTER, budget)
         if iterations < first:
-            x, lo, hi, steps, converged, shift = _power_steps(
-                apply, x, degree, shift, r, tol, first - iterations
+            x, lo, hi, steps, converged = _power_steps(
+                apply, x, sigma, r, tol, first - iterations
             )
             iterations += steps
         if not converged and iterations < budget:
             x, lo, hi, steps, converged = _newton_steps(
-                apply, edges, x, degree * shift[0], r, tol, budget - iterations
+                apply, edges, x, sigma, r, tol, budget - iterations
             )
             iterations += steps
             if not converged and iterations < budget:
-                x, lo, hi, steps, converged, shift = _power_steps(
-                    apply, x, degree, shift, r, tol, budget - iterations
+                x, lo, hi, steps, converged = _power_steps(
+                    apply, x, sigma, r, tol, budget - iterations
                 )
                 iterations += steps
-    sigma = degree * shift[0]
     bracket = _certified_bracket(lo, hi, sigma, degree, r)
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
 
@@ -562,13 +545,12 @@ def _solve_group(
     come from the exact minimum.reduceat and maximum.reduceat, and the
     r-norms are row sums of each run of equally sized components, a
     (count, size) array whose row sums equal the sums of the rows, with the
-    root taken per row as a Python float. Each component carries the shift
-    state of _power_steps, whose every decision compares the same floats as
-    alone; sigma_v is rebuilt only at a step where the layout changes or a
-    component's shift rises. A component is saved and dropped at the step
-    it converges; once fewer than two are open, or after
-    min(_NEWTON_AFTER, max_iterations) steps, the open ones go on alone in
-    _finish_component from their iterates, step count and shift state.
+    root taken per row as a Python float. Every component of the group has
+    the same shift fraction, so sigma_v is rebuilt only when the layout
+    changes. A component is saved and dropped at the step it converges;
+    once fewer than two are open, or after min(_NEWTON_AFTER,
+    max_iterations) steps, the open ones go on alone in _finish_component
+    from their iterates and step count.
     """
     r = subs[0].r
     root, inv_r = 1.0 / (r - 1), 1.0 / r
@@ -579,9 +561,7 @@ def _solve_group(
     vlen = np.array([subs[c].n for c in order])
     elen = np.array([subs[c].m for c in order])
     degree = np.array([subs[c].degree_array.max() for c in order], dtype=np.float64)
-    fraction = np.full(len(subs), _SHIFT_START)
-    slow = np.zeros(len(subs), dtype=np.int64)
-    wide = np.full(len(subs), np.inf)
+    sigma = degree * _shift_fraction(r)
     lo = hi = np.zeros(len(subs))
     local = np.concatenate([subs[c].edge_array for c in order])
     x = np.repeat([n ** (-1.0 / r) for n in vlen.tolist()], vlen)
@@ -590,16 +570,13 @@ def _solve_group(
     moved = True
     while len(ids) > 1 and step < budget:
         step += 1
-        rise = (slow >= _SLOW_STEPS) & (fraction != _SHIFT)
         if moved:
             vstart = np.cumsum(vlen) - vlen
             edges = local + np.repeat(vstart, elen)[:, None]
             apply = _kernel(edges, x.shape[0])
+            sigma_v = np.repeat(sigma, vlen)
             cuts = [0, *(np.flatnonzero(np.diff(vlen)) + 1).tolist(), len(vlen)]
             runs = [(int(vstart[a]), b - a, int(vlen[a])) for a, b in zip(cuts, cuts[1:])]
-        if moved or rise.any():
-            fraction[rise] = _SHIFT
-            sigma_v = np.repeat(degree * fraction, vlen)
             moved = False
         y, ratios = _shifted_ratios(apply, x, sigma_v, r)
         lo = np.minimum.reduceat(ratios, vstart)
@@ -610,27 +587,21 @@ def _solve_group(
             [xr[v0 : v0 + k * size].reshape(k, size).sum(axis=1) for v0, k, size in runs]
         )
         x /= np.repeat([total**inv_r for total in sums.tolist()], vlen)
-        width = hi - lo
-        slow = np.where(width > _SLOW * wide, slow + 1, 0)
-        wide = width
-        done = width <= tol * np.maximum(1.0, hi)
+        done = hi - lo <= tol * np.maximum(1.0, hi)
         if done.any():
             for j in np.flatnonzero(done).tolist():
                 v0 = int(vstart[j])
                 x_j = x[v0 : v0 + vlen[j]].copy()
-                shift = (float(fraction[j]), int(slow[j]), float(wide[j]))
-                states[ids[j]] = (x_j, float(lo[j]), float(hi[j]), step, True, shift)
+                states[ids[j]] = (x_j, float(lo[j]), float(hi[j]), step, True)
             keep = ~done
             local = np.compress(np.repeat(keep, elen), local, axis=0)
             x = x[np.repeat(keep, vlen)]
             ids, vlen, elen = ids[keep], vlen[keep], elen[keep]
-            degree, lo, hi = degree[keep], lo[keep], hi[keep]
-            fraction, slow, wide = fraction[keep], slow[keep], wide[keep]
+            sigma, lo, hi = sigma[keep], lo[keep], hi[keep]
             moved = True
     pieces = np.split(x, np.cumsum(vlen)[:-1])
-    for j, (c, x_c) in enumerate(zip(ids.tolist(), pieces)):
-        shift = (float(fraction[j]), int(slow[j]), float(wide[j]))
-        states[c] = (x_c, float(lo[j]), float(hi[j]), step, False, shift)
+    for c, x_c, lo_c, hi_c in zip(ids.tolist(), pieces, lo.tolist(), hi.tolist()):
+        states[c] = (x_c, lo_c, hi_c, step, False)
     return [_finish_component(sub, opts, *state) for sub, state in zip(subs, states)]
 
 

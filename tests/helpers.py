@@ -16,13 +16,12 @@ the earlier implementations of the kernel ``hgirr.spectral._kernel`` and
 
 ``reference_solve_component`` is the shifted power iteration alone, as the
 per-component solve ran before it could switch to Newton-Noda steps. It
-follows the solver's shift rule: it starts at ``hgirr.spectral._SHIFT_START``
-times the maximum degree and, from the step after ``_SLOW_STEPS`` steps in a
-row whose bracket width shrank by less than the factor ``_SLOW``, shifts by
-``_SHIFT`` times it for good. It pads by the maximum degree and shifts the
-bracket back by the sigma of its last step. Wherever the solver never takes
-a Newton step, it must match bit for bit. ``fix_shift`` sets both fractions
-to one value, which gives the fixed shift of the solver before the rule.
+follows the solver's rank rule: it shifts a graph by ``hgirr.spectral._SHIFT``
+times the maximum degree, and a component of rank 3 or more by
+``_SHIFT_START`` times it, for the whole solve, and pads by the maximum
+degree. Wherever the solver never takes a Newton step, it must match bit for
+bit. ``fix_shift`` sets both fractions to one value, which gives one fixed
+shift at every rank, as the solver had before the rule.
 
 ``reference_spectral_radius`` is ``hgirr.spectral_radius`` solved one
 component at a time: one ``_solve_group`` call per component with edges, in
@@ -32,7 +31,8 @@ must match every field of its result bit for bit.
 
 ``loose_path`` and ``star_with_tail`` build the slowly converging instances
 the Newton-Noda phase exists for; ``path_with_pendants`` builds one that
-neither phase converges on within a small budget.
+neither phase converges on within a small budget. ``sunflower`` builds
+petals of one rank through one common vertex, whose slow mode is positive.
 
 ``reference_blow_up``, ``reference_direct_product``,
 ``reference_complete_r_partite`` and ``reference_symmetric_difference_size``
@@ -193,18 +193,15 @@ def reference_solve_component(edges, n, r, opts):
     edges = edges.copy()
     deg = np.bincount(edges.ravel(), minlength=n)
     degree = float(deg.max())
-    spectral = hgirr.spectral
-    fraction, slow, previous = spectral._SHIFT_START, 0, math.inf
+    fraction = hgirr.spectral._SHIFT if r == 2 else hgirr.spectral._SHIFT_START
+    sigma = degree * fraction
 
     x = np.full(n, n ** (-1.0 / r))
     root = 1.0 / (r - 1)
-    lo = hi = sigma = 0.0
+    lo = hi = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
-        if slow == spectral._SLOW_STEPS:
-            fraction = spectral._SHIFT
-        sigma = degree * fraction
         xp = x ** (r - 1)
         y = reference_apply_adjacency_edges(edges, x) + sigma * xp
         ratios = y / xp
@@ -215,11 +212,6 @@ def reference_solve_component(edges, n, r, opts):
         if hi - lo <= opts.tolerance * max(1.0, hi):
             converged = True
             break
-        # a step whose bracket shrank by less than the factor _SLOW is slow;
-        # the shift rises once, for good, after _SLOW_STEPS in a row
-        if fraction != spectral._SHIFT:
-            slow = slow + 1 if hi - lo > spectral._SLOW * previous else 0
-        previous = hi - lo
     # Higham's gamma_k with u = eps / 2 and k = max degree + 2r + 4
     u = float(np.finfo(np.float64).eps) / 2
     k = int(degree) + 2 * r + 4
@@ -293,6 +285,15 @@ def star_with_tail(petals: int, tail: int) -> UniformHypergraph:
         edges.append([v, v + 1, v + 2])
         v += 2
     return build(3, v, edges)
+
+
+def sunflower(r: int, petals: int) -> UniformHypergraph:
+    """r-uniform: ``petals`` edges through vertex 1 that share no other
+    vertex, n = (r-1) petals + 1."""
+    n = (r - 1) * petals + 1
+    edges = np.ones((petals, r), dtype=np.int64)
+    edges[:, 1:] = np.arange(2, n + 1).reshape(petals, r - 1)
+    return build(r, n, edges)
 
 
 def reference_components(H):

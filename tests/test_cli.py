@@ -23,6 +23,7 @@ from helpers import (
     path_with_pendants,
     reference_random_r_partite,
     reference_random_uniform,
+    star_with_tail,
 )
 from hgirr import (
     BoundCheck,
@@ -613,6 +614,23 @@ def test_analyze_json_bytes_at_a_fixed_quarter_shift_are_unchanged(tmp_path, mon
         (0, "d3f801ccd9b3fb468c84681f071b0f28e619bc0fd71c30c4d90447c84aef6f86"),
         (0, "38c0f1d4b826f42891e39c0425272937925556593a3655b20faf35e5731d4a55"),
         (0, "ed7044f3c60043770a4364187a767938636feb143d23a94a70dcd21deb7c6b23"),
+    ]
+
+
+def test_analyze_json_bytes_past_the_power_phase_are_pinned(tmp_path, monkeypatch):
+    # The loose path converges in Newton-Noda steps; the star's Newton phase
+    # rejects a step and the power iteration finishes it.
+    texts = [write_hgr(loose_path(3, 250)), write_hgr(star_with_tail(30, 300))]
+    # recorded when a component of rank 3 or more came to shift by a
+    # twentieth of its maximum degree for the whole solve
+    assert [_analyze_json_sha256(tmp_path, text) for text in texts] == [
+        (0, "50ca63a1027b1b5c9e2aeee84cd03aab89b58130cb57b9ce97f3e3f3db7e49f6"),
+        (0, "bf54ce8fe720dbdff6c40c7edf88d07c2c0ddce694b883b6b1be0aab45a928e7"),
+    ]
+    fix_shift(monkeypatch, 0.25)
+    assert [_analyze_json_sha256(tmp_path, text) for text in texts] == [
+        (0, "2b5e858605302798654549f2e66b9ce730b347db8a348c7947d5ed21910185e3"),
+        (0, "3de1e60790f521d675dad90b9d271953acf740450fbab0ca6734493c09d49952"),
     ]
 
 

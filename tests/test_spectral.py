@@ -21,6 +21,7 @@ from helpers import (
     reference_solve_component,
     reference_spectral_radius,
     star_with_tail,
+    sunflower,
 )
 from hgirr import (
     SpectralOptions,
@@ -694,22 +695,44 @@ def test_early_newton_phase_encloses_the_dense_radius(monkeypatch):
 
 def test_rejected_newton_step_hands_the_budget_back_once(monkeypatch):
     # The star's hub converges long before its tail, so the upper ratio sits
-    # at rho and the Newton system is numerically singular there: the first
-    # step is rejected and the power iteration finishes as it always did.
+    # at rho and the Newton system turns numerically singular there: after
+    # a few accepted steps one is rejected, and the power iteration takes
+    # the rest of the budget from the last accepted iterate, at the same
+    # shift. Newton is not tried again.
     H = star_with_tail(30, 300)
-    calls = []
+    calls, power, newton = [], [], []
     real_step = hgirr.spectral._newton_step
+    real_power = hgirr.spectral._power_steps
+    real_newton = hgirr.spectral._newton_steps
 
     def counted_step(*args):
         calls.append(args)
         return real_step(*args)
 
+    def recorded_power(apply, x, sigma, r, tol, budget):
+        out = real_power(apply, x, sigma, r, tol, budget)
+        power.append((sigma, budget, out[3]))
+        return out
+
+    def recorded_newton(apply, edges, x, sigma, r, tol, budget):
+        out = real_newton(apply, edges, x, sigma, r, tol, budget)
+        newton.append((sigma, budget, out[3], out[4]))
+        return out
+
     monkeypatch.setattr(hgirr.spectral, "_newton_step", counted_step)
+    monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
+    monkeypatch.setattr(hgirr.spectral, "_newton_steps", recorded_newton)
     opts = SpectralOptions()
-    want = reference_solve_component(H.edge_array, H.n, H.r, opts)
-    assert want[4] and want[2] > _NEWTON_AFTER
-    _assert_same_solve(_solve_group([H], opts)[0], want)
-    assert len(calls) == 1
+    _, _, iterations, (lo, hi), converged = _solve_group([H], opts)[0]
+    sigma = int(H.degree_array.max()) * hgirr.spectral._SHIFT_START
+    [(sigma_n, budget_n, accepted, newton_converged)] = newton
+    assert (sigma_n, budget_n, newton_converged) == (sigma, opts.max_iterations - _NEWTON_AFTER, False)
+    assert len(calls) == accepted + 1
+    first, second = power
+    assert first == (sigma, _NEWTON_AFTER, _NEWTON_AFTER)
+    assert second[:2] == (sigma, opts.max_iterations - _NEWTON_AFTER - accepted)
+    assert converged and iterations == _NEWTON_AFTER + accepted + second[2]
+    assert lo <= _cube_rho(H) <= hi
 
 
 @pytest.mark.parametrize("r, k", [(3, 250), (3, 1000), (2, 799), (4, 300)])
@@ -775,6 +798,13 @@ def _cube_rho(H) -> float:
     return _graph_rho(G) ** (2.0 / 3.0)
 
 
+def _sunflower_rho(H) -> float:
+    """Radius of a sunflower with m petals of rank r: m^(1/r). At the Perron
+    vector the core is rho times a petal vertex, and the core's row reads
+    m p^(r-1) = rho (rho p)^(r-1)."""
+    return H.m ** (1.0 / H.r)
+
+
 def _odd_bipartite_r4():
     """A connected, non-regular 4-uniform hypergraph on 4 + 8 vertices whose
     every edge has exactly one vertex among the first 4: odd-bipartite."""
@@ -792,8 +822,11 @@ _SLOW_SHAPES = {
     "K(20,30)": (lambda: complete_r_partite((20, 30))[0], _graph_rho, None),
     "K(5,40)": (lambda: complete_r_partite((5, 40))[0], _graph_rho, None),
     "odd-bipartite r=4": (_odd_bipartite_r4, dense_rho, None),
-    # the shift of the whole maximum degree takes 14,921 iterations here
-    "star_with_tail(50,200)": (lambda: star_with_tail(50, 200), _cube_rho, 5_000),
+    # positive slow modes: the shift of the whole maximum degree takes 14,921
+    # iterations on the star, a quarter of it 3,907, a twentieth 1,343; the
+    # sunflower takes 291 at a quarter and 68 at a twentieth
+    "star_with_tail(50,200)": (lambda: star_with_tail(50, 200), _cube_rho, 2_000),
+    "sunflower(5,200)": (lambda: sunflower(5, 200), _sunflower_rho, None),
     "path_with_pendants(2)": (lambda: path_with_pendants(2), _graph_rho, None),
     "path_with_pendants(3)": (lambda: path_with_pendants(3), _graph_rho, None),
 }
@@ -811,6 +844,24 @@ def test_slow_shapes_converge_at_the_default_shift(shape):
     assert lo - 1e-12 * rho <= rho <= hi + 1e-12 * rho
 
 
+@pytest.mark.parametrize("shape", _SLOW_SHAPES)
+def test_slow_shapes_take_no_more_iterations_than_at_a_quarter_shift(shape, monkeypatch):
+    # A graph shifts by a quarter of D, so it takes the quarter shift's
+    # iterations and bits; a shape of rank 3 or more shifts by a twentieth,
+    # which never slows it down, whatever the sign of its slow mode.
+    make, _, budget = _SLOW_SHAPES[shape]
+    H = make()
+    opts = SpectralOptions() if budget is None else SpectralOptions(max_iterations=budget)
+    res = spectral_radius(H, opts)
+    assert res.converged
+    fix_shift(monkeypatch, hgirr.spectral._SHIFT)
+    if H.r == 2:
+        _assert_same_result(res, spectral_radius(H, opts))
+    else:
+        quarter = spectral_radius(H)
+        assert quarter.converged and res.iterations <= quarter.iterations
+
+
 def test_bracket_pad_is_keyed_on_the_maximum_degree(monkeypatch):
     # The hub of a 200-petal star has degree D = 200 while the shift is a
     # fraction of it; each hub ratio sums D products, so the pad must count
@@ -821,16 +872,15 @@ def test_bracket_pad_is_keyed_on_the_maximum_degree(monkeypatch):
     finals = []
     real_power = hgirr.spectral._power_steps
 
-    def recorded_power(*args):
-        out = real_power(*args)
-        finals.append(out)
+    def recorded_power(apply, x, sigma, r, tol, budget):
+        out = real_power(apply, x, sigma, r, tol, budget)
+        finals.append((sigma, out))
         return out
 
     monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
     res = spectral_radius(H)
     assert res.converged and len(finals) == 1
-    _, lo, hi, _, _, (fraction, _, _) = finals[0]
-    sigma = degree * fraction
+    sigma, (_, lo, hi, _, _) = finals[0]
     assert sigma < degree
     pad = hgirr.spectral._gamma(degree + 2 * H.r + 4) * max(1.0, hi)
     assert res.bracket[0] <= lo - sigma - pad
@@ -851,35 +901,72 @@ def _recorded_shifts(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "shape, raised", [("K(20,30)", True), ("K(5,40)", True), ("odd-bipartite r=4", False)]
+    "shape, quarter", [("K(20,30)", True), ("K(5,40)", True), ("odd-bipartite r=4", False)]
 )
-def test_minus_rho_shapes_lose_at_most_the_window(shape, raised, monkeypatch):
-    # Their spectrum holds -rho. The bipartite graphs slow down at the small
-    # shift until it rises; the first step has no width to compare with, so
-    # it rises at step _SLOW_STEPS + 2 at the earliest. The odd-bipartite
-    # input shrinks fast enough at the small shift, which it keeps.
+def test_minus_rho_shapes_lose_at_most_the_window(shape, quarter, monkeypatch):
+    # Their spectrum holds -rho. The bipartite graphs shift by a quarter of D
+    # from the first step, so they lose nothing to the fixed quarter shift:
+    # the same bits. The odd-bipartite input, of rank 4, keeps the small
+    # shift, at which no mode of its step comes near -1, and is faster there.
     H = _SLOW_SHAPES[shape][0]()
     shifts = _recorded_shifts(monkeypatch)
     res = spectral_radius(H)
     [(_, degree, sigma)] = shifts
-    assert sigma == degree * (hgirr.spectral._SHIFT if raised else hgirr.spectral._SHIFT_START)
+    assert sigma == degree * (hgirr.spectral._SHIFT if quarter else hgirr.spectral._SHIFT_START)
     fix_shift(monkeypatch, hgirr.spectral._SHIFT)
-    quarter = spectral_radius(H)
-    assert res.converged and quarter.converged
-    assert res.iterations <= quarter.iterations + hgirr.spectral._SLOW_STEPS + 1
+    fixed = spectral_radius(H)
+    assert res.converged and fixed.converged
+    if quarter:
+        _assert_same_result(res, fixed)
+        assert res.iterations == {"K(20,30)": 36, "K(5,40)": 15}[shape]
+    else:
+        assert res.iterations < fixed.iterations
 
 
-def test_a_budget_that_ends_at_the_raise_certifies_at_the_shift_of_its_last_step():
-    # K(20,30) raises its shift after its fifth step; a budget that ends at
-    # or around that step shifts lo and hi back by the sigma that gave them
-    H = complete_r_partite((20, 30))[0]
-    rho = _graph_rho(H)
-    for budget in range(1, 12):
-        opts = SpectralOptions(max_iterations=budget)
-        got = _solve_group([H], opts)[0]
-        _assert_same_solve(got, reference_solve_component(H.edge_array, H.n, H.r, opts))
-        lo, hi = got[3]
-        assert lo <= rho <= hi
+def _pair_matrix_floor(H):
+    """rho and the smallest eigenvalue of D^-1/2 B D^-1/2 at H's converged
+    Perron vector x, with D = diag(x^(r-2)) and B from _pair_products."""
+    res = spectral_radius(H)
+    assert res.converged and len(res.component_rhos) == 1
+    x = res.perron_vector
+    rows, cols, weights = _pair_products(H.edge_array, x)
+    B = np.zeros((H.n, H.n))
+    np.add.at(B, (rows, cols), weights)
+    scale = x ** (-(H.r - 2) / 2.0)
+    return res.rho, float(np.linalg.eigvalsh(scale[:, None] * B * scale)[0])
+
+
+@pytest.mark.parametrize(
+    "make, attained",
+    [
+        (lambda: complete_r_partite((20, 30))[0], True),
+        (lambda: complete_r_partite((4, 5, 6))[0], True),
+        (lambda: loose_path(3, 40), True),
+        (_odd_bipartite_r4, True),
+        (lambda: star_with_tail(10, 20), True),
+        (lambda: random_uniform(12, 80, 3, seed=3), False),
+        (lambda: random_uniform(10, 90, 4, seed=4), False),
+        (lambda: random_uniform(9, 60, 5, seed=5), False),
+    ],
+    ids=["K(20,30)", "K(4,5,6)", "loose_path(3,40)", "odd-bipartite r=4",
+         "star_with_tail(10,20)", "random r=3", "random r=4", "random r=5"],
+)
+def test_pair_matrix_is_at_least_minus_rho_over_r_minus_1(make, attained):
+    # Each edge adds (p_e/(r-1)) (u u^T - diag u^2) to B, u = 1/x, so
+    # B >= -(rho/(r-1)) D at the Perron vector: the linearised step keeps
+    # every eigenvalue above -1/(r-1) whatever the shift. Equality needs a
+    # w != 0 whose sum over every edge is 0, which these shapes have. For
+    # r = 2 the bound is -rho, which the bipartite K(20,30) reaches: its
+    # step has the mode (sigma - rho)/(rho + sigma), near -1 at a small
+    # shift, so graphs keep a quarter of D.
+    H = make()
+    assert is_connected(H)
+    rho, floor = _pair_matrix_floor(H)
+    assert floor >= -rho / (H.r - 1) - 1e-9 * rho
+    if attained:
+        assert floor == pytest.approx(-rho / (H.r - 1), rel=1e-8)
+    else:
+        assert floor > -rho / (H.r - 1) + 1e-3 * rho
 
 
 @pytest.mark.parametrize("r, n, m", [(3, 2000, 3000), (3, 2000, 20000), (4, 2000, 2000), (4, 5000, 100000)])
@@ -893,9 +980,9 @@ def test_random_inputs_keep_the_small_shift(r, n, m, monkeypatch):
     assert res.iterations < spectral_radius(H).iterations
 
 
-def test_a_batch_that_raises_some_shifts_matches_the_loop_bit_for_bit(monkeypatch):
-    # K(20,30) raises its shift in the same layout as random graphs that do
-    # not, and random 3-uniform pieces keep theirs, in one _spectral_radii call
+def test_a_batch_of_both_shift_fractions_matches_the_loop_bit_for_bit(monkeypatch):
+    # graphs, K(20,30) among random ones, shift by a quarter of D and
+    # 3-uniform pieces by a twentieth, in one _spectral_radii call
     rng = np.random.default_rng(2022)
     bipartite = complete_r_partite((20, 30))[0]
     hypergraphs = [
@@ -906,11 +993,9 @@ def test_a_batch_that_raises_some_shifts_matches_the_loop_bit_for_bit(monkeypatc
     ]
     shifts = _recorded_shifts(monkeypatch)
     got = _spectral_radii(hypergraphs, SpectralOptions())
-    raised = {rank: [] for rank in (2, 3)}
-    for rank, degree, sigma in shifts:
-        raised[rank].append(sigma == degree * hgirr.spectral._SHIFT)
-    assert raised[2].count(True) == 2 and False in raised[2]
-    assert True not in raised[3]
+    fraction = {2: hgirr.spectral._SHIFT, 3: hgirr.spectral._SHIFT_START}
+    assert sorted({rank for rank, _, _ in shifts}) == [2, 3]
+    assert all(sigma == degree * fraction[rank] for rank, degree, sigma in shifts)
     monkeypatch.undo()
     for H, result in zip(hypergraphs, got):
         _assert_same_result(result, reference_spectral_radius(H))
@@ -1071,9 +1156,9 @@ def test_batch_steps_only_while_two_components_are_open(kind, monkeypatch):
 
         return recorded_apply
 
-    def recorded_power(apply, x, degree, shift, r, tol, budget):
+    def recorded_power(apply, x, sigma, r, tol, budget):
         power_calls.append((x.shape[0], budget))
-        return real_power(apply, x, degree, shift, r, tol, budget)
+        return real_power(apply, x, sigma, r, tol, budget)
 
     monkeypatch.setattr(hgirr.spectral, "_kernel", recorded_kernel)
     monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
