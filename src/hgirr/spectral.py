@@ -8,19 +8,14 @@ product per incident edge:
 
 The kernel that applies it is built once per edge array, with its buffers:
 once per batched layout, and once per component that the batch leaves open,
-whose power, Newton and fallback phases all reuse it. A large kernel of
-rank 3 or more, in a process that may use two or more CPUs, gathers and
-multiplies the first half of its edge rows on one helper thread while the
-calling thread does the second half; the one bincount over all terms then
-runs as before. The products are elementwise and each vertex's terms are
-still added in edge order, so the split moves no bit of any result.
+whose power, Newton and fallback phases all reuse it.
 
 The spectral radius is the largest eigenvalue of A in the sense
 A x = lambda x^[r-1], computed here per connected component by a shifted
 power iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 31, 2009) on
 A + sigma I, with one sigma per component for the whole solve: a fraction
-of its maximum degree D that its rank fixes, _SHIFT for a graph and
-_SHIFT_START for r >= 3. The shift keeps the iteration strictly positive and
+of its maximum degree D that its rank fixes, _SHIFT_GRAPH for a graph and
+_SHIFT_HYPER for r >= 3. The shift keeps the iteration strictly positive and
 makes it converge on a connected component (see SpectralOptions). The
 min/max ratio bracket of A + sigma I, shifted back by sigma, is the stopping
 criterion and the certified error bound; its tolerance is relative to
@@ -44,17 +39,11 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import os
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import UniformHypergraph, _as_id, components
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "SpectralOptions",
@@ -76,22 +65,15 @@ _HALVINGS = 10
 # certificate, which is the ratio bracket of whatever iterate is accepted.
 _CG_TOL = 1e-8
 _CG_STEPS_PER_VERTEX = 4
-# The power iteration shifts a graph by _SHIFT times its maximum degree D and
-# a component of rank r >= 3 by _SHIFT_START times D (see SpectralOptions).
+# The power iteration shifts a graph by _SHIFT_GRAPH times its maximum degree
+# D and a component of rank r >= 3 by _SHIFT_HYPER times D (see
+# SpectralOptions).
 # A twentieth of D takes a third fewer iterations than a quarter on random
 # instances (r = 3, n = 20k, m = 200k: 31 -> 20), but a bipartite graph
 # slows down at a small shift (K(20, 30): 36 iterations at a quarter, 181 at
 # a twentieth).
-_SHIFT_START = 0.05
-_SHIFT = 0.25
-# A kernel of r >= 3 splits its gather and products between two threads from
-# this many terms (m * r) on; handing half to the helper thread costs 35-90 us
-# per apply. Per apply on a 2-vCPU VM, at average degree 10 r, the split lost
-# at 60k terms (r = 3: 321 -> 340 us), broke even near 90k and won from 131k
-# on (r = 3: 641 -> 596 us, r = 4: 929 -> 679 us; 180k terms at r = 3:
-# 1015 -> 816 us). r = 2 has no products, only its gather would split, and it
-# never won up to 600k terms.
-_SPLIT_TERMS = 1 << 17
+_SHIFT_HYPER = 0.05
+_SHIFT_GRAPH = 0.25
 # Unit roundoff of float64.
 _U = float(np.finfo(np.float64).eps) / 2
 
@@ -114,8 +96,8 @@ class SpectralOptions:
     so the width it bounds is relative to rho + sigma.
 
     The diagonal shift is not a setting: sigma is a fixed fraction of the
-    component's maximum degree D, _SHIFT for a graph and the smaller
-    _SHIFT_START for r >= 3, for the whole solve. Any sigma > 0 makes the
+    component's maximum degree D, _SHIFT_GRAPH for a graph and the smaller
+    _SHIFT_HYPER for r >= 3, for the whole solve. Any sigma > 0 makes the
     power iteration converge on a connected component. The adjacency tensor
     of a uniform hypergraph is weakly irreducible exactly when the
     hypergraph is connected (Pearson and Zhang, Graphs Combin. 30, 2014).
@@ -186,63 +168,18 @@ class SpectralResult:
         return 0.5 * (self.bracket[1] - self.bracket[0])
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# The one helper thread of every split kernel, made at the first one, with
-# the id of the process that made it: a forked child inherits the pool but not
-# its thread, so it makes its own. Each fork takes the lock first and both
-# sides release it after, so no child inherits it held by another thread. The
-# fork hooks are the lock's own methods: a hook that held this module would
-# keep every copy of it imported afresh, with its helper thread, alive.
-_helper: tuple[int, ThreadPoolExecutor] | None = None
-_helper_lock = threading.Lock()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(
-        before=_helper_lock.acquire,
-        after_in_parent=_helper_lock.release,
-        after_in_child=_helper_lock.release,
-    )
-
-
-def _helper_pool() -> ThreadPoolExecutor:
-    global _helper
-    pid = os.getpid()
-    with _helper_lock:
-        if _helper is None or _helper[0] != pid:
-            # imported here: concurrent.futures brings logging with it, about
-            # 10 ms of import that inputs which never split would pay
-            from concurrent.futures import ThreadPoolExecutor
-
-            _helper = (pid, ThreadPoolExecutor(1, "hgirr-kernel"))
-        return _helper[1]
-
-
 def _kernel(edges: np.ndarray, n: int):
     """apply(x) = (A x)_i for one 0-based (m, r) edge array on n vertices.
 
     The buffers and the list of products are made here once; a call of
     apply gathers x, multiplies in place, scatters by bincount and returns a
-    fresh array. Column j of the (m, r)
-    product buffer gets the prefix x_0 * ... * x_(j-1), multiplied left to
-    right, times the suffix x_(r-1) * ... * x_(j+1), multiplied right to
-    left; the running suffix is kept in column 0, which ends as the whole
-    suffix. No product is divided back out, so x may have zero entries. For
-    r = 2 each product is the other member's entry alone, so the gather
-    reads the columns swapped straight into the product buffer.
-
-    A kernel of r >= 3 and at least _SPLIT_TERMS terms, in a process that
-    may run on two or more CPUs, splits the gather and the products by edge
-    rows: the helper thread does the first half of the rows while the
-    calling thread does the second, and the calling thread then scatters all
-    terms by the one bincount. numpy's take and multiply release the GIL, so
-    the halves run at once. Both halves are made by one builder, every
-    product is elementwise and the bincount is the same, so a split kernel
-    returns the bits of a serial one."""
+    fresh array. Column j of the (m, r) product buffer gets the prefix
+    x_0 * ... * x_(j-1), multiplied left to right, times the suffix
+    x_(r-1) * ... * x_(j+1), multiplied right to left; the running suffix is
+    kept in column 0, which ends as the whole suffix. No product is divided
+    back out, so x may have zero entries. For r = 2 each product is the other
+    member's entry alone, so the gather reads the columns swapped straight
+    into the product buffer."""
     m, r = edges.shape
     if m == 0:
         return lambda x: np.zeros(n, dtype=np.float64)
@@ -257,45 +194,25 @@ def _kernel(edges: np.ndarray, n: int):
         source, gathered = edges[:, ::-1].ravel(), out
     else:
         source, gathered = index, np.empty((m, r))
-    flat = gathered.ravel()
+    into = gathered.ravel()
+    v = [gathered[:, j] for j in range(r)]
+    c = [out[:, j] for j in range(r)]
+    products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
+    suffix = v[r - 1]
+    for j in range(r - 2, 0, -1):
+        products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
+        suffix = c[0]
     multiply = np.multiply
 
-    def part(a: int, b: int):
-        """Gather and products of edge rows a..b-1, as run(x)."""
-        v = [gathered[a:b, j] for j in range(r)]
-        c = [out[a:b, j] for j in range(r)]
-        products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
-        suffix = v[r - 1]
-        for j in range(r - 2, 0, -1):
-            products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
-            suffix = c[0]
-        rows, into = source[a * r : b * r], flat[a * r : b * r]
-
-        def run(x: np.ndarray) -> None:
-            # mode="clip" gathers straight into the buffer, where the default
-            # mode="raise" makes numpy gather into a temporary first.
-            # Clipping changes nothing only because every edge array that
-            # reaches a kernel belongs to a validated UniformHypergraph
-            # (0 <= id < n) and x has length n.
-            x.take(rows, None, into, "clip")
-            for left, right, result in products:
-                multiply(left, right, result)
-
-        return run
-
-    if r < 3 or m * r < _SPLIT_TERMS or _cpus() < 2:
-        first, second = None, part(0, m)  # serial: no helper half
-    else:
-        first, second = part(0, m // 2), part(m // 2, m)
-
     def apply(x: np.ndarray) -> np.ndarray:
-        done = None if first is None else _helper_pool().submit(first, x)
-        try:
-            second(x)
-        finally:
-            # the helper writes the shared buffers until its half is done
-            if done is not None:
-                done.result()
+        # mode="clip" gathers straight into the buffer, where the default
+        # mode="raise" makes numpy gather into a temporary first. Clipping
+        # changes nothing only because every edge array that reaches a kernel
+        # belongs to a validated UniformHypergraph (0 <= id < n) and x has
+        # length n.
+        x.take(source, None, into, "clip")
+        for left, right, result in products:
+            multiply(left, right, result)
         return np.bincount(index, weights, n)
 
     return apply
@@ -475,10 +392,10 @@ def _certified_bracket(
 
 
 def _shift_fraction(r: int) -> float:
-    """sigma / D for a component of rank r: _SHIFT for a graph, whose
-    spectrum may hold -rho, and _SHIFT_START for r >= 3 (see
+    """sigma / D for a component of rank r: _SHIFT_GRAPH for a graph, whose
+    spectrum may hold -rho, and _SHIFT_HYPER for r >= 3 (see
     SpectralOptions)."""
-    return _SHIFT if r == 2 else _SHIFT_START
+    return _SHIFT_GRAPH if r == 2 else _SHIFT_HYPER
 
 
 def _finish_component(

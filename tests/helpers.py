@@ -16,12 +16,12 @@ the earlier implementations of the kernel ``hgirr.spectral._kernel`` and
 
 ``reference_solve_component`` is the shifted power iteration alone, as the
 per-component solve ran before it could switch to Newton-Noda steps. It
-follows the solver's rank rule: it shifts a graph by ``hgirr.spectral._SHIFT``
-times the maximum degree, and a component of rank 3 or more by
-``_SHIFT_START`` times it, for the whole solve, and pads by the maximum
-degree. Wherever the solver never takes a Newton step, it must match bit for
-bit. ``fix_shift`` sets both fractions to one value, which gives one fixed
-shift at every rank, as the solver had before the rule.
+follows the solver's rank rule: it shifts a graph by
+``hgirr.spectral._SHIFT_GRAPH`` times the maximum degree, and a component of
+rank 3 or more by ``_SHIFT_HYPER`` times it, for the whole solve, and pads by
+the maximum degree. Wherever the solver never takes a Newton step, it must
+match bit for bit. ``fix_shift`` sets both fractions to one value, which gives
+one fixed shift at every rank, as the solver had before the rule.
 
 ``reference_spectral_radius`` is ``hgirr.spectral_radius`` solved one
 component at a time: one ``_solve_group`` call per component with edges, in
@@ -193,7 +193,7 @@ def reference_solve_component(edges, n, r, opts):
     edges = edges.copy()
     deg = np.bincount(edges.ravel(), minlength=n)
     degree = float(deg.max())
-    fraction = hgirr.spectral._SHIFT if r == 2 else hgirr.spectral._SHIFT_START
+    fraction = hgirr.spectral._SHIFT_GRAPH if r == 2 else hgirr.spectral._SHIFT_HYPER
     sigma = degree * fraction
 
     x = np.full(n, n ** (-1.0 / r))
@@ -222,8 +222,8 @@ def reference_solve_component(edges, n, r, opts):
 
 def fix_shift(monkeypatch, fraction):
     """Shift every component by ``fraction`` of its maximum degree throughout."""
-    monkeypatch.setattr(hgirr.spectral, "_SHIFT_START", fraction)
-    monkeypatch.setattr(hgirr.spectral, "_SHIFT", fraction)
+    monkeypatch.setattr(hgirr.spectral, "_SHIFT_HYPER", fraction)
+    monkeypatch.setattr(hgirr.spectral, "_SHIFT_GRAPH", fraction)
 
 
 def reference_spectral_radius(H, opts=None):

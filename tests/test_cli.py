@@ -502,8 +502,9 @@ _PINNED_VERIFY_RUNS = (
 
 
 def test_verify_bytes_are_pinned(monkeypatch):
-    # recorded when each component came to start at a twentieth of its
-    # maximum degree and to raise the shift to a quarter when it stalls
+    # recorded under the stall detector, which started each component at a
+    # twentieth of its maximum degree and raised the shift to a quarter when
+    # it stalled; the rank rule that replaced it left these bytes unchanged
     got = [_main_sha256(argv) for argv in _PINNED_VERIFY_RUNS]
     assert got == [
         (0, "7421616432febf6bce2d40015b853971e8882ae5279e71e32b82a647c7bff456"),
@@ -589,8 +590,9 @@ def _pinned_analyze_texts():
 
 def test_analyze_json_bytes_are_pinned(tmp_path, monkeypatch):
     texts = _pinned_analyze_texts()
-    # recorded when each component came to start at a twentieth of its
-    # maximum degree and to raise the shift to a quarter when it stalls
+    # recorded under the stall detector, which started each component at a
+    # twentieth of its maximum degree and raised the shift to a quarter when
+    # it stalled; the rank rule that replaced it left these bytes unchanged
     assert [_analyze_json_sha256(tmp_path, text) for text in texts] == [
         (0, "badfa944ef8c7bb6938fd46601cebfafc166b9d43d9981e49a539405711b99fe"),
         (0, "93afebfa5a9d321b13978fd05f5df2c5f43781e79b6e04eea85da5ffd693e140"),

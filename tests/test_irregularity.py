@@ -502,8 +502,9 @@ _FULL_AT_A_QUARTER = {
 
 
 def test_edge_degree_products_fall_back_to_exact_integers(monkeypatch):
-    # recorded when each component came to start at a twentieth of its
-    # maximum degree and to raise the shift to a quarter when it stalls
+    # recorded under the stall detector, which started each component at a
+    # twentieth of its maximum degree and raised the shift to a quarter when
+    # it stalled; the rank rule that replaced it left these bytes unchanged
     _check_edge_degree_products({
         "full": {
             "edge_gm_upper": (6435.000000000383, 6435.0),
