@@ -95,7 +95,6 @@ def _report_json(report: IrregularityReport) -> str:
         f'"m": {report.m}',
         f'"r": {report.r}',
         f'"rho": {_fmt17(report.rho)}',
-        f'"residual": {_fmt17(report.residual)}',
         f'"converged": {"true" if report.converged else "false"}',
         f'"avg_degree": {_fmt17(report.avg_degree)}',
         f'"epsilon": {_fmt17(report.epsilon)}',
@@ -128,7 +127,6 @@ def _report_text(report: IrregularityReport) -> str:
     lines = [
         f"n={report.n} m={report.m} r={report.r}",
         f"rho        = {report.rho:.12g}",
-        f"residual   = {report.residual:.6g}",
         f"converged  = {'yes' if report.converged else 'NO'}",
         f"avg_degree = {report.avg_degree:.12g}",
         f"epsilon    = {report.epsilon:.12g}",

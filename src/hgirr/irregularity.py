@@ -118,7 +118,6 @@ class IrregularityReport:
     v: float
     s_r: float | None
     rho: float
-    residual: float
     converged: bool
     bound_checks: tuple[BoundCheck, ...]
 
@@ -187,12 +186,15 @@ def v_measure(H: UniformHypergraph) -> float:
     """
     if is_regular(H):
         return 0.0
-    deg = H.degree_array
-    alpha = H.r / (H.r - 1)
     davg = (H.r * H.m) / H.n
-    # summing in sorted order makes the value invariant under relabeling
-    powered = np.sort(deg).astype(np.float64) ** alpha
-    return float(np.mean(powered) - davg**alpha)
+    return _mean_degree_power(H) - davg ** (H.r / (H.r - 1))
+
+
+def _mean_degree_power(H: UniformHypergraph) -> float:
+    """(1/n) sum d_i^(r/(r-1)), summed in sorted order so that the value
+    does not depend on the vertex labels."""
+    powered = np.sort(H.degree_array).astype(np.float64) ** (H.r / (H.r - 1))
+    return float(np.mean(powered))
 
 
 def _s_r(H: UniformHypergraph, P: Partition) -> float:
@@ -374,8 +376,7 @@ def bound_suite(
         hm = m / _fold(1.0 / edge_products)
         checks.append(_check("hm_lower", hm, rho**r, tol_hm, **if_constant))
 
-    alpha = r / (r - 1)
-    power_mean = float(np.mean(deg.astype(np.float64) ** alpha)) ** ((r - 1) / r)
+    power_mean = _mean_degree_power(H) ** ((r - 1) / r)
     checks.append(_check("power_mean_lower", power_mean, rho, tol, **if_regular))
 
     s = s_measure(H)
@@ -558,7 +559,6 @@ def analyze(
         v=v_measure(H),
         s_r=s_r,
         rho=result.rho,
-        residual=result.residual,
         converged=result.converged,
         bound_checks=tuple(checks),
     )

@@ -49,7 +49,6 @@ __all__ = [
     "SpectralOptions",
     "SpectralResult",
     "apply_adjacency",
-    "residual",
     "spectral_radius",
 ]
 
@@ -60,7 +59,7 @@ __all__ = [
 _NEWTON_AFTER = 1000
 # Step halvings a Newton step may try before it is rejected.
 _HALVINGS = 10
-# Conjugate gradients stop at this relative residual, or after this many
+# Conjugate gradients stop once |b - M y| <= _CG_TOL |b|, or after this many
 # steps per vertex. A loose solve slows Newton but cannot move the
 # certificate, which is the ratio bracket of whatever iterate is accepted.
 _CG_TOL = 1e-8
@@ -145,19 +144,17 @@ class SpectralResult:
     """Converged estimate of the spectral radius.
 
     ``rho`` is the maximum over connected components. ``bracket`` encloses
-    the true value (min/max eigenvalue-ratio bounds from the final iterate,
-    maxed over components), so ``certified_error`` is a rigorous error bound.
-    ``perron_vector`` is positive and unit in the r-norm on each component
-    separately; ``residual`` is measured on the component attaining rho.
-    ``options`` are the settings the solve ran at; the solves that
-    ``bound_suite`` (claim2) and ``weyl_check`` make beside it run at them
-    too.
+    the true value (min/max eigenvalue-ratio bounds, maxed over components),
+    so ``certified_error`` is a rigorous error bound. ``perron_vector`` is
+    the iterate those ratios were taken from: positive and unit in the
+    r-norm on each component separately. ``options`` are the settings the
+    solve ran at; the solves that ``bound_suite`` (claim2) and
+    ``weyl_check`` make beside it run at them too.
     """
 
     rho: float
     perron_vector: np.ndarray
     iterations: int
-    residual: float
     converged: bool
     component_rhos: tuple[float, ...]
     bracket: tuple[float, float]
@@ -226,14 +223,6 @@ def apply_adjacency(H: UniformHypergraph, x) -> np.ndarray:
     return _kernel(H.edge_array, H.n)(x)
 
 
-def residual(H: UniformHypergraph, rho: float, x) -> float:
-    """max_i |(A x)_i - rho * x_i^(r-1)|, relative to max(1, rho)."""
-    x = np.asarray(x, dtype=np.float64)
-    ax = apply_adjacency(H, x)
-    gap = np.max(np.abs(ax - rho * x ** (H.r - 1)))
-    return float(gap / max(1.0, rho))
-
-
 # The reductions behind ndarray.min, ndarray.max and np.sum, called without
 # their Python wrappers; each gives the same bits.
 _min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
@@ -263,22 +252,22 @@ def _power_steps(
     """Up to ``budget`` (>= 1) shifted power iterations (Ng-Qi-Zhou) from x,
     with A x from the _kernel ``apply``, at the shift ``sigma``.
 
-    Each step takes the ratios of x, then moves x to the renormalized
-    (r-1)-th root of y; it stops once the ratios are relatively narrower
-    than ``tol``. Returns (x, lo, hi, iterations, converged): lo and hi are
-    the shifted ratio bounds of the iterate before the last update."""
+    Each step takes the ratios of x and stops once they are relatively
+    narrower than ``tol``; otherwise, unless it is the last of the budget,
+    it moves x to the renormalized (r-1)-th root of y. Returns (x, lo, hi,
+    iterations, converged) with lo and hi the shifted ratio bounds of the
+    returned x itself."""
     root = 1.0 / (r - 1)
-    lo = hi = 0.0
-    steps = 0
     for steps in range(1, budget + 1):
         y, ratios = _shifted_ratios(apply, x, sigma, r)
         lo = float(_min(ratios))
         hi = float(_max(ratios))
-        x = y**root
-        x /= _norm_r(x, r)
         if hi - lo <= tol * max(1.0, hi):
             return x, lo, hi, steps, True
-    return x, lo, hi, steps, False
+        if steps < budget:
+            x = y**root
+            x /= _norm_r(x, r)
+    return x, lo, hi, budget, False
 
 
 def _pair_products(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -409,18 +398,19 @@ def _finish_component(
 ) -> tuple[float, np.ndarray, int, tuple[float, float], bool]:
     """Certified spectral radius of the connected component ``sub``,
     continued from the state (x, lo, hi, iterations, converged) in which
-    _solve_group hands it over: x after ``iterations`` power iterations, lo
-    and hi the shifted ratio bounds of the last. Its shift is sigma = D *
-    _shift_fraction(r) for its maximum degree D.
+    _solve_group hands it over: x is the iterate to measure next, or, when
+    no power iteration is left, the last measured one with its shifted ratio
+    bounds lo and hi. Its shift is sigma = D * _shift_fraction(r) for its
+    maximum degree D.
 
     An open component runs power iterations up to min(_NEWTON_AFTER,
-    max_iterations) in all, then safeguarded Newton-Noda steps; if a step
-    finds no acceptable candidate, the power iteration takes the rest of the
-    budget from the last accepted iterate, and Newton is not tried again.
-    Every phase shares one kernel, built only if the component is open with
-    budget left. Returns (rho, perron vector, iterations, bracket,
-    converged), the bracket from _certified_bracket, iterations counting
-    Newton steps too.
+    max_iterations) in all, then safeguarded Newton-Noda steps from the last
+    measured iterate; if a step finds no acceptable candidate, the power
+    iteration takes the rest of the budget from the last accepted iterate,
+    and Newton is not tried again. Every phase shares one kernel, built only
+    if the component is open with budget left. Returns (rho, perron vector,
+    iterations, bracket, converged): the vector whose ratios gave the
+    bracket, from _certified_bracket, and iterations counting Newton steps.
     """
     tol, budget = opts.tolerance, opts.max_iterations
     r, degree = sub.r, int(sub.degree_array.max())
@@ -448,6 +438,17 @@ def _finish_component(
     return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
 
 
+def _layout(vlen: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The first vertex of each component laid end to end with the vertex
+    counts ``vlen``, and the runs of equally sized neighbours, as (first
+    vertex, count, size)."""
+    vstart = np.cumsum(vlen) - vlen
+    # vertex counts are positive, so every run, and no other, starts where
+    # the count differs from the one before it (-1 before the first)
+    cuts = [*np.flatnonzero(np.diff(vlen, prepend=-1)).tolist(), len(vlen)]
+    return vstart, [(int(vstart[a]), b - a, int(vlen[a])) for a, b in zip(cuts, cuts[1:])]
+
+
 def _solve_group(
     subs: list[UniformHypergraph], opts: SpectralOptions
 ) -> list[tuple[float, np.ndarray, int, tuple[float, float], bool]]:
@@ -464,10 +465,11 @@ def _solve_group(
     (count, size) array whose row sums equal the sums of the rows, with the
     root taken per row as a Python float. Every component of the group has
     the same shift fraction, so sigma_v is rebuilt only when the layout
-    changes. A component is saved and dropped at the step it converges;
-    once fewer than two are open, or after min(_NEWTON_AFTER,
-    max_iterations) steps, the open ones go on alone in _finish_component
-    from their iterates and step count.
+    changes. A component is saved with the iterate it measured and dropped
+    at the step it converges, before the update of the open ones; once
+    fewer than two are open, or after min(_NEWTON_AFTER, max_iterations)
+    steps, whose last makes no update, the open ones go on alone in
+    _finish_component from their iterates and step count.
     """
     r = subs[0].r
     root, inv_r = 1.0 / (r - 1), 1.0 / r
@@ -484,26 +486,18 @@ def _solve_group(
     x = np.repeat([n ** (-1.0 / r) for n in vlen.tolist()], vlen)
     states: list = [None] * len(subs)
     step = 0
+    vstart, runs = _layout(vlen)
     moved = True
     while len(ids) > 1 and step < budget:
         step += 1
         if moved:
-            vstart = np.cumsum(vlen) - vlen
             edges = local + np.repeat(vstart, elen)[:, None]
             apply = _kernel(edges, x.shape[0])
             sigma_v = np.repeat(sigma, vlen)
-            cuts = [0, *(np.flatnonzero(np.diff(vlen)) + 1).tolist(), len(vlen)]
-            runs = [(int(vstart[a]), b - a, int(vlen[a])) for a, b in zip(cuts, cuts[1:])]
             moved = False
         y, ratios = _shifted_ratios(apply, x, sigma_v, r)
         lo = np.minimum.reduceat(ratios, vstart)
         hi = np.maximum.reduceat(ratios, vstart)
-        x = y**root
-        xr = x**r
-        sums = np.concatenate(
-            [xr[v0 : v0 + k * size].reshape(k, size).sum(axis=1) for v0, k, size in runs]
-        )
-        x /= np.repeat([total**inv_r for total in sums.tolist()], vlen)
         done = hi - lo <= tol * np.maximum(1.0, hi)
         if done.any():
             for j in np.flatnonzero(done).tolist():
@@ -512,10 +506,19 @@ def _solve_group(
                 states[ids[j]] = (x_j, float(lo[j]), float(hi[j]), step, True)
             keep = ~done
             local = np.compress(np.repeat(keep, elen), local, axis=0)
-            x = x[np.repeat(keep, vlen)]
+            kept = np.repeat(keep, vlen)
+            x, y = x[kept], y[kept]
             ids, vlen, elen = ids[keep], vlen[keep], elen[keep]
             sigma, lo, hi = sigma[keep], lo[keep], hi[keep]
+            vstart, runs = _layout(vlen)
             moved = True
+        if step < budget and len(ids):
+            x = y**root
+            xr = x**r
+            sums = np.concatenate(
+                [xr[v0 : v0 + k * size].reshape(k, size).sum(axis=1) for v0, k, size in runs]
+            )
+            x /= np.repeat([total**inv_r for total in sums.tolist()], vlen)
     pieces = np.split(x, np.cumsum(vlen)[:-1])
     for c, x_c, lo_c, hi_c in zip(ids.tolist(), pieces, lo.tolist(), hi.tolist()):
         states[c] = (x_c, lo_c, hi_c, step, False)
@@ -559,19 +562,16 @@ def _assemble(
     """The SpectralResult of H from the solutions of its components, solved
     at ``opts``."""
     perron = np.zeros(H.n, dtype=np.float64)
-    best: tuple[float, UniformHypergraph, np.ndarray] | None = None
-    for (verts, sub), (rho_c, x_c, _, _, _) in zip(comps, solutions):
+    for (verts, _), (_, x_c, _, _, _) in zip(comps, solutions):
         perron[np.asarray(verts, dtype=np.int64) - 1] = x_c
-        if best is None or rho_c > best[0]:
-            best = (rho_c, sub, x_c)
+    rhos = tuple(s[0] for s in solutions)
     brackets = [s[3] for s in solutions]
     return SpectralResult(
-        rho=best[0],
+        rho=max(rhos),
         perron_vector=perron,
         iterations=sum(s[2] for s in solutions),
-        residual=residual(best[1], best[0], best[2]),
         converged=all(s[4] for s in solutions),
-        component_rhos=tuple(s[0] for s in solutions),
+        component_rhos=rhos,
         bracket=(max(b[0] for b in brackets), max(b[1] for b in brackets)),
         options=opts,
     )

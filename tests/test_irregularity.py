@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hgirr.irregularity
+import hgirr.spectral
 from hgirr import (
     HypergraphError,
     Partition,
@@ -21,6 +22,7 @@ from hgirr import (
     random_r_partite,
     random_uniform,
     regularize_partitewise,
+    relabel,
     s_measure,
     s_r_measure,
     single_edge,
@@ -670,3 +672,41 @@ def test_regular_blow_ups_and_their_copies_are_certified(make):
     assert [c.name for c in report.bound_checks if not c.skipped and not c.holds] == []
     if P is not None:
         assert not any(c.skipped for c in report.bound_checks if c.name == "claim2")
+
+
+def test_power_mean_lower_does_not_depend_on_the_vertex_labels():
+    # the powers are summed in sorted order, as v_measure sums them
+    H = random_uniform(60, 300, 3, seed=1)
+    want = by_name(bound_suite(H, spectral_radius(H)), "power_mean_lower").lhs.hex()
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        G = relabel(H, (rng.permutation(H.n) + 1).tolist())
+        assert by_name(bound_suite(G, spectral_radius(G)), "power_mean_lower").lhs.hex() == want
+
+
+@pytest.mark.parametrize(
+    "make, kernels",
+    [
+        (lambda: (random_uniform(2000, 20000, 3, seed=1), None), 2),
+        (lambda: random_r_partite((20, 25, 30), 400, seed=3), 3),
+    ],
+    ids=["uniform", "partite"],
+)
+def test_analyze_builds_one_kernel_per_solve_and_one_for_the_certificate(
+    make, kernels, monkeypatch
+):
+    # One connected component: one kernel for the solve, one for the ratios
+    # that _require_certificate recomputes and, with a partition, one for
+    # claim2's solve of the rewired hypergraph.
+    H, partition = make()
+    assert is_connected(H)
+    built = []
+    real_kernel = hgirr.spectral._kernel
+
+    def recorded_kernel(edges, n):
+        built.append(edges.shape)
+        return real_kernel(edges, n)
+
+    monkeypatch.setattr(hgirr.spectral, "_kernel", recorded_kernel)
+    assert analyze(H, partition).converged
+    assert len(built) == kernels

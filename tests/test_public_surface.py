@@ -39,7 +39,6 @@ PUBLIC = [
     "regularize",
     "regularize_partitewise",
     "relabel",
-    "residual",
     "s_measure",
     "s_r_measure",
     "single_edge",

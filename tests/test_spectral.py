@@ -18,6 +18,7 @@ from helpers import (
     reference_apply_adjacency_edges,
     reference_solve_component,
     reference_spectral_radius,
+    residual,
     star_with_tail,
     sunflower,
 )
@@ -34,7 +35,6 @@ from hgirr import (
     random_r_partite,
     random_uniform,
     relabel,
-    residual,
     single_edge,
     spectral_radius,
     union_edges,
@@ -125,7 +125,7 @@ def test_spectral_radius_single_edge(r):
     res = spectral_radius(single_edge(r))
     assert res.converged
     assert res.rho == pytest.approx(1.0, abs=1e-9)
-    assert res.residual <= 1e-9
+    assert residual(single_edge(r), res.rho, res.perron_vector) <= 1e-9
 
 
 def test_spectral_radius_regular_families():
@@ -145,7 +145,7 @@ def test_spectral_radius_two_path(two_path):
     assert res.converged
     assert res.rho == pytest.approx(CBRT2, abs=1e-8)
     assert np.all(res.perron_vector > 0)
-    assert res.residual <= 1e-8
+    assert residual(two_path, res.rho, res.perron_vector) <= 1e-8
 
 
 def test_spectral_radius_edgeless():
@@ -229,27 +229,6 @@ def test_constant_vector_row_ratios_are_the_degrees():
     np.testing.assert_allclose(
         apply_adjacency(H, np.full(H.n, 3.7)) / 3.7**2, degrees(H).astype(float)
     )
-
-
-def test_residual_exact_pair():
-    H = single_edge(3)
-    x = np.full(3, 3 ** (-1.0 / 3.0))
-    assert residual(H, 1.0, x) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_residual_length_mismatch():
-    H = single_edge(3)
-    with pytest.raises(ValueError, match="length 3"):
-        residual(H, 1.0, [1.0, 1.0, 1.0, 5.0])
-    with pytest.raises(ValueError, match="length 3"):
-        residual(H, 1.0, [1.0, 1.0])
-
-
-def test_residual_perturbed_positive(two_path):
-    res = spectral_radius(two_path)
-    x = res.perron_vector.copy()
-    x[0] *= 1.5
-    assert residual(two_path, res.rho, x) > 1e-3
 
 
 def test_rho_matches_matrix_eigensolver_for_graphs():
@@ -860,8 +839,7 @@ def test_a_batch_of_both_shift_fractions_matches_the_loop_bit_for_bit(monkeypatc
     ids=["newton", "power fallback"],
 )
 def test_an_open_component_builds_one_kernel_for_every_phase(make, phases, monkeypatch):
-    # one kernel for the component's continuation, which every phase takes,
-    # and one for the residual of the result
+    # one kernel for the component's continuation, which every phase takes
     built, handed = [], []
     real_kernel = hgirr.spectral._kernel
     real_power = hgirr.spectral._power_steps
@@ -883,7 +861,7 @@ def test_an_open_component_builds_one_kernel_for_every_phase(make, phases, monke
     monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
     monkeypatch.setattr(hgirr.spectral, "_newton_steps", recorded_newton)
     assert spectral_radius(make()).converged
-    assert len(built) == 2
+    assert len(built) == 1
     assert [phase for phase, _ in handed] == phases
     assert all(apply is built[0] for _, apply in handed)
 
@@ -933,6 +911,59 @@ def test_components_solved_together_match_the_loop_bit_for_bit(r):
     want = reference_spectral_radius(H)
     assert want.iterations > _NEWTON_AFTER
     _assert_same_result(spectral_radius(H), want)
+
+
+def _assert_upper_end_is_the_vectors_own(H, upper, x):
+    """The maximum ratio (A x)_i / x_i^(r-1) over the vertices of H with
+    x_i > 0 is ``upper`` within two of _certified_bracket's pads: the
+    solver's and the rounding of this evaluation."""
+    positive = x > 0
+    high = float((apply_adjacency(H, x)[positive] / x[positive] ** (H.r - 1)).max())
+    degree = int(H.degree_array.max())
+    _, padded = hgirr.spectral._certified_bracket(high, high, 0.0, degree, H.r)
+    assert abs(upper - high) <= 2 * (padded - high)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(
+            pytest.param(
+                lambda r=r, seed=seed: random_uniform(300, 1500, r, seed=seed),
+                id=f"random r={r} seed={seed}",
+            )
+            for r in (2, 3, 4)
+            for seed in (0, 1, 2)
+        ),
+        pytest.param(lambda: loose_path(3, 250), id="newton"),
+        pytest.param(lambda: star_with_tail(30, 300), id="power fallback"),
+        pytest.param(lambda: _mixed_union(np.random.default_rng(52), 3, 60), id="mixed union"),
+    ],
+)
+def test_the_bracket_is_that_of_the_returned_perron_vector(make):
+    H = make()
+    res = spectral_radius(H)
+    assert res.converged
+    _assert_upper_end_is_the_vectors_own(H, res.bracket[1], res.perron_vector)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7])
+def test_an_exhausted_budget_returns_the_vector_it_measured_last(budget):
+    H = random_uniform(300, 1500, 3, seed=0)
+    res = spectral_radius(H, SpectralOptions(max_iterations=budget))
+    assert not res.converged and res.iterations == budget
+    _assert_upper_end_is_the_vectors_own(H, res.bracket[1], res.perron_vector)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_a_batch_returns_the_vector_of_each_components_bracket(r):
+    H = _mixed_union(np.random.default_rng(60 + r), r, 40)
+    subs = [sub for _, sub in components(H) if sub.m]
+    solutions = _solve_group(subs, SpectralOptions())
+    assert sum(converged for *_, converged in solutions) > 30
+    for sub, (_, x, _, bracket, converged) in zip(subs, solutions):
+        if converged:
+            _assert_upper_end_is_the_vectors_own(sub, bracket[1], x)
 
 
 @pytest.mark.parametrize("newton_after", [1, 3, 40])
