@@ -443,8 +443,7 @@ def _layout(vlen: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     counts ``vlen``, and the runs of equally sized neighbours, as (first
     vertex, count, size)."""
     vstart = np.cumsum(vlen) - vlen
-    # vertex counts are positive, so every run, and no other, starts where
-    # the count differs from the one before it (-1 before the first)
+    # a run starts wherever the (positive) count differs from the one before
     cuts = [*np.flatnonzero(np.diff(vlen, prepend=-1)).tolist(), len(vlen)]
     return vstart, [(int(vstart[a]), b - a, int(vlen[a])) for a, b in zip(cuts, cuts[1:])]
 
