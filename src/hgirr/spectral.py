@@ -6,9 +6,9 @@ product per incident edge:
 
     (A x)_i = sum over edges e containing i of prod_{j in e, j != i} x_j.
 
-The kernel that applies it is built once per edge array, with its buffers:
-once per batched layout, and once per component that the batch leaves open,
-whose power, Newton and fallback phases all reuse it.
+The kernel that applies it is built once per edge array, with buffers for
+one block of edge rows: once per batched layout, and once per component that
+the batch leaves open, whose power, Newton and fallback phases all reuse it.
 
 The spectral radius is the largest eigenvalue of A in the sense
 A x = lambda x^[r-1], computed here per connected component by a shifted
@@ -73,6 +73,9 @@ _CG_STEPS_PER_VERTEX = 4
 # a twentieth).
 _SHIFT_HYPER = 0.05
 _SHIFT_GRAPH = 0.25
+# Terms, r per edge row, that a kernel gathers, multiplies and scatters per
+# block, so that its two float64 buffers, 256 KiB each, stay in cache.
+_BLOCK_TERMS = 1 << 15
 # Unit roundoff of float64.
 _U = float(np.finfo(np.float64).eps) / 2
 
@@ -168,15 +171,19 @@ class SpectralResult:
 def _kernel(edges: np.ndarray, n: int):
     """apply(x) = (A x)_i for one 0-based (m, r) edge array on n vertices.
 
-    The buffers and the list of products are made here once; a call of
-    apply gathers x, multiplies in place, scatters by bincount and returns a
-    fresh array. Column j of the (m, r) product buffer gets the prefix
-    x_0 * ... * x_(j-1), multiplied left to right, times the suffix
-    x_(r-1) * ... * x_(j+1), multiplied right to left; the running suffix is
-    kept in column 0, which ends as the whole suffix. No product is divided
-    back out, so x may have zero entries. For r = 2 each product is the other
-    member's entry alone, so the gather reads the columns swapped straight
-    into the product buffer."""
+    The buffers and the lists of products are made here once. A call of
+    apply takes the edge rows in blocks of _BLOCK_TERMS // r: it gathers x
+    into one (rows, r) buffer, multiplies in place into the other and
+    scatters, by bincount for the first block, which makes the fresh result,
+    and by np.add.at after it. Both add term by term in flat edge order, so
+    each entry is the sequential sum in edge order of one bincount over all
+    rows. Column j of the product buffer gets the prefix x_0 * ... * x_(j-1),
+    multiplied left to right, times the suffix x_(r-1) * ... * x_(j+1),
+    multiplied right to left; the running suffix is kept in column 0, which
+    ends as the whole suffix. No product is divided back out, so x may have
+    zero entries. For r = 2 each product is the other member's entry alone,
+    so the gather reads the columns swapped straight into the product
+    buffer."""
     m, r = edges.shape
     if m == 0:
         return lambda x: np.zeros(n, dtype=np.float64)
@@ -185,21 +192,30 @@ def _kernel(edges: np.ndarray, n: int):
     index = np.ascontiguousarray(edges).ravel()
     if not index.flags.writeable:
         index = index.copy()
-    out = np.empty((m, r))
-    weights = out.ravel()
+    rows = min(m, max(1, _BLOCK_TERMS // r))
+    out = np.empty((rows, r))
     if r == 2:
         source, gathered = edges[:, ::-1].ravel(), out
     else:
-        source, gathered = index, np.empty((m, r))
-    into = gathered.ravel()
-    v = [gathered[:, j] for j in range(r)]
-    c = [out[:, j] for j in range(r)]
-    products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
-    suffix = v[r - 1]
-    for j in range(r - 2, 0, -1):
-        products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
-        suffix = c[0]
-    multiply = np.multiply
+        source, gathered = index, np.empty((rows, r))
+
+    def block(k: int) -> tuple[np.ndarray, np.ndarray, list]:
+        # the flat buffers of the first k rows and the products between them
+        v = [gathered[:k, j] for j in range(r)]
+        c = [out[:k, j] for j in range(r)]
+        products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
+        suffix = v[r - 1]
+        for j in range(r - 2, 0, -1):
+            products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
+            suffix = c[0]
+        return gathered[:k].ravel(), out[:k].ravel(), products
+
+    full = block(rows)
+    blocks = [
+        (source[a * r : b * r], index[a * r : b * r], full if b - a == rows else block(b - a))
+        for a, b in ((a, min(a + rows, m)) for a in range(0, m, rows))
+    ]
+    multiply, add_at = np.multiply, np.add.at
 
     def apply(x: np.ndarray) -> np.ndarray:
         # mode="clip" gathers straight into the buffer, where the default
@@ -207,10 +223,16 @@ def _kernel(edges: np.ndarray, n: int):
         # changes nothing only because every edge array that reaches a kernel
         # belongs to a validated UniformHypergraph (0 <= id < n) and x has
         # length n.
-        x.take(source, None, into, "clip")
-        for left, right, result in products:
-            multiply(left, right, result)
-        return np.bincount(index, weights, n)
+        y = None
+        for terms, target, (into, weights, products) in blocks:
+            x.take(terms, None, into, "clip")
+            for left, right, result in products:
+                multiply(left, right, result)
+            if y is None:
+                y = np.bincount(target, weights, n)
+            else:
+                add_at(y, target, weights)
+        return y
 
     return apply
 
@@ -330,10 +352,12 @@ def _newton_step(
 
 
 def _newton_steps(
-    apply, edges: np.ndarray, x: np.ndarray, sigma: float, r: int, tol: float, budget: int
+    apply, edges: np.ndarray, x: np.ndarray, lo: float, hi: float, sigma: float,
+    r: int, tol: float, budget: int,
 ) -> tuple[np.ndarray, float, float, int, bool]:
-    """Up to ``budget`` safeguarded Newton-Noda steps from x, with A x from
-    ``apply``, the _kernel of ``edges``.
+    """Up to ``budget`` safeguarded Newton-Noda steps from x, whose shifted
+    ratio bounds lo and hi the caller has measured, with A x from ``apply``,
+    the _kernel of ``edges``.
 
     A step tries x + theta * delta for theta = 1, 1/2, ..., 2^-_HALVINGS and
     takes the first candidate that is positive and whose upper ratio does not
@@ -341,8 +365,6 @@ def _newton_steps(
     early, unconverged, at the last accepted iterate.
     Returns (x, lo, hi, steps, converged) with lo and hi the shifted ratio
     bounds of the returned x itself."""
-    _, ratios = _shifted_ratios(apply, x, sigma, r)
-    lo, hi = float(_min(ratios)), float(_max(ratios))
     steps = 0
     while hi - lo > tol * max(1.0, hi):
         if steps == budget:
@@ -373,8 +395,8 @@ def _certified_bracket(
     degree D = ``degree``: shifted back by sigma and padded.
 
     The ratio evaluation itself rounds, so the enclosure must be padded
-    before the bracket can be called certified. Each ratio is a sequential
-    bincount sum of d_i products of r - 1 positive factors, plus the shift
+    before the bracket can be called certified. Each ratio is a sequential sum
+    in edge order of d_i products of r - 1 positive factors, plus the shift
     term, divided once: fewer than D + 2r + 4 roundings."""
     noise = _gamma(degree + 2 * r + 4) * max(1.0, hi)
     return lo - sigma - noise, hi - sigma + noise
@@ -426,7 +448,7 @@ def _finish_component(
             iterations += steps
         if not converged and iterations < budget:
             x, lo, hi, steps, converged = _newton_steps(
-                apply, edges, x, sigma, r, tol, budget - iterations
+                apply, edges, x, lo, hi, sigma, r, tol, budget - iterations
             )
             iterations += steps
             if not converged and iterations < budget:
@@ -457,7 +479,7 @@ def _solve_group(
 
     The components lie end to end in one block-diagonal layout, sorted by
     vertex count. Each step is _power_steps' step on the whole layout:
-    every elementwise operation rounds as it does per component, bincount
+    every elementwise operation rounds as it does per component, the kernel
     adds each vertex's terms in its component's edge order, the ratio bounds
     come from the exact minimum.reduceat and maximum.reduceat, and the
     r-norms are row sums of each run of equally sized components, a

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,8 +383,19 @@ def test_union_with_components_max_rule():
         assert abs(rt.rho - max(ra.rho, rb.rho)) <= coupled_tol(ra, rb, rt)
 
 
+def _kernels_at_every_block_size(edges, n, monkeypatch):
+    """_kernel(edges, n) at 1, 7 and 30 edge rows per block and at the
+    default. The edge arrays of the tests below have 150 and 90 rows, so 7
+    leaves a short last block and 30 divides both."""
+    r = edges.shape[1]
+    default = hgirr.spectral._BLOCK_TERMS
+    for terms in (r, 7 * r, 30 * r, default):
+        monkeypatch.setattr(hgirr.spectral, "_BLOCK_TERMS", terms)
+        yield _kernel(edges, n)
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
-def test_kernel_bit_identical_to_cumprod_oracle(r):
+def test_kernel_bit_identical_to_cumprod_oracle(r, monkeypatch):
     rng = np.random.default_rng(400 + r)
     n = 40
     canonical = random_uniform(n, 150, r, rng).edge_array
@@ -392,12 +404,13 @@ def test_kernel_bit_identical_to_cumprod_oracle(r):
     for edges in (canonical, scrambled):
         x = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
         x[rng.random(n) < 0.2] = 0.0
-        got = _kernel(edges, n)(x)
-        assert np.array_equal(got, reference_apply_adjacency_edges(edges, x))
+        want = reference_apply_adjacency_edges(edges, x)
+        for apply in _kernels_at_every_block_size(edges, n, monkeypatch):
+            assert np.array_equal(apply(x), want)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
-def test_kernel_reused_across_calls_matches_the_oracle(r):
+def test_kernel_reused_across_calls_matches_the_oracle(r, monkeypatch):
     # one kernel, many vectors: every result is its own array, so later calls
     # through the same buffers must leave the earlier results as they were
     rng = np.random.default_rng(430 + r)
@@ -405,17 +418,43 @@ def test_kernel_reused_across_calls_matches_the_oracle(r):
     canonical = random_uniform(n, 150, r, rng).edge_array
     scrambled = rng.integers(0, n, size=(90, r))
     for edges in (canonical, scrambled):
-        apply = _kernel(edges, n)
-        results = []
-        for _ in range(4):
-            x = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
-            x[rng.random(n) < 0.2] = 0.0
-            got = apply(x)
-            want = reference_apply_adjacency_edges(edges, x)
-            assert np.array_equal(got, want)
-            results.append((got, want))
-        for got, want in results:
-            assert np.array_equal(got, want)
+        for apply in _kernels_at_every_block_size(edges, n, monkeypatch):
+            results = []
+            for _ in range(4):
+                x = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+                x[rng.random(n) < 0.2] = 0.0
+                got = apply(x)
+                want = reference_apply_adjacency_edges(edges, x)
+                assert np.array_equal(got, want)
+                results.append((got, want))
+            for got, want in results:
+                assert np.array_equal(got, want)
+
+
+def test_kernel_of_many_blocks_matches_the_oracle():
+    # 200,000 rows at 10,922 a block: 18 full blocks and a short last one
+    H = random_uniform(20000, 200000, 3, seed=1)
+    assert -(-H.m // (hgirr.spectral._BLOCK_TERMS // H.r)) == 19
+    rng = np.random.default_rng(470)
+    apply = _kernel(H.edge_array, H.n)
+    for _ in range(2):
+        x = rng.uniform(0.0, 3.0, H.n) * 10.0 ** rng.uniform(-8.0, 8.0, H.n)
+        x[rng.random(H.n) < 0.2] = 0.0
+        assert np.array_equal(apply(x), reference_apply_adjacency_edges(H.edge_array, x))
+
+
+def test_a_large_kernel_keeps_block_sized_buffers():
+    # the writable copy of the index takes 4.8 MB here and the two block
+    # buffers 0.5 MB; (m, r) gather and product buffers would add 9.6 MB
+    H = random_uniform(20000, 200000, 3, seed=1)
+    x = np.ones(H.n)
+    tracemalloc.start()
+    try:
+        _kernel(H.edge_array, H.n)(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_kernel_without_edges_matches_oracle():
@@ -542,8 +581,8 @@ def test_rejected_newton_step_hands_the_budget_back_once(monkeypatch):
         power.append((sigma, budget, out[3]))
         return out
 
-    def recorded_newton(apply, edges, x, sigma, r, tol, budget):
-        out = real_newton(apply, edges, x, sigma, r, tol, budget)
+    def recorded_newton(apply, edges, x, lo, hi, sigma, r, tol, budget):
+        out = real_newton(apply, edges, x, lo, hi, sigma, r, tol, budget)
         newton.append((sigma, budget, out[3], out[4]))
         return out
 
