@@ -199,23 +199,22 @@ def _kernel(edges: np.ndarray, n: int):
     else:
         source, gathered = index, np.empty((rows, r))
 
-    def block(k: int) -> tuple[np.ndarray, np.ndarray, list]:
-        # the flat buffers of the first k rows and the products between them
-        v = [gathered[:k, j] for j in range(r)]
-        c = [out[:k, j] for j in range(r)]
+    def block(g: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        # the flat gather and product buffers and the products between them
+        v = [g[:, j] for j in range(r)]
+        c = [o[:, j] for j in range(r)]
         products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
         suffix = v[r - 1]
         for j in range(r - 2, 0, -1):
             products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
             suffix = c[0]
-        return gathered[:k].ravel(), out[:k].ravel(), products
+        return g.ravel(), o.ravel(), products
 
-    full = block(rows)
-    blocks = [
-        (source[a * r : b * r], index[a * r : b * r], full if b - a == rows else block(b - a))
-        for a, b in ((a, min(a + rows, m)) for a in range(0, m, rows))
-    ]
-    multiply, add_at = np.multiply, np.add.at
+    full, step, tail = block(gathered, out), rows * r, m % rows
+    blocks = [(source[t : t + step], index[t : t + step], full) for t in range(0, (m - tail) * r, step)]
+    if tail:
+        blocks.append((source[-tail * r :], index[-tail * r :], block(gathered[:tail], out[:tail])))
+    multiply, add_at, bincount = np.multiply, np.add.at, np.bincount
 
     def apply(x: np.ndarray) -> np.ndarray:
         # mode="clip" gathers straight into the buffer, where the default
@@ -229,7 +228,7 @@ def _kernel(edges: np.ndarray, n: int):
             for left, right, result in products:
                 multiply(left, right, result)
             if y is None:
-                y = np.bincount(target, weights, n)
+                y = bincount(target, weights, n)
             else:
                 add_at(y, target, weights)
         return y
