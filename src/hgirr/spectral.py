@@ -74,7 +74,7 @@ _CG_STEPS_PER_VERTEX = 4
 _SHIFT_HYPER = 0.05
 _SHIFT_GRAPH = 0.25
 # Terms, r per edge row, that a kernel gathers, multiplies and scatters per
-# block, so that its two float64 buffers, 256 KiB each, stay in cache.
+# block, so that its float64 buffers, 256 KiB each, stay in cache.
 _BLOCK_TERMS = 1 << 15
 # Unit roundoff of float64.
 _U = float(np.finfo(np.float64).eps) / 2
@@ -171,19 +171,18 @@ class SpectralResult:
 def _kernel(edges: np.ndarray, n: int):
     """apply(x) = (A x)_i for one 0-based (m, r) edge array on n vertices.
 
-    The buffers and the lists of products are made here once. A call of
-    apply takes the edge rows in blocks of _BLOCK_TERMS // r: it gathers x
-    into one (rows, r) buffer, multiplies in place into the other and
-    scatters, by bincount for the first block, which makes the fresh result,
-    and by np.add.at after it. Both add term by term in flat edge order, so
-    each entry is the sequential sum in edge order of one bincount over all
-    rows. Column j of the product buffer gets the prefix x_0 * ... * x_(j-1),
-    multiplied left to right, times the suffix x_(r-1) * ... * x_(j+1),
-    multiplied right to left; the running suffix is kept in column 0, which
-    ends as the whole suffix. No product is divided back out, so x may have
-    zero entries. For r = 2 each product is the other member's entry alone,
-    so the gather reads the columns swapped straight into the product
-    buffer."""
+    The buffers and the lists of products are made here once. apply takes
+    the edge rows in blocks of _BLOCK_TERMS // r: it gathers x into one
+    (rows, r) buffer, multiplies in place into the other and scatters, by
+    bincount for the first block, which makes the fresh result, and by
+    np.add.at after it; both add term by term in flat edge order, so the
+    bits are those of one bincount over all rows. Column j of the product
+    buffer gets the prefix x_0 * ... * x_(j-1), multiplied left to right,
+    times the suffix x_(r-1) * ... * x_(j+1), multiplied right to left; the
+    running suffix is kept in column 0, which ends as the whole suffix. No
+    product is divided back out, so x may have zero entries. For r = 2 each
+    product is the other member's entry alone, so the gather reads the
+    columns swapped straight into the product buffer."""
     m, r = edges.shape
     if m == 0:
         return lambda x: np.zeros(n, dtype=np.float64)
