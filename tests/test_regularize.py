@@ -111,6 +111,18 @@ def test_large_trace_is_pinned():
     assert digest == "ff16c7679371eb7eb157406352f487352bbc01d8f980f1d34821d4a19b0f23ea"
 
 
+def test_large_partitewise_trace_is_pinned():
+    # the size of perfbench's analyze-partite instance; recorded with the
+    # rewiring that kept sorted degree buckets per class
+    out, trace = regularize_partitewise(*random_r_partite((150, 150, 150), 6000, seed=1))
+    assert len(trace) == 1141
+    digest = hashlib.sha256(repr(trace.swaps).encode()).hexdigest()
+    assert digest == "5309fdc175e3825fb0ee0031d83078edcfe9fbdf0a5dfdc30913ffad03eab911"
+    assert out.edge_array.dtype == np.int64 and out.edge_array.flags.c_contiguous
+    digest = hashlib.sha256(out.edge_array.tobytes()).hexdigest()
+    assert digest == "9929b89177d96e5c65711f2fb3999e8020f97757f474de32dd1e80a854a9495e"
+
+
 def _phase1_decrements_check(H, trace):
     """Every swap between a vertex below and a vertex above the target band
     must shrink the scaled deviation sum(|n*d_i - r*m|) by exactly 2n."""
