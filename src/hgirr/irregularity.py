@@ -22,9 +22,10 @@ group's degrees lie within a band of width 1, recording the swaps in an
 :class:`~hgirr.core.EdgeTrace`. ``regularize`` passes all vertices as one
 group; ``regularize_partitewise`` passes the classes of the partition. The
 edit count is bounded by ``s_measure`` (respectively ``s_r_measure``) of the
-input. The routine keeps a sorted incidence list per vertex and sorted
-degree buckets per group, so after an O(r m + n) setup one swap costs
-O(r * max degree) instead of a re-sort of the whole edge set.
+input. The (donor, receiver) sequence depends on the degrees alone, so it is
+planned before any edge moves; only the vertices that donate keep a sorted
+incidence list. After an O(r m + n) setup one swap costs O(r * max degree),
+and the output's edges are sorted once, as ``build`` sorts them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .core import (
     Partition,
     UniformHypergraph,
     _fold_columns,
+    _sort_rows,
     first_partition_violation,
     is_regular,
     union_edges,
@@ -427,26 +429,40 @@ def weyl_check(
     return _check("weyl", ru.rho, spectral.rho + r2.rho, _certified_tolerance(certified))
 
 
-def _find_swap(
-    incident: list[list[Edge]], edge_set: set[Edge], receiver: int, donor: int
-) -> tuple[Edge, Edge] | None:
-    """First edge in canonical order through the donor but not the receiver
-    whose rewired version is not already present."""
-    for edge in incident[donor]:
-        if receiver not in edge:
-            candidate = tuple(sorted([v for v in edge if v != donor] + [receiver]))
-            if candidate not in edge_set:
-                return edge, candidate
-    return None
+def _plan(members: tuple[int, ...], deg: list[int]) -> list[tuple[int, int]]:
+    """The (donor, receiver) pairs that rewire one group of ascending ids, in
+    order, from the 0-based degree list ``deg`` alone.
 
-
-def _move(buckets: dict[int, list[int]], v: int, old: int, new: int) -> None:
-    """Move vertex v from degree bucket old to degree bucket new."""
-    bucket = buckets[old]
-    del bucket[bisect_left(bucket, v)]
-    if not bucket:
-        del buckets[old]
-    insort(buckets.setdefault(new, []), v)
+    The donors at level D, for D from the maximum degree down, are the ids
+    of degree at least D, ascending; the receivers at level L, for L from
+    the minimum up, are the ids of degree at most L, ascending. The i-th
+    donor is paired with the i-th receiver until the first pair whose levels
+    differ by less than 2. That happens by the time the donors reach level
+    a + 1 and the receivers level a, where a is the group's average degree
+    rounded down; every degree then lies in [a, a + 1].
+    """
+    group_deg = [deg[v - 1] for v in members]
+    level, receiving = max(group_deg, default=0), min(group_deg, default=0)
+    if level - receiving < 2:
+        return []
+    by_degree: dict[int, list[int]] = {}
+    for v, d in zip(members, group_deg):
+        by_degree.setdefault(d, []).append(v)
+    donors, receivers = by_degree[level], by_degree[receiving]
+    i = j = 0
+    pairs = []
+    while level - receiving >= 2:
+        pairs.append((donors[i], receivers[j]))
+        i += 1
+        j += 1
+        # the next level adds its ids to the ascending run of the last one
+        if i == len(donors):
+            level -= 1
+            donors, i = sorted(donors + by_degree.get(level, [])), 0
+        if j == len(receivers):
+            receiving += 1
+            receivers, j = sorted(receivers + by_degree.get(receiving, [])), 0
+    return pairs
 
 
 def _rewire(
@@ -461,54 +477,63 @@ def _rewire(
     canonical order). Such an edge always exists when the donor's degree
     exceeds the receiver's.
 
-    Each vertex keeps its incident edges in a sorted list whose length is
-    its degree; the donor's list is walked in canonical order, and a swap
-    updates the 2r lists it touches by bisection. Each group keeps its
-    vertices in sorted per-degree buckets, and the heads of the two extreme
-    buckets are the donor and the receiver. Setup costs O(r m + n); a swap
-    costs O(r * max degree) plus the walk over the donor's edges.
+    A swap changes the degrees of its donor and its receiver alone, both in
+    one group, so the whole (donor, receiver) sequence follows from the
+    input degrees before any edge moves (``_plan``). A donor leaves the
+    maximum level D for D - 1 and a receiver the minimum level L for L + 1,
+    with D - L >= 2. Donor levels only fall and receiver levels only rise,
+    so a raised receiver stays below the donor level and never donates, and
+    a lowered donor stays above the receiver level and never receives. The
+    vertices at level D are therefore the ids of input degree at least D
+    that have not yet donated at D, and those at level L the ids of input
+    degree at most L that have not yet received at L, each taken lowest id
+    first.
+
+    Only donors' edges are walked, so only donors keep an incidence list,
+    sorted, whose length is the donor's degree; a swap updates the lists of
+    the donors it touches by bisection. Each edge maps to its row of H's
+    edge array, a swap writes the inserted edge over the removed edge's row,
+    and ``core._sort_rows`` orders the rewritten rows.
     """
-    incident: list[list[Edge]] = [[] for _ in range(H.n + 1)]
+    deg = H.degree_array.tolist()
+    plan = [pair for members in groups for pair in _plan(members, deg)]
+    if not plan:
+        return H, EdgeTrace(())
+    incident: dict[int, list[Edge]] = {donor: [] for donor, _ in plan}
     for edge in H.edges:  # canonical order, so every list starts sorted
         for v in edge:
-            incident[v].append(edge)
-    edge_set = set(H.edges)
+            if v in incident:
+                incident[v].append(edge)
+    row_of = dict(zip(H.edges, range(H.m)))
+    rows = H.edge_array + 1
     swaps: list[tuple[Edge, Edge]] = []
-    for members in groups:
-        if len(members) < 2:
-            continue
-        buckets: dict[int, list[int]] = {}
-        for v in members:  # ascending, so every bucket starts sorted
-            buckets.setdefault(len(incident[v]), []).append(v)
-        dmin = min(buckets)
-        dmax = max(buckets)
-        while dmax - dmin >= 2:
-            receiver = buckets[dmin][0]
-            donor = buckets[dmax][0]
-            found = _find_swap(incident, edge_set, receiver, donor)
-            if found is None:
-                raise RuntimeError(
-                    f"no swappable edge from vertex {donor} to vertex {receiver}; "
-                    "this indicates a bug, such an edge must exist"
-                )
-            removed, inserted = found
-            edge_set.remove(removed)
-            edge_set.add(inserted)
-            for v in removed:
+    for donor, receiver in plan:
+        for removed in incident[donor]:
+            if receiver not in removed:
+                candidate = list(removed)
+                candidate.remove(donor)
+                insort(candidate, receiver)
+                inserted = tuple(candidate)
+                if inserted not in row_of:
+                    break
+        else:
+            raise RuntimeError(
+                f"no swappable edge from vertex {donor} to vertex {receiver}; "
+                "this indicates a bug, such an edge must exist"
+            )
+        row = row_of.pop(removed)
+        row_of[inserted] = row
+        rows[row] = inserted
+        for v in removed:
+            if v in incident:
                 edges = incident[v]
                 del edges[bisect_left(edges, removed)]
-            for v in inserted:
+        for v in inserted:
+            if v in incident:
                 insort(incident[v], inserted)
-            _move(buckets, donor, dmax, dmax - 1)
-            _move(buckets, receiver, dmin, dmin + 1)
-            if dmax not in buckets:
-                dmax -= 1
-            if dmin not in buckets:
-                dmin += 1
-            swaps.append((removed, inserted))
-    if not swaps:
-        return H, EdgeTrace(())
-    edge_array = np.array(sorted(edge_set), dtype=np.int64) - 1
+        swaps.append((removed, inserted))
+    rows -= 1
+    edge_array = _sort_rows(rows, H.n, distinct=True)
     return UniformHypergraph(H.r, H.n, edge_array), EdgeTrace(tuple(swaps))
 
 

@@ -18,6 +18,8 @@ from hgirr import (
     symmetric_difference_size,
     validate_partition,
 )
+from hgirr.core import Partition
+from hgirr.irregularity import _plan
 
 
 def test_near_regular_is_identity(two_path):
@@ -121,6 +123,53 @@ def test_large_partitewise_trace_is_pinned():
     assert out.edge_array.dtype == np.int64 and out.edge_array.flags.c_contiguous
     digest = hashlib.sha256(out.edge_array.tobytes()).hexdigest()
     assert digest == "9929b89177d96e5c65711f2fb3999e8020f97757f474de32dd1e80a854a9495e"
+
+
+def _traced_pairs(trace):
+    """The (donor, receiver) pair of each swap of a trace."""
+    return [
+        ((set(removed) - set(inserted)).pop(), (set(inserted) - set(removed)).pop())
+        for removed, inserted in trace
+    ]
+
+
+def test_rewire_plan_depends_only_on_degrees():
+    rng = np.random.default_rng(55)
+    cases = []
+    for _ in range(60):
+        r = int(rng.choice([2, 3, 4]))
+        n = int(rng.integers(r, 25))
+        m = int(rng.integers(0, min(math.comb(n, r), 120) + 1))
+        cases.append((random_uniform(n, m, r, rng), (tuple(range(1, n + 1)),)))
+    for sizes in [(1, 3, 4), (1, 1, 6), (2, 5, 3), (4, 4, 4), (6, 1, 5)] * 4:
+        m = int(rng.integers(0, min(math.prod(sizes), 100) + 1))
+        H, P = random_r_partite(sizes, m, rng)
+        cases.append((H, P.classes))
+    # degrees (3, 1, 2, 2) average exactly a = 2: the donor at a + 1 meets
+    # the receiver at a - 1, and one swap ends the group
+    H = build(2, 4, [[1, 2], [1, 3], [1, 4], [3, 4]])
+    cases.append((H, (tuple(range(1, 5)),)))
+    # class {1, 2} needs a swap, class {3, 4, 5} has degrees (2, 1, 1) and
+    # needs none, and the singleton class {6} has degree 4
+    H = build(3, 6, [[1, 3, 6], [1, 4, 6], [1, 5, 6], [2, 3, 6]])
+    cases.append((H, Partition((1, 1, 2, 2, 2, 3), 3).classes))
+    # an empty class, on an edgeless instance
+    cases.append((build(3, 3, []), Partition((1, 1, 2), 3).classes))
+    swaps = 0
+    for H, groups in cases:
+        deg = H.degree_array.tolist()
+        planned = [pair for members in groups for pair in _plan(members, deg)]
+        assert planned == _traced_pairs(reference_rewire(H, groups)[1])
+        swaps += len(planned)
+    assert swaps > 300
+    assert _plan((1, 2, 3, 4), [3, 1, 2, 2]) == [(1, 2)]
+    deg = [3, 1, 2, 1, 1, 4]
+    assert [_plan(members, deg) for members in [(1, 2), (3, 4, 5), (6,), ()]] == [
+        [(1, 2)],
+        [],
+        [],
+        [],
+    ]
 
 
 def _phase1_decrements_check(H, trace):
