@@ -450,7 +450,7 @@ def _plan(members: tuple[int, ...], deg: list[int]) -> list[tuple[int, int]]:
         by_degree.setdefault(d, []).append(v)
     donors, receivers = by_degree[level], by_degree[receiving]
     i = j = 0
-    pairs = []
+    pairs: list[tuple[int, int]] = []
     while level - receiving >= 2:
         pairs.append((donors[i], receivers[j]))
         i += 1
