@@ -25,9 +25,12 @@ The power iteration contracts at about 1 - O(1/k^2) per step on a loose path
 with k edges, so a component that has not converged after _NEWTON_AFTER
 iterations continues with safeguarded Newton-Noda steps (Liu, Guo and Lin,
 Numer. Math. 137, 2017), each a conjugate-gradient solve with a matrix-free
-product. If a Newton step finds no acceptable candidate, the power iteration
-takes over again for the rest of the budget. Both phases stop on the same
-ratio bracket, which stays the only certificate.
+product. A step solves slightly above the upper ratio and is accepted when it
+narrows the ratio bracket, not, as in their method, when the upper ratio does
+not rise: that gives up the monotone upper ratio on which their convergence
+proof rests. If a Newton step finds no acceptable candidate, the power
+iteration takes over again for the rest of the budget. Both phases stop on
+the same ratio bracket, which stays the only certificate.
 
 Components do not interact, so while two or more components of one rank,
 across all the hypergraphs of one _spectral_radii call, are open, their power
@@ -54,11 +57,15 @@ __all__ = [
 
 # Power iterations before a component that has not converged switches to
 # Newton-Noda steps. The components of random and fuzzed instances converge
-# within a few hundred, so their results are those of the power iteration
+# within 272 (verify at its default sizes and in partite mode; random analyze
+# inputs take 14 to 20), so their results are those of the power iteration
 # alone; a loose path with k edges needs about k^2 (k = 250: over 100,000).
-_NEWTON_AFTER = 1000
+_NEWTON_AFTER = 300
 # Step halvings a Newton step may try before it is rejected.
 _HALVINGS = 10
+# A Newton step solves at the upper ratio of A plus this fraction of the
+# bracket width, strictly above rho, where its matrix stays nonsingular.
+_NEWTON_MARGIN = 1 / 16
 # Conjugate gradients stop once |b - M y| <= _CG_TOL |b|, or after this many
 # steps per vertex. A loose solve slows Newton but cannot move the
 # certificate, which is the ratio bracket of whatever iterate is accepted.
@@ -312,13 +319,15 @@ def _pair_products(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
 def _newton_step(
     edges: np.ndarray, x: np.ndarray, lam: float, r: int
 ) -> np.ndarray | None:
-    """The Newton-Noda correction of x at the upper ratio ``lam`` of A.
+    """The Newton-Noda correction of x at ``lam``, which the caller sets
+    strictly above rho.
 
     Solves (lam D - B(x)) y = x^[r-1], D = diag(x^(r-2)), by Jacobi
     preconditioned conjugate gradients, and returns ((r-2) x + y / <x^[r-1],
-    y>)/(r-1) - x; None when the solve gives no usable direction. The matrix
-    is a symmetric M-matrix while lam exceeds rho, but rounding can break
-    that near convergence, so the caller checks every candidate."""
+    y>)/(r-1) - x; None when the solve gives no usable direction. For lam
+    above rho the matrix is a symmetric nonsingular M-matrix on a connected
+    component, but rounding can break that near convergence, so the caller
+    checks every candidate."""
     n = x.shape[0]
     rows, cols, weights = _pair_products(edges, x)
     diag = lam * x ** (r - 2)
@@ -357,17 +366,24 @@ def _newton_steps(
     ratio bounds lo and hi the caller has measured, with A x from ``apply``,
     the _kernel of ``edges``.
 
-    A step tries x + theta * delta for theta = 1, 1/2, ..., 2^-_HALVINGS and
-    takes the first candidate that is positive and whose upper ratio does not
-    rise. When none qualifies, or the solve gives no direction, the phase ends
-    early, unconverged, at the last accepted iterate.
+    A step solves at mu = hi - sigma + (hi - lo) * _NEWTON_MARGIN, the upper
+    ratio of A plus a fraction of the bracket width: strictly above rho, so
+    the Newton matrix stays nonsingular even when rho and the second
+    eigenvalue nearly coincide, where it would be singular at the upper ratio
+    itself. It tries x + theta * delta for theta = 1, 1/2, ..., 2^-_HALVINGS
+    and takes the first candidate that is positive and whose bracket hi - lo
+    is strictly narrower. The upper ratio may rise, so the monotone upper
+    ratio of Liu, Guo and Lin's convergence proof is given up; every
+    accepted bracket still encloses rho. When no candidate qualifies, or the
+    solve gives no direction, the phase ends early, unconverged, at the last
+    accepted iterate.
     Returns (x, lo, hi, steps, converged) with lo and hi the shifted ratio
     bounds of the returned x itself."""
     steps = 0
     while hi - lo > tol * max(1.0, hi):
         if steps == budget:
             return x, lo, hi, steps, False
-        delta = _newton_step(edges, x, hi - sigma, r)
+        delta = _newton_step(edges, x, hi - sigma + (hi - lo) * _NEWTON_MARGIN, r)
         if delta is None:
             return x, lo, hi, steps, False
         for halvings in range(_HALVINGS + 1):
@@ -376,11 +392,12 @@ def _newton_steps(
                 continue
             cand /= _norm_r(cand, r)
             _, ratios = _shifted_ratios(apply, cand, sigma, r)
-            if float(_max(ratios)) <= hi:
+            cand_lo, cand_hi = float(_min(ratios)), float(_max(ratios))
+            if cand_hi - cand_lo < hi - lo:
                 break
         else:
             return x, lo, hi, steps, False
-        x, lo, hi = cand, float(_min(ratios)), float(_max(ratios))
+        x, lo, hi = cand, cand_lo, cand_hi
         steps += 1
     return x, lo, hi, steps, True
 
