@@ -369,7 +369,7 @@ def _newton_steps(
     A step solves at mu = hi - sigma + (hi - lo) * _NEWTON_MARGIN, the upper
     ratio of A plus a fraction of the bracket width: strictly above rho, so
     the Newton matrix stays nonsingular even when rho and the second
-    eigenvalue nearly coincide, where it would be singular at the upper ratio
+    eigenvalue nearly coincide, where it is nearly singular at the upper ratio
     itself. It tries x + theta * delta for theta = 1, 1/2, ..., 2^-_HALVINGS
     and takes the first candidate that is positive and whose bracket hi - lo
     is strictly narrower. The upper ratio may rise, so the monotone upper

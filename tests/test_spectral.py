@@ -651,21 +651,17 @@ def test_every_accepted_newton_step_narrows_the_bracket(make, rho, opts, rejects
     # bracket width, strictly above rho, and is accepted only when its
     # bracket is strictly narrower; a rejected step leaves x as it was.
     H = make()
-    starts, solves, phases = [], [], []
+    steps, phases = [], []
     real_step = hgirr.spectral._newton_step
     real_newton = hgirr.spectral._newton_steps
 
-    def recorded_step(edges, x, lam, r):
-        solves.append(lam)
-        return real_step(edges, x, lam, r)
-
     def recorded_newton(apply, edges, x, lo, hi, sigma, r, tol, budget):
-        def measured_step(edges, x, lam, r):
+        def recorded_step(edges, x, lam, r):
             _, ratios = hgirr.spectral._shifted_ratios(apply, x, sigma, r)
-            starts.append((float(ratios.min()), float(ratios.max())))
-            return recorded_step(edges, x, lam, r)
+            steps.append((float(ratios.min()), float(ratios.max()), lam))
+            return real_step(edges, x, lam, r)
 
-        monkeypatch.setattr(hgirr.spectral, "_newton_step", measured_step)
+        monkeypatch.setattr(hgirr.spectral, "_newton_step", recorded_step)
         out = real_newton(apply, edges, x, lo, hi, sigma, r, tol, budget)
         phases.append(((lo, hi), out, sigma, budget))
         return out
@@ -673,20 +669,20 @@ def test_every_accepted_newton_step_narrows_the_bracket(make, rho, opts, rejects
     monkeypatch.setattr(hgirr.spectral, "_newton_steps", recorded_newton)
     res = spectral_radius(H, opts)
     [((lo, hi), (_, end_lo, end_hi, accepted, converged), sigma, budget)] = phases
-    assert starts[0] == (lo, hi)
-    chain = [*starts, (end_lo, end_hi)]
+    assert steps[0][:2] == (lo, hi)
+    chain = [*(step[:2] for step in steps), (end_lo, end_hi)]
     widths = [b - a for a, b in chain]
     assert all(later < earlier for earlier, later in zip(widths[:accepted], widths[1 : accepted + 1]))
     assert converged is not rejects
     if rejects:
         # the phase hands back the x of the rejected step
-        assert accepted < budget and len(starts) == accepted + 1
+        assert accepted < budget and len(steps) == accepted + 1
         assert chain[-1] == chain[-2]
     else:
-        assert len(starts) == accepted
+        assert len(steps) == accepted
     true_rho = rho(H)
-    for (a, b), lam in zip(starts, solves):
-        assert lam == b - sigma + (b - a) * hgirr.spectral._NEWTON_MARGIN
+    for a, b, lam in steps:
+        assert lam == b - sigma + (b - a) / 16
         assert lam > true_rho
     lo_c, hi_c = res.bracket
     assert lo_c - 1e-12 * true_rho <= true_rho <= hi_c + 1e-12 * true_rho
