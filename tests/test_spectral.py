@@ -675,7 +675,7 @@ def test_every_accepted_newton_step_narrows_the_bracket(make, rho, opts, rejects
     assert all(later < earlier for earlier, later in zip(widths[:accepted], widths[1 : accepted + 1]))
     assert converged is not rejects
     if rejects:
-        # the phase hands back the x of the rejected step
+        # a rejected step hands back the x it started from
         assert accepted < budget and len(steps) == accepted + 1
         assert chain[-1] == chain[-2]
     else:
