@@ -6,9 +6,8 @@ product per incident edge:
 
     (A x)_i = sum over edges e containing i of prod_{j in e, j != i} x_j.
 
-The kernel that applies it is built once per edge array, with buffers for
-one block of edge rows: once per batched layout, and once per component that
-the batch leaves open, whose power, Newton and fallback phases all reuse it.
+The kernel that applies it is built once per edge array: once per batched
+layout, and once per component that the batch leaves open.
 
 The spectral radius is the largest eigenvalue of A in the sense
 A x = lambda x^[r-1], computed here per connected component by a shifted
@@ -24,18 +23,15 @@ rho + sigma. The rounding pad of the bracket is keyed on D, not on sigma.
 The power iteration contracts at about 1 - O(1/k^2) per step on a loose path
 with k edges, so a component that has not converged after _NEWTON_AFTER
 iterations continues with safeguarded Newton-Noda steps (Liu, Guo and Lin,
-Numer. Math. 137, 2017), each a conjugate-gradient solve with a matrix-free
-product. A step solves slightly above the upper ratio and is accepted when it
-narrows the ratio bracket, not, as in their method, when the upper ratio does
-not rise: that gives up the monotone upper ratio on which their convergence
-proof rests. If a Newton step finds no acceptable candidate, the power
-iteration takes over again for the rest of the budget. Both phases stop on
-the same ratio bracket, which stays the only certificate.
+Numer. Math. 137, 2017), accepted when they narrow the ratio bracket; after
+a rejected one, power steps take the rest of the budget. Every phase takes
+and returns a measured state (x, y, lo, hi), so no iterate is measured twice,
+and every phase stops on the same ratio bracket, the only certificate.
 
 Components do not interact, so while two or more components of one rank,
 across all the hypergraphs of one _spectral_radii call, are open, their power
 iterations run together in one block-diagonal layout that gives each the bits
-it gets alone; every component finishes in the per-component loop.
+it gets alone; every component finishes in _finish_component.
 """
 
 from __future__ import annotations
@@ -273,28 +269,39 @@ def _shifted_ratios(
     return y, y / xp
 
 
-def _power_steps(
-    apply, x: np.ndarray, sigma: float, r: int, tol: float, budget: int
-) -> tuple[np.ndarray, float, float, int, bool]:
-    """Up to ``budget`` (>= 1) shifted power iterations (Ng-Qi-Zhou) from x,
-    with A x from the _kernel ``apply``, at the shift ``sigma``.
+def _measure(apply, x: np.ndarray, sigma: float, r: int) -> tuple:
+    """The measured state (x, y, lo, hi) of the iterate x: y and the min and
+    max of its shifted ratios, from _shifted_ratios. Every phase of a
+    component's solve takes and returns such a state."""
+    y, ratios = _shifted_ratios(apply, x, sigma, r)
+    return x, y, float(_min(ratios)), float(_max(ratios))
 
-    Each step takes the ratios of x and stops once they are relatively
-    narrower than ``tol``; otherwise, unless it is the last of the budget,
-    it moves x to the renormalized (r-1)-th root of y. Returns (x, lo, hi,
-    iterations, converged) with lo and hi the shifted ratio bounds of the
-    returned x itself."""
-    root = 1.0 / (r - 1)
-    for steps in range(1, budget + 1):
-        y, ratios = _shifted_ratios(apply, x, sigma, r)
-        lo = float(_min(ratios))
-        hi = float(_max(ratios))
-        if hi - lo <= tol * max(1.0, hi):
-            return x, lo, hi, steps, True
-        if steps < budget:
-            x = y**root
-            x /= _norm_r(x, r)
-    return x, lo, hi, budget, False
+
+def _converged(state: tuple, tol: float) -> bool:
+    """Whether the shifted ratio bounds of a measured state are relatively
+    narrower than ``tol``."""
+    _, _, lo, hi = state
+    return hi - lo <= tol * max(1.0, hi)
+
+
+def _steps(step, state: tuple, tol: float, budget: int) -> tuple[tuple, int]:
+    """Up to ``budget`` steps from the measured ``state``, until it has
+    converged or ``step`` returns None. Returns (state, steps taken)."""
+    taken = 0
+    while taken < budget and not _converged(state, tol):
+        moved = step(state)
+        if moved is None:
+            break
+        state, taken = moved, taken + 1
+    return state, taken
+
+
+def _power_step(apply, state: tuple, sigma: float, r: int) -> tuple:
+    """One shifted power iteration (Ng-Qi-Zhou), with A x from the _kernel
+    ``apply``: the measured renormalized (r-1)-th root of the state's y."""
+    x = state[1] ** (1.0 / (r - 1))
+    x /= _norm_r(x, r)
+    return _measure(apply, x, sigma, r)
 
 
 def _pair_products(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -358,48 +365,34 @@ def _newton_step(
     return ((r - 2) * x + y / scale) / (r - 1) - x
 
 
-def _newton_steps(
-    apply, edges: np.ndarray, x: np.ndarray, lo: float, hi: float, sigma: float,
-    r: int, tol: float, budget: int,
-) -> tuple[np.ndarray, float, float, int, bool]:
-    """Up to ``budget`` safeguarded Newton-Noda steps from x, whose shifted
-    ratio bounds lo and hi the caller has measured, with A x from ``apply``,
-    the _kernel of ``edges``.
+def _safeguarded_newton_step(
+    apply, edges: np.ndarray, state: tuple, sigma: float, r: int
+) -> tuple | None:
+    """One safeguarded Newton-Noda step from the measured ``state``, with
+    A x from ``apply``, the _kernel of ``edges``.
 
-    A step solves at mu = hi - sigma + (hi - lo) * _NEWTON_MARGIN, the upper
-    ratio of A plus a fraction of the bracket width: strictly above rho, so
-    the Newton matrix stays nonsingular even when rho and the second
+    The step solves at mu = hi - sigma + (hi - lo) * _NEWTON_MARGIN, the
+    upper ratio of A plus a fraction of the bracket width: strictly above
+    rho, so the Newton matrix stays nonsingular even when rho and the second
     eigenvalue nearly coincide, where it is nearly singular at the upper ratio
     itself. It tries x + theta * delta for theta = 1, 1/2, ..., 2^-_HALVINGS
-    and takes the first candidate that is positive and whose bracket hi - lo
-    is strictly narrower. The upper ratio may rise, so the monotone upper
-    ratio of Liu, Guo and Lin's convergence proof is given up; every
-    accepted bracket still encloses rho. When no candidate qualifies, or the
-    solve gives no direction, the phase ends early, unconverged, at the last
-    accepted iterate.
-    Returns (x, lo, hi, steps, converged) with lo and hi the shifted ratio
-    bounds of the returned x itself."""
-    steps = 0
-    while hi - lo > tol * max(1.0, hi):
-        if steps == budget:
-            return x, lo, hi, steps, False
-        delta = _newton_step(edges, x, hi - sigma + (hi - lo) * _NEWTON_MARGIN, r)
-        if delta is None:
-            return x, lo, hi, steps, False
-        for halvings in range(_HALVINGS + 1):
-            cand = x + 0.5**halvings * delta
-            if not (cand > 0).all():
-                continue
+    and returns the measured state of the first candidate that is positive
+    and whose bracket hi - lo is strictly narrower. The upper ratio may rise,
+    so the monotone upper ratio of Liu, Guo and Lin's convergence proof is
+    given up; every accepted bracket still encloses rho. Returns None when no
+    candidate qualifies or the solve gives no direction."""
+    x, _, lo, hi = state
+    delta = _newton_step(edges, x, hi - sigma + (hi - lo) * _NEWTON_MARGIN, r)
+    if delta is None:
+        return None
+    for halvings in range(_HALVINGS + 1):
+        cand = x + 0.5**halvings * delta
+        if (cand > 0).all():
             cand /= _norm_r(cand, r)
-            _, ratios = _shifted_ratios(apply, cand, sigma, r)
-            cand_lo, cand_hi = float(_min(ratios)), float(_max(ratios))
-            if cand_hi - cand_lo < hi - lo:
-                break
-        else:
-            return x, lo, hi, steps, False
-        x, lo, hi = cand, cand_lo, cand_hi
-        steps += 1
-    return x, lo, hi, steps, True
+            moved = _measure(apply, cand, sigma, r)
+            if moved[3] - moved[2] < hi - lo:
+                return moved
+    return None
 
 
 def _certified_bracket(
@@ -425,54 +418,39 @@ def _shift_fraction(r: int) -> float:
 
 
 def _finish_component(
-    sub: UniformHypergraph,
-    opts: SpectralOptions,
-    x: np.ndarray,
-    lo: float,
-    hi: float,
-    iterations: int,
-    converged: bool,
+    sub: UniformHypergraph, opts: SpectralOptions, state: tuple | None, iterations: int
 ) -> tuple[float, np.ndarray, int, tuple[float, float], bool]:
     """Certified spectral radius of the connected component ``sub``,
-    continued from the state (x, lo, hi, iterations, converged) in which
-    _solve_group hands it over: x is the iterate to measure next, or, when
-    no power iteration is left, the last measured one with its shifted ratio
-    bounds lo and hi. Its shift is sigma = D * _shift_fraction(r) for its
-    maximum degree D.
+    continued from the measured state (x, y, lo, hi) that _solve_group hands
+    over after ``iterations`` batched steps, or from the measured start
+    vector when it took none (``state`` None). Its shift is sigma = D *
+    _shift_fraction(r) for its maximum degree D.
 
-    An open component runs power iterations up to min(_NEWTON_AFTER,
-    max_iterations) in all, then safeguarded Newton-Noda steps from the last
-    measured iterate; if a step finds no acceptable candidate, the power
-    iteration takes the rest of the budget from the last accepted iterate,
+    An open component runs power steps up to min(_NEWTON_AFTER,
+    max_iterations) iterations in all, then safeguarded Newton-Noda steps;
+    if a Newton step is rejected, power steps take the rest of the budget,
     and Newton is not tried again. Every phase shares one kernel, built only
-    if the component is open with budget left. Returns (rho, perron vector,
+    if a measurement is left to make. Returns (rho, perron vector,
     iterations, bracket, converged): the vector whose ratios gave the
     bracket, from _certified_bracket, and iterations counting Newton steps.
     """
     tol, budget = opts.tolerance, opts.max_iterations
     r, degree = sub.r, int(sub.degree_array.max())
     sigma = degree * _shift_fraction(r)
-    if not converged and iterations < budget:
+    if state is None or (iterations < budget and not _converged(state, tol)):
         edges = sub.edge_array
         apply = _kernel(edges, sub.n)
-        first = min(_NEWTON_AFTER, budget)
-        if iterations < first:
-            x, lo, hi, steps, converged = _power_steps(
-                apply, x, sigma, r, tol, first - iterations
-            )
-            iterations += steps
-        if not converged and iterations < budget:
-            x, lo, hi, steps, converged = _newton_steps(
-                apply, edges, x, lo, hi, sigma, r, tol, budget - iterations
-            )
-            iterations += steps
-            if not converged and iterations < budget:
-                x, lo, hi, steps, converged = _power_steps(
-                    apply, x, sigma, r, tol, budget - iterations
-                )
-                iterations += steps
+        if state is None:
+            start = np.full(sub.n, sub.n ** (-1.0 / r))
+            state, iterations = _measure(apply, start, sigma, r), 1
+        power = lambda s: _power_step(apply, s, sigma, r)
+        newton = lambda s: _safeguarded_newton_step(apply, edges, s, sigma, r)
+        for step, end in ((power, min(_NEWTON_AFTER, budget)), (newton, budget), (power, budget)):
+            state, taken = _steps(step, state, tol, end - iterations)
+            iterations += taken
+    x, _, lo, hi = state
     bracket = _certified_bracket(lo, hi, sigma, degree, r)
-    return 0.5 * (lo + hi) - sigma, x, iterations, bracket, converged
+    return 0.5 * (lo + hi) - sigma, x, iterations, bracket, _converged(state, tol)
 
 
 def _layout(vlen: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
@@ -493,19 +471,18 @@ def _solve_group(
     solved alone, stepped together while two or more are open.
 
     The components lie end to end in one block-diagonal layout, sorted by
-    vertex count. Each step is _power_steps' step on the whole layout:
-    every elementwise operation rounds as it does per component, the kernel
-    adds each vertex's terms in its component's edge order, the ratio bounds
-    come from the exact minimum.reduceat and maximum.reduceat, and the
-    r-norms are row sums of each run of equally sized components, a
-    (count, size) array whose row sums equal the sums of the rows, with the
-    root taken per row as a Python float. Every component of the group has
-    the same shift fraction, so sigma_v is rebuilt only when the layout
-    changes. A component is saved with the iterate it measured and dropped
-    at the step it converges, before the update of the open ones; once
-    fewer than two are open, or after min(_NEWTON_AFTER, max_iterations)
-    steps, whose last makes no update, the open ones go on alone in
-    _finish_component from their iterates and step count.
+    vertex count. Each step is _power_step on the whole layout: every
+    elementwise operation rounds as it does per component, the kernel adds
+    each vertex's terms in its component's edge order, the ratio bounds come
+    from the exact minimum.reduceat and maximum.reduceat, and the r-norms are
+    row sums of each run of equally sized components, a (count, size) array
+    whose row sums equal the sums of the rows, with the root taken per row as
+    a Python float. Every component of the group has the same shift
+    fraction, so sigma_v is rebuilt only when the layout changes. A
+    component is dropped at the step it converges. Once fewer than two are
+    open, or after min(_NEWTON_AFTER, max_iterations) steps, every component
+    goes to _finish_component with its measured state (x, y, lo, hi) and
+    step count.
     """
     r = subs[0].r
     root, inv_r = 1.0 / (r - 1), 1.0 / r
@@ -517,14 +494,20 @@ def _solve_group(
     elen = np.array([subs[c].m for c in order])
     degree = np.array([subs[c].degree_array.max() for c in order], dtype=np.float64)
     sigma = degree * _shift_fraction(r)
-    lo = hi = np.zeros(len(subs))
     local = np.concatenate([subs[c].edge_array for c in order])
     x = np.repeat([n ** (-1.0 / r) for n in vlen.tolist()], vlen)
-    states: list = [None] * len(subs)
+    handed: list = [(None, 0)] * len(subs)
     step = 0
     vstart, runs = _layout(vlen)
     moved = True
     while len(ids) > 1 and step < budget:
+        if step:
+            x = y**root
+            xr = x**r
+            sums = np.concatenate(
+                [xr[v0 : v0 + k * size].reshape(k, size).sum(axis=1) for v0, k, size in runs]
+            )
+            x /= np.repeat([total**inv_r for total in sums.tolist()], vlen)
         step += 1
         if moved:
             edges = local + np.repeat(vstart, elen)[:, None]
@@ -537,9 +520,9 @@ def _solve_group(
         done = hi - lo <= tol * np.maximum(1.0, hi)
         if done.any():
             for j in np.flatnonzero(done).tolist():
-                v0 = int(vstart[j])
-                x_j = x[v0 : v0 + vlen[j]].copy()
-                states[ids[j]] = (x_j, float(lo[j]), float(hi[j]), step, True)
+                v0, v1 = int(vstart[j]), int(vstart[j] + vlen[j])
+                state = (x[v0:v1].copy(), y[v0:v1].copy(), float(lo[j]), float(hi[j]))
+                handed[ids[j]] = (state, step)
             keep = ~done
             local = np.compress(np.repeat(keep, elen), local, axis=0)
             kept = np.repeat(keep, vlen)
@@ -548,17 +531,13 @@ def _solve_group(
             sigma, lo, hi = sigma[keep], lo[keep], hi[keep]
             vstart, runs = _layout(vlen)
             moved = True
-        if step < budget and len(ids):
-            x = y**root
-            xr = x**r
-            sums = np.concatenate(
-                [xr[v0 : v0 + k * size].reshape(k, size).sum(axis=1) for v0, k, size in runs]
-            )
-            x /= np.repeat([total**inv_r for total in sums.tolist()], vlen)
-    pieces = np.split(x, np.cumsum(vlen)[:-1])
-    for c, x_c, lo_c, hi_c in zip(ids.tolist(), pieces, lo.tolist(), hi.tolist()):
-        states[c] = (x_c, lo_c, hi_c, step, False)
-    return [_finish_component(sub, opts, *state) for sub, state in zip(subs, states)]
+    if step:
+        cuts = np.cumsum(vlen)[:-1]
+        for c, x_c, y_c, lo_c, hi_c in zip(
+            ids.tolist(), np.split(x, cuts), np.split(y, cuts), lo.tolist(), hi.tolist()
+        ):
+            handed[c] = ((x_c, y_c, lo_c, hi_c), step)
+    return [_finish_component(sub, opts, *h) for sub, h in zip(subs, handed)]
 
 
 def _spectral_radii(

@@ -572,44 +572,61 @@ def test_early_newton_phase_encloses_the_dense_radius(monkeypatch):
         checked += 1
 
 
+def _recorded_phases(monkeypatch):
+    """Every per-component step and phase from then on. A step is (kind,
+    apply, sigma, state in, state out or None), kind "power" or "newton"; a
+    phase, one _steps call, is (kinds of its steps, budget, steps taken,
+    converged)."""
+    steps, phases = [], []
+    real_power = hgirr.spectral._power_step
+    real_newton = hgirr.spectral._safeguarded_newton_step
+    real_steps = hgirr.spectral._steps
+
+    def recorded_power(apply, state, sigma, r):
+        out = real_power(apply, state, sigma, r)
+        steps.append(("power", apply, sigma, state, out))
+        return out
+
+    def recorded_newton(apply, edges, state, sigma, r):
+        out = real_newton(apply, edges, state, sigma, r)
+        steps.append(("newton", apply, sigma, state, out))
+        return out
+
+    def recorded_steps(step, state, tol, budget):
+        first = len(steps)
+        out, taken = real_steps(step, state, tol, budget)
+        kinds = {kind for kind, *_ in steps[first:]}
+        phases.append((kinds, budget, taken, hgirr.spectral._converged(out, tol)))
+        return out, taken
+
+    monkeypatch.setattr(hgirr.spectral, "_power_step", recorded_power)
+    monkeypatch.setattr(hgirr.spectral, "_safeguarded_newton_step", recorded_newton)
+    monkeypatch.setattr(hgirr.spectral, "_steps", recorded_steps)
+    return steps, phases
+
+
 def test_rejected_newton_step_hands_the_budget_back_once(monkeypatch):
     # The star's hub converges long before its tail, so no halving of the
     # Newton step narrows the bracket: the step is rejected, and the power
     # iteration takes the rest of the budget from the last accepted
     # iterate, at the same shift. Newton is not tried again.
     H = star_with_tail(30, 300)
-    calls, power, newton = [], [], []
-    real_step = hgirr.spectral._newton_step
-    real_power = hgirr.spectral._power_steps
-    real_newton = hgirr.spectral._newton_steps
-
-    def counted_step(*args):
-        calls.append(args)
-        return real_step(*args)
-
-    def recorded_power(apply, x, sigma, r, tol, budget):
-        out = real_power(apply, x, sigma, r, tol, budget)
-        power.append((sigma, budget, out[3]))
-        return out
-
-    def recorded_newton(apply, edges, x, lo, hi, sigma, r, tol, budget):
-        out = real_newton(apply, edges, x, lo, hi, sigma, r, tol, budget)
-        newton.append((sigma, budget, out[3], out[4]))
-        return out
-
-    monkeypatch.setattr(hgirr.spectral, "_newton_step", counted_step)
-    monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
-    monkeypatch.setattr(hgirr.spectral, "_newton_steps", recorded_newton)
+    steps, phases = _recorded_phases(monkeypatch)
     opts = SpectralOptions()
     _, _, iterations, (lo, hi), converged = _solve_group([H], opts)[0]
     sigma = int(H.degree_array.max()) * hgirr.spectral._SHIFT_HYPER
-    [(sigma_n, budget_n, accepted, newton_converged)] = newton
-    assert (sigma_n, budget_n, newton_converged) == (sigma, opts.max_iterations - _NEWTON_AFTER, False)
-    assert len(calls) == accepted + 1
-    first, second = power
-    assert first == (sigma, _NEWTON_AFTER, _NEWTON_AFTER)
-    assert second[:2] == (sigma, opts.max_iterations - _NEWTON_AFTER - accepted)
-    assert converged and iterations == _NEWTON_AFTER + accepted + second[2]
+    assert all(step_sigma == sigma for _, _, step_sigma, _, _ in steps)
+    first, newton, second = phases
+    # the measured start vector is the first of the _NEWTON_AFTER iterations
+    assert first == ({"power"}, _NEWTON_AFTER - 1, _NEWTON_AFTER - 1, False)
+    kinds, budget, accepted, newton_converged = newton
+    assert (kinds, budget, newton_converged) == ({"newton"}, opts.max_iterations - _NEWTON_AFTER, False)
+    tried = [step for step in steps if step[0] == "newton"]
+    assert len(tried) == accepted + 1 and tried[-1][4] is None
+    assert second[:2] == ({"power"}, opts.max_iterations - _NEWTON_AFTER - accepted)
+    # the fallback starts from the state the rejected step started from
+    assert steps[len(steps) - second[2]][3] is tried[-1][3]
+    assert converged and second[3] and iterations == _NEWTON_AFTER + accepted + second[2]
     assert lo <= _cube_rho(H) <= hi
 
 
@@ -651,50 +668,58 @@ def test_every_accepted_newton_step_narrows_the_bracket(make, rho, opts, rejects
     # bracket width, strictly above rho, and is accepted only when its
     # bracket is strictly narrower; a rejected step leaves x as it was.
     H = make()
-    steps, phases = [], []
+    steps, phases = _recorded_phases(monkeypatch)
+    lams = []
     real_step = hgirr.spectral._newton_step
-    real_newton = hgirr.spectral._newton_steps
 
-    def recorded_newton(apply, edges, x, lo, hi, sigma, r, tol, budget):
-        def recorded_step(edges, x, lam, r):
-            _, ratios = hgirr.spectral._shifted_ratios(apply, x, sigma, r)
-            steps.append((float(ratios.min()), float(ratios.max()), lam))
-            return real_step(edges, x, lam, r)
+    def recorded_step(edges, x, lam, r):
+        lams.append(lam)
+        return real_step(edges, x, lam, r)
 
-        monkeypatch.setattr(hgirr.spectral, "_newton_step", recorded_step)
-        out = real_newton(apply, edges, x, lo, hi, sigma, r, tol, budget)
-        phases.append(((lo, hi), out, sigma, budget))
-        return out
-
-    monkeypatch.setattr(hgirr.spectral, "_newton_steps", recorded_newton)
+    monkeypatch.setattr(hgirr.spectral, "_newton_step", recorded_step)
     res = spectral_radius(H, opts)
-    [((lo, hi), (_, end_lo, end_hi, accepted, converged), sigma, budget)] = phases
-    assert steps[0][:2] == (lo, hi)
-    chain = [*(step[:2] for step in steps), (end_lo, end_hi)]
-    widths = [b - a for a, b in chain]
-    assert all(later < earlier for earlier, later in zip(widths[:accepted], widths[1 : accepted + 1]))
-    assert converged is not rejects
-    if rejects:
-        # a rejected step hands back the x it started from
-        assert accepted < budget and len(steps) == accepted + 1
-        assert chain[-1] == chain[-2]
-    else:
-        assert len(steps) == accepted
+    tried = [step[1:] for step in steps if step[0] == "newton"]
+    [(_, budget, accepted, converged)] = [phase for phase in phases if phase[0] == {"newton"}]
+    assert len(lams) == len(tried)
     true_rho = rho(H)
-    for a, b, lam in steps:
+    for (apply, sigma, (x, _, a, b), out), lam in zip(tried, lams):
+        # the state each step starts from carries its own x's ratio bounds
+        _, ratios = hgirr.spectral._shifted_ratios(apply, x, sigma, H.r)
+        assert (float(ratios.min()), float(ratios.max())) == (a, b)
         assert lam == b - sigma + (b - a) / 16
         assert lam > true_rho
+        if out is not None:
+            assert out[3] - out[2] < b - a
+    # each step starts from the state the one before it accepted
+    assert all(later[2] is earlier[3] for earlier, later in zip(tried, tried[1:]))
+    assert converged is not rejects
+    if rejects:
+        # a rejected step ends the phase, which hands on the x it started from
+        assert accepted < budget and len(tried) == accepted + 1
+        assert tried[-1][3] is None
+        last = max(i for i, step in enumerate(steps) if step[0] == "newton")
+        assert steps[last + 1][3] is tried[-1][2]
+    else:
+        assert len(tried) == accepted
     lo_c, hi_c = res.bracket
     assert lo_c - 1e-12 * true_rho <= true_rho <= hi_c + 1e-12 * true_rho
 
 
 def test_newton_steps_count_against_max_iterations():
-    budget = _NEWTON_AFTER + 2
-    res = spectral_radius(loose_path(3, 250), SpectralOptions(max_iterations=budget))
-    assert not res.converged
-    assert res.iterations == budget
-    lo, hi = res.bracket
-    assert lo <= (2.0 * math.cos(math.pi / 252)) ** (2.0 / 3.0) <= hi
+    # the loose path's budget ends in the Newton phase; the star's first
+    # Newton step is rejected, so its budget ends in the power fallback,
+    # which counts every step it takes
+    cases = [
+        (loose_path(3, 250), _NEWTON_AFTER + 2, (2.0 * math.cos(math.pi / 252)) ** (2.0 / 3.0)),
+        (star_with_tail(50, 200), 800, None),
+    ]
+    for H, budget, rho in cases:
+        res = spectral_radius(H, SpectralOptions(max_iterations=budget))
+        assert not res.converged
+        assert res.iterations == budget
+        lo, hi = res.bracket
+        rho = _cube_rho(H) if rho is None else rho
+        assert lo <= rho <= hi
 
 
 def test_certificate_holds_when_the_solve_does_not_converge():
@@ -801,18 +826,19 @@ def test_bracket_pad_is_keyed_on_the_maximum_degree(monkeypatch):
     H = star_with_tail(200, 0)
     degree = int(H.degree_array.max())
     assert degree == 200
-    finals = []
-    real_power = hgirr.spectral._power_steps
+    measured = []
+    real_measure = hgirr.spectral._measure
 
-    def recorded_power(apply, x, sigma, r, tol, budget):
-        out = real_power(apply, x, sigma, r, tol, budget)
-        finals.append((sigma, out))
+    def recorded_measure(apply, x, sigma, r):
+        out = real_measure(apply, x, sigma, r)
+        measured.append((sigma, out))
         return out
 
-    monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
+    monkeypatch.setattr(hgirr.spectral, "_measure", recorded_measure)
     res = spectral_radius(H)
-    assert res.converged and len(finals) == 1
-    sigma, (_, lo, hi, _, _) = finals[0]
+    assert res.converged and len(measured) == res.iterations
+    sigma, (x, _, lo, hi) = measured[-1]
+    assert x.tobytes() == res.perron_vector.tobytes()
     assert sigma < degree
     pad = hgirr.spectral._gamma(degree + 2 * H.r + 4) * max(1.0, hi)
     assert res.bracket[0] <= lo - sigma - pad
@@ -944,30 +970,42 @@ def test_a_batch_of_both_shift_fractions_matches_the_loop_bit_for_bit(monkeypatc
 )
 def test_an_open_component_builds_one_kernel_for_every_phase(make, phases, monkeypatch):
     # one kernel for the component's continuation, which every phase takes
-    built, handed = [], []
+    built = []
     real_kernel = hgirr.spectral._kernel
-    real_power = hgirr.spectral._power_steps
-    real_newton = hgirr.spectral._newton_steps
 
     def recorded_kernel(edges, n):
         built.append(real_kernel(edges, n))
         return built[-1]
 
-    def recorded_power(apply, *args):
-        handed.append(("power", apply))
-        return real_power(apply, *args)
-
-    def recorded_newton(apply, *args):
-        handed.append(("newton", apply))
-        return real_newton(apply, *args)
-
     monkeypatch.setattr(hgirr.spectral, "_kernel", recorded_kernel)
-    monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
-    monkeypatch.setattr(hgirr.spectral, "_newton_steps", recorded_newton)
+    steps, _ = _recorded_phases(monkeypatch)
     assert spectral_radius(make()).converged
     assert len(built) == 1
-    assert [phase for phase, _ in handed] == phases
-    assert all(apply is built[0] for _, apply in handed)
+    assert [kind for kind, _ in itertools.groupby(step[0] for step in steps)] == phases
+    assert all(apply is built[0] for _, apply, *_ in steps)
+
+
+def test_no_phase_measures_an_iterate_twice(monkeypatch):
+    # Every phase hands the next the measured state (x, y, lo, hi), so no
+    # iterate goes through the kernel twice: the power fallback after the
+    # star's rejected Newton step starts with an update, not by measuring
+    # again the x it was handed. The vectors are kept, so no id is reused.
+    seen = []
+    real_kernel = hgirr.spectral._kernel
+
+    def recorded_kernel(edges, n):
+        apply = real_kernel(edges, n)
+
+        def recorded_apply(x):
+            seen.append(x)
+            return apply(x)
+
+        return recorded_apply
+
+    monkeypatch.setattr(hgirr.spectral, "_kernel", recorded_kernel)
+    res = spectral_radius(star_with_tail(30, 300))
+    assert res.converged and res.iterations == 1757
+    assert len({id(x) for x in seen}) == len(seen)
 
 
 # ------------------------------------------- components of one rank at once
@@ -1121,34 +1159,34 @@ def test_a_result_carries_the_options_it_was_solved_at(two_path):
 @pytest.mark.parametrize("kind", ["mixed union", "connected path"])
 def test_batch_steps_only_while_two_components_are_open(kind, monkeypatch):
     # Every component finishes in _finish_component after the batch loop, so
-    # the adjacency products before the first _power_steps call are the
+    # the adjacency products before the first _finish_component call are the
     # batched steps; each runs on a layout of two or more components, and
-    # the last open component continues in _power_steps from the step at
-    # which the batch handed it over.
+    # the last open component continues from the measured state and step
+    # count at which the batch handed it over.
     if kind == "mixed union":
         H = _mixed_union(np.random.default_rng(97), 3, 30)
     else:
         H = loose_path(3, 40)
-    products, power_calls = [], []
+    products, handed = [], []
     real_kernel = hgirr.spectral._kernel
-    real_power = hgirr.spectral._power_steps
+    real_finish = hgirr.spectral._finish_component
 
     def recorded_kernel(edges, n):
         apply = real_kernel(edges, n)
 
         def recorded_apply(x):
-            if not power_calls:
+            if not handed:
                 products.append(edges)
             return apply(x)
 
         return recorded_apply
 
-    def recorded_power(apply, x, sigma, r, tol, budget):
-        power_calls.append((x.shape[0], budget))
-        return real_power(apply, x, sigma, r, tol, budget)
+    def recorded_finish(sub, opts, state, iterations):
+        handed.append((sub.n, state, iterations))
+        return real_finish(sub, opts, state, iterations)
 
     monkeypatch.setattr(hgirr.spectral, "_kernel", recorded_kernel)
-    monkeypatch.setattr(hgirr.spectral, "_power_steps", recorded_power)
+    monkeypatch.setattr(hgirr.spectral, "_finish_component", recorded_finish)
     res = spectral_radius(H)
     assert res.converged and res.iterations > _NEWTON_AFTER
     layouts = {(e.shape[0], int(e.max())): e for e in products}
@@ -1156,8 +1194,15 @@ def test_batch_steps_only_while_two_components_are_open(kind, monkeypatch):
         assert len(components(build(3, int(edges.max()) + 1, edges + 1))) >= 2
     path = loose_path(3, 40)
     steps = len(products)
-    assert power_calls[0] == (path.n, _NEWTON_AFTER - steps)
+    [(state, iterations)] = [(state, it) for n, state, it in handed if n == path.n]
+    assert iterations == steps
     if kind == "mixed union":
         assert 0 < steps < _NEWTON_AFTER
+        x, y, lo, hi = state
+        assert not hi - lo <= SpectralOptions().tolerance * max(1.0, hi)
+        sigma = int(path.degree_array.max()) * hgirr.spectral._SHIFT_HYPER
+        y_own, ratios = hgirr.spectral._shifted_ratios(_kernel(path.edge_array, path.n), x, sigma, 3)
+        assert y.tobytes() == y_own.tobytes()
+        assert (lo, hi) == (float(ratios.min()), float(ratios.max()))
     else:
-        assert steps == 0
+        assert steps == 0 and state is None
