@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -205,29 +206,83 @@ def _make_instance(
     return random_uniform(n, m, r, rng), None, rng
 
 
-def _checked_instances(
+def _tally_block(
+    first: int,
     args: argparse.Namespace,
     r_choices: tuple[int, ...],
     n_range: tuple[int, int],
     sizes: tuple[int, ...] | None,
     opts: SpectralOptions,
-) -> Iterator[tuple[list[BoundCheck], list[tuple[str, bool]]]]:
-    """The bound checks and extra checks of every instance, in order.
+) -> tuple[list[str], Counter[tuple[str, str]], dict[str, float], int]:
+    """The tally of the _VERIFY_BLOCK instances from ``first`` on: the bound
+    names of the first instance, the count of every (name, "pass" | "fail" |
+    "skip"), each bound's first strictly least slack, and the number of
+    instances with a failed check.
 
-    Instances are made _VERIFY_BLOCK at a time and each block is solved in
-    one call. A solve draws nothing, so every generator is where the extras
-    expect it, and each block is dropped before the next is made."""
-    for first in range(0, args.count, _VERIFY_BLOCK):
-        indices = range(first, min(first + _VERIFY_BLOCK, args.count))
-        block = [_make_instance(i, args, r_choices, n_range, sizes) for i in indices]
-        results = _spectral_radii([H for H, _, _ in block], opts)
-        for index, (H, partition, rng), result in zip(indices, block, results):
-            checks = bound_suite(H, result, partition)
-            extras: list[tuple[str, bool]] = []
-            if index % 10 == 0:
-                extras = _run_extra_checks(H, partition, result, rng, index)
-            yield checks, extras
-        del block, results
+    The block is made and solved in one call. A solve draws nothing, so
+    every generator is where the extras expect it. Instance i depends on
+    seed + i alone, so blocks can run in any process and order."""
+    indices = range(first, min(first + _VERIFY_BLOCK, args.count))
+    block = [_make_instance(i, args, r_choices, n_range, sizes) for i in indices]
+    results = _spectral_radii([H for H, _, _ in block], opts)
+    counts: Counter[tuple[str, str]] = Counter()
+    min_slack: dict[str, float] = {}
+    failures = 0
+    for index, (H, partition, rng), result in zip(indices, block, results):
+        checks = bound_suite(H, result, partition)
+        if index == first:  # bound_suite emits every bound, skipped ones included
+            bound_names = [check.name for check in checks]
+        extras = _run_extra_checks(H, partition, result, rng, index) if index % 10 == 0 else []
+        for check in checks:
+            if check.skipped:
+                counts[check.name, "skip"] += 1
+                continue
+            counts[check.name, "pass" if check.holds else "fail"] += 1
+            if check.name not in min_slack or check.slack < min_slack[check.name]:
+                min_slack[check.name] = check.slack
+        for name, ok in extras:
+            counts[name, "pass" if ok else "fail"] += 1
+        if not all(c.holds for c in checks) or not all(ok for _, ok in extras):
+            failures += 1
+    return bound_names, counts, min_slack, failures
+
+
+def _usable_cpus() -> int:
+    """The CPUs that verify's workers may run on: those this process may use
+    on Linux, and 1 elsewhere, where verify forks no worker."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _map_blocks(tally, starts: range) -> list:
+    """``tally`` of every block start, in order: in forked worker processes,
+    one per usable CPU, when there are at least two blocks and two CPUs, and
+    in this process otherwise.
+
+    A forked worker starts from this process's memory, with numpy and the
+    package loaded; a spawned one would first import them again, which takes
+    longer than a block. The pool lives for this call alone, so no worker
+    outlives it, and each worker sees the module state of the moment verify
+    was called."""
+    workers = min(_usable_cpus(), len(starts))
+    if workers < 2:
+        return list(map(tally, starts))
+    import multiprocessing
+
+    with warnings.catch_warnings():
+        # Python 3.12 and later warn on a fork from a process with threads.
+        # Here the threads are OpenBLAS's, which stops them before a fork
+        # (pthread_atfork), so no lock is held in the child
+        warnings.filterwarnings(
+            "ignore", r".*multi-threaded, use of fork\(\)", DeprecationWarning
+        )
+        pool = multiprocessing.get_context("fork").Pool(workers)
+    with pool:  # on an exception, leaving the block terminates the workers
+        tallies = pool.map(tally, starts, chunksize=1)
+        pool.close()
+        pool.join()
+    return tallies
 
 
 def _run_extra_checks(H, partition, result, rng, index) -> list[tuple[str, bool]]:
@@ -331,25 +386,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"{_VERIFY_MAX_EDGES}"
             )
 
-    counts: Counter[tuple[str, str]] = Counter()  # (name, "pass" | "fail" | "skip")
+    tally = functools.partial(
+        _tally_block, args=args, r_choices=r_choices, n_range=n_range, sizes=sizes, opts=opts
+    )
+    tallies = _map_blocks(tally, range(0, args.count, _VERIFY_BLOCK))
+    # the blocks fold in order, and a slack replaces the kept one only when
+    # strictly less, as in one pass over the instances: a tie such as 0.0
+    # against -0.0 keeps the earlier one's sign
+    bound_names = tallies[0][0]
+    counts: Counter[tuple[str, str]] = Counter()
     min_slack: dict[str, float] = {}
     failures = 0
-    for i, (checks, extras) in enumerate(
-        _checked_instances(args, r_choices, n_range, sizes, opts)
-    ):
-        if i == 0:  # bound_suite emits every bound, skipped ones included
-            bound_names = [check.name for check in checks]
-        for check in checks:
-            if check.skipped:
-                counts[check.name, "skip"] += 1
-                continue
-            counts[check.name, "pass" if check.holds else "fail"] += 1
-            if check.name not in min_slack or check.slack < min_slack[check.name]:
-                min_slack[check.name] = check.slack
-        for name, ok in extras:
-            counts[name, "pass" if ok else "fail"] += 1
-        if not all(c.holds for c in checks) or not all(ok for _, ok in extras):
-            failures += 1
+    for _, block_counts, block_slack, block_failures in tallies:
+        counts.update(block_counts)
+        for name, slack in block_slack.items():
+            if name not in min_slack or slack < min_slack[name]:
+                min_slack[name] = slack
+        failures += block_failures
 
     if sizes:
         mode = f"partite {','.join(str(s) for s in sizes)}"

@@ -171,6 +171,20 @@ class SpectralResult:
         return 0.5 * (self.bracket[1] - self.bracket[0])
 
 
+def _block_views(g: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The flat views of one block's (rows, r) gather and product buffers,
+    and the in-place products between their columns, for _kernel."""
+    r = g.shape[1]
+    v = [g[:, j] for j in range(r)]
+    c = [o[:, j] for j in range(r)]
+    products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
+    suffix = v[r - 1]
+    for j in range(r - 2, 0, -1):
+        products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
+        suffix = c[0]
+    return g.ravel(), o.ravel(), products
+
+
 def _kernel(edges: np.ndarray, n: int):
     """apply(x) = (A x)_i for one 0-based (m, r) edge array on n vertices.
 
@@ -200,30 +214,31 @@ def _kernel(edges: np.ndarray, n: int):
         source, gathered = edges[:, ::-1].ravel(), out
     else:
         source, gathered = index, np.empty((rows, r))
+    multiply, bincount = np.multiply, np.bincount
+    # mode="clip" gathers straight into the buffer, where the default
+    # mode="raise" makes numpy gather into a temporary first. Clipping
+    # changes nothing only because every edge array that reaches a kernel
+    # belongs to a validated UniformHypergraph (0 <= id < n) and x has
+    # length n.
+    if rows == m:
+        # one block, the common case of small inputs, builds no block list
+        into, weights, products = _block_views(gathered, out)
 
-    def block(g: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-        # the flat gather and product buffers and the products between them
-        v = [g[:, j] for j in range(r)]
-        c = [o[:, j] for j in range(r)]
-        products = [(c[j - 1] if j > 2 else v[0], v[j - 1], c[j]) for j in range(2, r)]
-        suffix = v[r - 1]
-        for j in range(r - 2, 0, -1):
-            products += [(c[j] if j > 1 else v[0], suffix, c[j]), (suffix, v[j], c[0])]
-            suffix = c[0]
-        return g.ravel(), o.ravel(), products
+        def apply_one(x: np.ndarray) -> np.ndarray:
+            x.take(source, None, into, "clip")
+            for left, right, result in products:
+                multiply(left, right, result)
+            return bincount(index, weights, n)
 
-    full, step, tail = block(gathered, out), rows * r, m % rows
+        return apply_one
+
+    full, step, tail = _block_views(gathered, out), rows * r, m % rows
     blocks = [(source[t : t + step], index[t : t + step], full) for t in range(0, (m - tail) * r, step)]
     if tail:
-        blocks.append((source[-tail * r :], index[-tail * r :], block(gathered[:tail], out[:tail])))
-    multiply, add_at, bincount = np.multiply, np.add.at, np.bincount
+        blocks.append((source[-tail * r :], index[-tail * r :], _block_views(gathered[:tail], out[:tail])))
+    add_at = np.add.at
 
     def apply(x: np.ndarray) -> np.ndarray:
-        # mode="clip" gathers straight into the buffer, where the default
-        # mode="raise" makes numpy gather into a temporary first. Clipping
-        # changes nothing only because every edge array that reaches a kernel
-        # belongs to a validated UniformHypergraph (0 <= id < n) and x has
-        # length n.
         y = None
         for terms, target, (into, weights, products) in blocks:
             x.take(terms, None, into, "clip")
@@ -385,10 +400,17 @@ def _safeguarded_newton_step(
     delta = _newton_step(edges, x, hi - sigma + (hi - lo) * _NEWTON_MARGIN, r)
     if delta is None:
         return None
+    measured = None
     for halvings in range(_HALVINGS + 1):
         cand = x + 0.5**halvings * delta
         if (cand > 0).all():
             cand /= _norm_r(cand, r)
+            # once theta * delta is below half an ulp of x, halvings can
+            # round to the bits just rejected; a later one can differ again
+            bits = cand.tobytes()
+            if bits == measured:
+                continue
+            measured = bits
             moved = _measure(apply, cand, sigma, r)
             if moved[3] - moved[2] < hi - lo:
                 return moved

@@ -6,9 +6,13 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -549,6 +553,94 @@ def test_verify_deterministic_across_processes():
     first = subprocess.run(cmd, capture_output=True, check=True)
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*_PINNED_VERIFY_RUNS, ["verify", "--partite", "2,3,4", "--count", "1000", "--seed", "5"]],
+)
+def test_verify_bytes_in_worker_processes_match_one_process(argv, monkeypatch):
+    # the main solves are counted in this process only: in the pool every
+    # block is solved in a worker
+    solved_here = []
+    real_spectral_radii = hgirr.cli._spectral_radii
+
+    def counted(hypergraphs, opts):
+        solved_here.append(len(hypergraphs))
+        return real_spectral_radii(hypergraphs, opts)
+
+    monkeypatch.setattr(hgirr.cli, "_spectral_radii", counted)
+    monkeypatch.setattr(hgirr.cli, "_usable_cpus", lambda: 1)
+    alone = _main_sha256(argv)
+    count = int(argv[argv.index("--count") + 1])
+    assert sum(solved_here) == count
+    monkeypatch.setattr(hgirr.cli, "_usable_cpus", lambda: 2)
+    solved_here.clear()
+    pooled = _main_sha256(argv)
+    assert pooled == alone
+    # a single block stays in this process
+    assert sum(solved_here) == (count if count <= hgirr.cli._VERIFY_BLOCK else 0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("first, second, printed", [(0.0, -0.0, "0"), (-0.0, 0.0, "-0")])
+def test_verify_folds_block_slacks_as_one_pass_does(first, second, printed, monkeypatch, capsys):
+    # one pass over the instances keeps the first of equal least slacks, so a
+    # tie between blocks keeps the earlier block's sign
+    slacks = {0: first, hgirr.cli._VERIFY_BLOCK: second}
+
+    def crafted(start, **_):
+        return ["size_upper"], Counter({("size_upper", "pass"): 100}), {"size_upper": slacks[start]}, 0
+
+    monkeypatch.setattr(hgirr.cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(hgirr.cli, "_tally_block", crafted)
+    assert main(["verify", "--count", "200"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("size_upper"))
+    assert row.split()[1:] == ["200", "200", "0", "0", printed]
+
+
+class _SpotCheckError(Exception):
+    pass
+
+
+def test_verify_reraises_a_worker_exception_and_leaves_no_worker(monkeypatch):
+    real_extras = hgirr.cli._run_extra_checks
+
+    def failing(H, partition, result, rng, index):
+        if index >= hgirr.cli._VERIFY_BLOCK:
+            raise _SpotCheckError(f"instance {index}")
+        return real_extras(H, partition, result, rng, index)
+
+    monkeypatch.setattr(hgirr.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hgirr.cli, "_run_extra_checks", failing)
+    with pytest.raises(_SpotCheckError, match="instance 1[0-9][0-9]$"):
+        main(["verify", "--r", "3", "--n", "4:7", "--count", "300", "--seed", "5"])
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_fork_warning_does_not_reach_the_user(monkeypatch, capsys):
+    # Python 3.12 and later warn in the parent on a fork from a process with
+    # threads, as numpy's BLAS pool makes every process that imports it
+    real_fork = os.fork
+
+    def warning_fork():
+        pid = real_fork()
+        if pid:
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                "may lead to deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(hgirr.cli, "_usable_cpus", lambda: 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--count", "200"]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_console_entry_point(tmp_path):

@@ -989,8 +989,10 @@ def test_no_phase_measures_an_iterate_twice(monkeypatch):
     # Every phase hands the next the measured state (x, y, lo, hi), so no
     # iterate goes through the kernel twice: the power fallback after the
     # star's rejected Newton step starts with an update, not by measuring
-    # again the x it was handed. The vectors are kept, so no id is reused.
-    seen = []
+    # again the x it was handed, and the halvings of a rejected Newton step
+    # that round to the same bits are measured once. The vectors are kept,
+    # so no id is reused.
+    seen, seen_bytes = [], []
     real_kernel = hgirr.spectral._kernel
 
     def recorded_kernel(edges, n):
@@ -998,6 +1000,7 @@ def test_no_phase_measures_an_iterate_twice(monkeypatch):
 
         def recorded_apply(x):
             seen.append(x)
+            seen_bytes.append(x.tobytes())
             return apply(x)
 
         return recorded_apply
@@ -1006,6 +1009,7 @@ def test_no_phase_measures_an_iterate_twice(monkeypatch):
     res = spectral_radius(star_with_tail(30, 300))
     assert res.converged and res.iterations == 1757
     assert len({id(x) for x in seen}) == len(seen)
+    assert len(set(seen_bytes)) == len(seen_bytes)
 
 
 # ------------------------------------------- components of one rank at once
